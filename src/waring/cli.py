@@ -71,6 +71,17 @@ def parse_range(text: str) -> tuple[int, int]:
     raise UsageError(f"malformed range {text!r}; expected a:b")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
@@ -435,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit timestamps and timings so identical runs are byte-identical",
     )
-    common.add_argument("--threads", type=int, default=1, help="verification worker count")
+    common.add_argument(
+        "--threads", type=positive_int, default=1, help="verification worker count"
+    )
 
     parser = argparse.ArgumentParser(
         prog="waring",
@@ -519,8 +532,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = render(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return exit_code

@@ -112,6 +112,38 @@ def _block_pool(n: int, d: int) -> list[Monomial]:
     return pool
 
 
+def _block_multisets(pool: list[Monomial], n: int, spanning: bool = False) -> Iterator[tuple[int, ...]]:
+    """Multisets of pool blocks using at most n variables (exactly n when spanning).
+
+    Each multiset is a nondecreasing tuple of pool indices, i.e. its blocks
+    in canonical order. Multisets come depth first: a multiset, then every
+    extension of it by blocks at or after its last index, then the next
+    choice for its last block. The pool lists blocks by variable count
+    descending, so the blocks that fit a budget form a suffix of it.
+    """
+    sizes = [block.nvars for block in pool]
+    count = len(sizes)
+    # first_fit[b]: the first pool index whose block fits in b variables.
+    first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
+    chosen: list[int] = []
+    budgets = [n]  # budgets[j]: variables left before chosen[j] is picked
+    i = first_fit[n]
+    while True:
+        if i < count:
+            budget = budgets[-1] - sizes[i]
+            chosen.append(i)
+            budgets.append(budget)
+            if not spanning or not budget:
+                yield tuple(chosen)
+            i = max(i, first_fit[budget])
+        elif chosen:
+            # The next index fits too: its block is no larger than the last.
+            i = chosen.pop() + 1
+            budgets.pop()
+        else:
+            return
+
+
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:
     """All sums of pairwise coprime degree-d monomials in n variables.
 
@@ -123,18 +155,8 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
     if n < 1 or d < 1:
         raise UsageError(f"enumerate_coprime_sums needs n >= 1 and d >= 1, got ({n}, {d})")
     pool = _block_pool(n, d)
-
-    def extend(start: int, budget: int, chosen: tuple[Monomial, ...]) -> Iterator[CoprimeSum]:
-        for i in range(start, len(pool)):
-            block = pool[i]
-            if block.nvars > budget:
-                continue
-            picked = chosen + (block,)
-            if not spanning or block.nvars == budget:
-                yield CoprimeSum(picked, n)
-            yield from extend(i, budget - block.nvars, picked)
-
-    yield from extend(0, n, ())
+    for picked in _block_multisets(pool, n, spanning):
+        yield CoprimeSum(tuple(pool[i] for i in picked), n)
 
 
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:

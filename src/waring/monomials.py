@@ -91,17 +91,41 @@ def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[
 
     Yields nonincreasing part tuples in descending lexicographic order,
     e.g. partitions(4, 4) gives (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
+    Parts are at most max_part when it is given.
+
+    Iterative: each step lowers the rightmost part that can drop by one
+    and still leave room for the parts after it, then refills those
+    parts greedily (as many copies of the lowered value as fit, then the
+    remainder), which is the next partition in this order.
     """
     if d == 0:
         yield ()
         return
-    if max_parts <= 0:
-        return
     cap = d if max_part is None else min(max_part, d)
-    smallest_first = -(-d // max_parts)
-    for first in range(cap, smallest_first - 1, -1):
-        for rest in partitions(d - first, max_parts - 1, first):
-            yield (first,) + rest
+    if max_parts <= 0 or cap * max_parts < d:
+        return
+    q, r = divmod(d, cap)
+    parts = [cap] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        last = parts[i]
+        if last > 1 and i + 1 < max_parts:
+            # The common case of the step below: split a 1 off the last part.
+            parts[i] = last - 1
+            parts.append(1)
+            continue
+        rest = 0  # sum of the parts right of i
+        while True:
+            if i < 0:
+                return
+            lowered = parts[i] - 1
+            if lowered and rest < lowered * (max_parts - i - 1):
+                break
+            rest += parts[i]
+            i -= 1
+        q, r = divmod(rest + 1, lowered)
+        parts[i:] = [lowered] * (q + 1) + ([r] if r else [])
 
 
 def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:

@@ -10,19 +10,20 @@ merge in (n, d) order, so the report does not depend on the worker count.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coprime_sums import CoprimeSum, enumerate_coprime_sums, r_max_star, sum_rank
+from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, r_max_star
 from .errors import UsageError
 from .exact_math import binomial
 from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
-    enumerate_monomials,
+    partitions,
     r_max,
     waring_rank,
 )
@@ -84,7 +85,13 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
         raise UsageError(f"{name} range must start at {minimum} or above, got {lo}")
 
 
+def _pool_size(workers: int, cells: int) -> int:
+    """Worker processes to start: never more than the cells or the CPUs."""
+    return min(workers, cells, os.cpu_count() or 1)
+
+
 def _run_cells(fn, cells, workers: int):
+    workers = _pool_size(workers, len(cells))
     if workers <= 1:
         return [fn(c) for c in cells]
     chunk = max(1, len(cells) // (workers * 4))
@@ -92,28 +99,41 @@ def _run_cells(fn, cells, workers: int):
         return list(pool.map(fn, cells, chunksize=chunk))
 
 
+# The two theorem cells visit the same objects, in the same order, as
+# enumerate_monomials and enumerate_coprime_sums, but walk the raw
+# partitions and block-index multisets and build a Monomial or CoprimeSum
+# only for a reported violation.
+
+
 def _monomial_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     n, d = cell
     gen = generic_rank(n, d)
     checked = 0
     bad = []
-    for mono in enumerate_monomials(n, d):
+    for parts in partitions(d, n):
         checked += 1
-        rank = waring_rank(mono)
+        # waring_rank of the raw descending parts: every factor but the
+        # one for the last (smallest) part.
+        rank = 1
+        for part in parts[:-1]:
+            rank *= part + 1
         if rank >= gen:
-            bad.append(Violation(n, d, mono, rank, gen))
+            bad.append(Violation(n, d, Monomial(tuple(reversed(parts)), n), rank, gen))
     return checked, bad
 
 
 def _coprime_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     n, d = cell
     gen = generic_rank(n, d)
+    pool = _block_pool(n, d)
+    block_rank = [waring_rank(block) for block in pool].__getitem__
     checked = 0
     nonstrict = []
-    for f in enumerate_coprime_sums(n, d, spanning=False):
+    for picked in _block_multisets(pool, n):
         checked += 1
-        rank = sum_rank(f)
+        rank = sum(map(block_rank, picked))
         if rank >= gen:
+            f = CoprimeSum(tuple(pool[i] for i in picked), n)
             nonstrict.append(Violation(n, d, f, rank, gen))
     return checked, nonstrict
 

@@ -260,6 +260,32 @@ def test_verify_threads_match_single_worker(capsys):
     assert doc1["rows"] == doc2["rows"]
 
 
+def test_verify_threads_echo_requested_count(capsys):
+    code, doc = run_json(
+        capsys, "verify", "--claim", "theorem-monomial",
+        "--n-range", "4:4", "--d-range", "2:2", "--threads", "64",
+    )
+    assert code == 0
+    assert doc["parameters"]["threads"] == "64"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_is_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--claim", "ineq-agm", "--threads", value)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.md"
+    code, out, err = run_cli(capsys, "rank", "--monomial", "1,2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # asymptotics command
 

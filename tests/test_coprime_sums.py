@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waring.coprime_sums import (
     CoprimeSum,
+    _block_multisets,
+    _block_pool,
     enumerate_coprime_sums,
     greedy_construction,
     make_sum,
@@ -120,6 +123,34 @@ def test_enumerate_no_duplicates_and_counts():
                     assert all(f.vars_used == n for f in sums)
                 else:
                     assert all(f.vars_used <= n for f in sums)
+
+
+def recursive_multisets(sizes, n, spanning):
+    """Reference order: depth-first recursion over nondecreasing pool
+    indices, skipping blocks that do not fit the variables left."""
+    out = []
+
+    def extend(start, budget, chosen):
+        for i in range(start, len(sizes)):
+            if sizes[i] > budget:
+                continue
+            picked = chosen + (i,)
+            if not spanning or sizes[i] == budget:
+                out.append(picked)
+            extend(i, budget - sizes[i], picked)
+
+    extend(0, n, ())
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 9), d=st.integers(1, 8), spanning=st.booleans())
+def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
+    pool = _block_pool(n, d)
+    picked = list(_block_multisets(pool, n, spanning))
+    assert picked == recursive_multisets([b.nvars for b in pool], n, spanning)
+    sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
+    assert [tuple(pool[i] for i in p) for p in picked] == [f.blocks for f in sums]
 
 
 def test_enumerate_rejects_bad_args():

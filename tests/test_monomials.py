@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waring.errors import DegenerateInputError, DimensionError, UsageError
 from waring.monomials import (
@@ -171,6 +172,24 @@ def test_partitions_descending_lex_order():
         parts = list(partitions(d, k))
         assert parts == sorted(parts, reverse=True)
         assert len(set(parts)) == len(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(0, 18),
+    max_parts=st.integers(0, 8),
+    max_part=st.none() | st.integers(0, 20),
+)
+def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts, max_part):
+    got = list(partitions(d, max_parts, max_part))
+    cap = d if max_part is None else max_part
+    expected = sorted(
+        (p for p in brute_partitions(d, max_parts) if not p or p[0] <= cap),
+        reverse=True,
+    )
+    assert got == expected
+    if max_part is None:
+        assert len(got) == partition_count(d, max_parts)
 
 
 def test_enumerate_rejects_bad_args():

@@ -1,8 +1,10 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from waring.coprime_sums import CoprimeSum, sum_rank
+from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, sum_rank
 from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
@@ -21,6 +23,9 @@ from waring.verify import (
     Violation,
     _agm_cell,
     _collect,
+    _coprime_cell,
+    _monomial_cell,
+    _pool_size,
     _pure_power_cell,
     ratio_decay_fixed_d,
     ratio_to_generic,
@@ -72,6 +77,55 @@ def test_theorem_monomial_workers_agree():
     assert solo.status == fanned.status
     assert solo.checked_count == fanned.checked_count
     assert solo.violations == fanned.violations
+
+
+def object_path_cell(n, d, objects, rank):
+    """Reference cell: rank-compare every enumerated object."""
+    gen = generic_rank(n, d)
+    checked, bad = 0, []
+    for obj in objects:
+        checked += 1
+        value = rank(obj)
+        if value >= gen:
+            bad.append(Violation(n, d, obj, value, gen))
+    return checked, bad
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), d=st.integers(1, 24))
+@example(n=2, d=7)
+@example(n=3, d=4)
+@example(n=4, d=3)
+def test_monomial_cell_matches_object_path(n, d):
+    expected = object_path_cell(n, d, enumerate_monomials(n, d), waring_rank)
+    assert _monomial_cell((n, d)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), d=st.integers(1, 7))
+@example(n=2, d=3)
+@example(n=3, d=3)
+@example(n=4, d=3)
+def test_coprime_cell_matches_object_path(n, d):
+    expected = object_path_cell(n, d, enumerate_coprime_sums(n, d), sum_rank)
+    assert _coprime_cell((n, d)) == expected
+
+
+def test_theorem_cells_find_violations_below_four_variables():
+    for cell in ((2, 7), (3, 4)):
+        assert _monomial_cell(cell)[1]
+    assert _coprime_cell((3, 3))[1]
+    assert len(_coprime_cell((4, 3))[1]) == 3
+
+
+def test_pool_size_never_exceeds_cells_or_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_size(1, 100) == 1
+    assert _pool_size(2, 100) == 2
+    assert _pool_size(64, 3) == 3
+    assert _pool_size(10**9, 10**9) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 100) == 1
 
 
 # ---------------------------------------------------------------------------
