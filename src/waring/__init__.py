@@ -39,17 +39,18 @@ from .rank_tables import (
     RankRecord,
     generic_rank,
     known_examples,
-    rank_add_powers,
     upper_bounds,
 )
 from .verify import (
     CLAIM_IDS,
+    CLAIMS,
     EXPECTED_COPRIME_EXCEPTIONS,
     RatioPoint,
     VerificationReport,
     Violation,
     ratio_decay_fixed_d,
     ratio_to_generic,
+    verify_claim,
     verify_inequality_agm,
     verify_inequality_pure_power,
     verify_lemma_slope,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOUND_KINDS",
+    "CLAIMS",
     "CLAIM_IDS",
     "CoprimeSum",
     "DegenerateInputError",
@@ -93,12 +95,12 @@ __all__ = [
     "partitions",
     "r_max",
     "r_max_star",
-    "rank_add_powers",
     "ratio_compare",
     "ratio_decay_fixed_d",
     "ratio_to_generic",
     "sum_rank",
     "upper_bounds",
+    "verify_claim",
     "verify_inequality_agm",
     "verify_inequality_pure_power",
     "verify_lemma_slope",

@@ -22,15 +22,6 @@ from .errors import UsageError
 from .monomials import MODE_CLOSED_FORM, MODE_ORACLE
 from .report import FORMATS, ReportDocument, approx12, fmt_exact, render
 
-VERIFY_DEFAULT_RANGES = {
-    # claim id -> (n_range, d_range); lemma-slope has no n range.
-    "theorem-monomial": ((4, 8), (2, 20)),
-    "theorem-coprime": ((4, 8), (3, 10)),
-    "lemma-slope": (None, (4, 20)),
-    "ineq-agm": ((4, 8), (2, 20)),
-    "ineq-pure-power": ((4, 14), (4, 14)),
-}
-
 TABLE_NAMES = ("exceptional-44-53", "coprime-43", "known-examples")
 
 
@@ -44,17 +35,12 @@ def parse_exponent_list(text: str) -> list[int]:
         values = [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"malformed exponent list {text!r}; expected e.g. 1,2,2")
-    if not values:
-        raise UsageError("empty exponent list")
     return values
 
 
 def parse_sum_spec(text: str) -> list[list[int]]:
     """Parse '1,2|1,2' into [[1, 2], [1, 2]] (blocks separated by '|')."""
-    blocks = [parse_exponent_list(part) for part in text.split("|")]
-    if not blocks:
-        raise UsageError("empty sum expression")
-    return blocks
+    return [parse_exponent_list(part) for part in text.split("|")]
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -90,6 +76,12 @@ def _utc_now() -> str:
 # row builders
 
 
+def _witness(obj: mono.Monomial | cs.CoprimeSum) -> str:
+    """Machine-readable exponent syntax, e.g. '1,2|1,2'; rank parses it back."""
+    blocks = obj.blocks if isinstance(obj, cs.CoprimeSum) else (obj,)
+    return "|".join(",".join(str(e) for e in b.exponents) for b in blocks)
+
+
 def _monomial_row(m: mono.Monomial, kind: str = "monomial") -> dict[str, str]:
     return {
         "n": str(m.ambient_vars),
@@ -97,7 +89,7 @@ def _monomial_row(m: mono.Monomial, kind: str = "monomial") -> dict[str, str]:
         "vars_used": str(m.nvars),
         "kind": kind,
         "value": str(mono.waring_rank(m)),
-        "witness": ",".join(str(e) for e in m.exponents),
+        "witness": _witness(m),
         "label": m.label(),
     }
 
@@ -109,7 +101,7 @@ def _sum_row(f: cs.CoprimeSum, kind: str = "coprime_sum") -> dict[str, str]:
         "vars_used": str(f.vars_used),
         "kind": kind,
         "value": str(cs.sum_rank(f)),
-        "witness": "|".join(",".join(str(e) for e in b.exponents) for b in f.blocks),
+        "witness": _witness(f),
         "label": f.label(),
     }
 
@@ -156,8 +148,6 @@ def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
         "d": str(args.d),
         "kind": "generic",
         "value": str(value),
-        "witness": "",
-        "label": "",
     }
     params = {"n": str(args.n), "d": str(args.d)}
     return _document(args, "generic-rank", RANK_COLUMNS, [row], params), 0
@@ -169,15 +159,7 @@ def _mode(args) -> str:
 
 def cmd_max_rank(args) -> tuple[ReportDocument, int]:
     mode = _mode(args)
-    if mode == MODE_ORACLE:
-        witness = None
-        best = -1
-        for m in mono.enumerate_monomials(args.n, args.d):
-            r = mono.waring_rank(m)
-            if r > best:
-                witness, best = m, r
-    else:
-        witness = mono.max_rank_monomial(args.n, args.d)
+    witness = mono.max_rank_monomial(args.n, args.d, mode)
     row = _monomial_row(witness, kind="r_max")
     params = {"n": str(args.n), "d": str(args.d), "mode": mode}
     return _document(args, "max-rank", RANK_COLUMNS, [row], params), 0
@@ -195,39 +177,20 @@ BOUNDS_COLUMNS = ["n", "d", "kind", "value", "value_approx"]
 
 
 def cmd_bounds(args) -> tuple[ReportDocument, int]:
-    rows = []
-    for record in rt.upper_bounds(args.n, args.d):
-        rows.append(
-            {
-                "n": str(record.n),
-                "d": str(record.d),
-                "kind": record.kind,
-                "value": str(record.value),
-                "value_approx": approx12(record.value),
-            }
-        )
-    gen = rt.generic_rank(args.n, args.d)
-    rows.append(
-        {
+    def row(kind: str, value: int | Fraction) -> dict[str, str]:
+        return {
             "n": str(args.n),
             "d": str(args.d),
-            "kind": "generic",
-            "value": str(gen),
-            "value_approx": approx12(gen),
+            "kind": kind,
+            "value": fmt_exact(value),
+            "value_approx": approx12(value),
         }
-    )
+
+    rows = [row(record.kind, record.value) for record in rt.upper_bounds(args.n, args.d)]
+    rows.append(row("generic", rt.generic_rank(args.n, args.d)))
     # Heuristic size of the bound-to-generic gap, reported approximately
     # only, never asserted.
-    heuristic = Fraction(args.d * args.n, args.d + args.n - 1)
-    rows.append(
-        {
-            "n": str(args.n),
-            "d": str(args.d),
-            "kind": "gap_ratio_heuristic",
-            "value": fmt_exact(heuristic),
-            "value_approx": approx12(heuristic),
-        }
-    )
+    rows.append(row("gap_ratio_heuristic", Fraction(args.d * args.n, args.d + args.n - 1)))
     params = {"n": str(args.n), "d": str(args.d)}
     return _document(args, "bounds", BOUNDS_COLUMNS, rows, params), 0
 
@@ -254,35 +217,10 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
 VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
 
 
-def _run_verify(claim: str, n_range, d_range, workers: int) -> vf.VerificationReport:
-    if claim == "theorem-monomial":
-        return vf.verify_theorem_monomial(n_range, d_range, workers)
-    if claim == "theorem-coprime":
-        return vf.verify_theorem_coprime(n_range, d_range, workers)
-    if claim == "lemma-slope":
-        return vf.verify_lemma_slope(d_range, workers)
-    if claim == "ineq-agm":
-        return vf.verify_inequality_agm(n_range, d_range, workers)
-    if claim == "ineq-pure-power":
-        return vf.verify_inequality_pure_power(d_range, n_range, workers)
-    raise UsageError(f"unknown claim {claim!r}; expected one of {vf.CLAIM_IDS}")
-
-
 def cmd_verify(args) -> tuple[ReportDocument, int]:
-    if args.claim not in VERIFY_DEFAULT_RANGES:
-        raise UsageError(f"unknown claim {args.claim!r}; expected one of {vf.CLAIM_IDS}")
-    default_n, default_d = VERIFY_DEFAULT_RANGES[args.claim]
-    if args.claim == "lemma-slope" and args.n_range is not None:
-        raise UsageError("lemma-slope ranges over n internally; pass only --d-range")
-    n_range = parse_range(args.n_range) if args.n_range else default_n
-    d_range = parse_range(args.d_range) if args.d_range else default_d
-
-    report = _run_verify(args.claim, n_range, d_range, args.threads)
-
-    expected = {
-        (4, 3, shapes) for shapes in vf.EXPECTED_COPRIME_EXCEPTIONS
-    } if args.claim == "theorem-coprime" else set()
-
+    n_range = parse_range(args.n_range) if args.n_range else None
+    d_range = parse_range(args.d_range) if args.d_range else None
+    report = vf.verify_claim(args.claim, n_range, d_range, args.threads)
     rows = [
         {"kind": "status", "value": report.status},
         {"kind": "checked_count", "value": str(report.checked_count)},
@@ -294,35 +232,23 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
     if not args.deterministic:
         rows.append({"kind": "elapsed_ms", "value": str(report.elapsed_ms)})
     for v in report.violations:
-        if isinstance(v.witness, cs.CoprimeSum):
-            witness = "|".join(
-                ",".join(str(e) for e in b.exponents) for b in v.witness.blocks
-            )
-            label = v.witness.label()
-            is_expected = (v.n, v.d, v.witness.block_shapes()) in expected
-        elif isinstance(v.witness, mono.Monomial):
-            witness = ",".join(str(e) for e in v.witness.exponents)
-            label = v.witness.label()
-            is_expected = False
-        else:
-            witness = ""
-            label = ""
-            is_expected = False
         rows.append(
             {
-                "kind": "expected_exception" if is_expected else "violation",
+                "kind": "expected_exception" if v.expected else "violation",
                 "n": str(v.n),
                 "d": str(v.d),
-                "witness": witness,
-                "label": label,
+                "witness": _witness(v.witness) if v.witness else "",
+                "label": v.witness.label() if v.witness else "",
                 "lhs": fmt_exact(v.lhs),
                 "rhs": fmt_exact(v.rhs),
             }
         )
+    n_min, n_max, d_min, d_max = report.grid
+    has_n_range = vf.CLAIMS[args.claim].default_n is not None
     params = {
         "claim": args.claim,
-        "n_range": f"{n_range[0]}:{n_range[1]}" if n_range else "",
-        "d_range": f"{d_range[0]}:{d_range[1]}",
+        "n_range": f"{n_min}:{n_max}" if has_n_range else "",
+        "d_range": f"{d_min}:{d_max}",
         "threads": str(args.threads),
     }
     doc = _document(args, "verify", VERIFY_COLUMNS, rows, params)
@@ -400,7 +326,6 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
             for m in cell:
                 row = _monomial_row(m)
                 row["generic_rank"] = str(gen)
-                row["note"] = ""
                 rows.append(row)
     elif args.name == "coprime-43":
         sums = sorted(
@@ -411,7 +336,6 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
         for f in sums:
             row = _sum_row(f)
             row["generic_rank"] = str(gen)
-            row["note"] = ""
             rows.append(row)
     elif args.name == "known-examples":
         for ex in rt.known_examples():
@@ -420,7 +344,6 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
                     "n": str(ex.n),
                     "d": str(ex.d),
                     "kind": "known_example",
-                    "witness": "",
                     "label": ex.label,
                     "value": str(ex.rank),
                     "generic_rank": str(rt.generic_rank(ex.n, ex.d)),
@@ -445,9 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deterministic",
         action="store_true",
         help="omit timestamps and timings so identical runs are byte-identical",
-    )
-    common.add_argument(
-        "--threads", type=positive_int, default=1, help="verification worker count"
     )
 
     parser = argparse.ArgumentParser(
@@ -496,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[common], help="exhaustively check a claim")
+    p.add_argument("--threads", type=positive_int, default=1, help="verification worker count")
     p.add_argument("--claim", required=True, help="one of: " + ", ".join(vf.CLAIM_IDS))
     p.add_argument("--n-range", dest="n_range", default=None, help="inclusive a:b")
     p.add_argument("--d-range", dest="d_range", default=None, help="inclusive a:b")

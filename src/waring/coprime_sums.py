@@ -20,7 +20,6 @@ from .monomials import (
     canonicalize,
     max_rank_monomial,
     partitions,
-    r_max,
     waring_rank,
 )
 
@@ -92,8 +91,6 @@ def make_sum(block_exponents: Iterable[Iterable[int]], ambient_vars: int | None 
     to the total number of exponent slots given (zero slots included).
     """
     raw_blocks = [list(b) for b in block_exponents]
-    if not raw_blocks:
-        raise ValueError("a coprime sum needs at least one block")
     if ambient_vars is None:
         ambient_vars = sum(len(b) for b in raw_blocks)
     blocks = sorted((_as_block(canonicalize(b)) for b in raw_blocks), key=_block_key)
@@ -162,27 +159,16 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum rank over sums of pairwise coprime degree-d monomials in n variables.
 
-    oracle brute-forces the maximum over enumerate_coprime_sums (unused
-    variables allowed). closed_form is available in two regimes: for d >= n
-    the maximum is attained by a single monomial, so it equals r_max(n, d);
-    for d = 3 it is 3n/2 for even n and (3n-1)/2 for odd n, attained by a
-    pile of x*y^2 blocks (plus one z^3 when n is odd). No closed form is
-    known for n > d >= 4.
+    The rank of the max_rank_sum witness: oracle brute-forces the maximum
+    over enumerate_coprime_sums (unused variables allowed). closed_form is
+    available in two regimes: for d >= n the maximum is attained by a
+    single monomial, so it equals r_max(n, d); for d = 3 it is 3n/2 for
+    even n and (3n-1)/2 for odd n, attained by a pile of x*y^2 blocks
+    (plus one z^3 when n is odd). No closed form is known for n > d >= 4.
     """
     if n < 1 or d < 1:
         raise UsageError(f"r_max_star needs n >= 1 and d >= 1, got ({n}, {d})")
-    if mode == MODE_ORACLE:
-        return max(sum_rank(f) for f in enumerate_coprime_sums(n, d))
-    if mode != MODE_CLOSED_FORM:
-        raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
-    if d >= n:
-        return r_max(n, d)
-    if d == 3:
-        return 3 * n // 2 if n % 2 == 0 else (3 * n - 1) // 2
-    raise UnsupportedRegimeError(
-        f"no closed form for r_max_star with n > d >= 4 (got n={n}, d={d}); "
-        "use oracle mode"
-    )
+    return sum_rank(max_rank_sum(n, d, mode))
 
 
 def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
@@ -194,14 +180,7 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     if n < 1 or d < 1:
         raise UsageError(f"max_rank_sum needs n >= 1 and d >= 1, got ({n}, {d})")
     if mode == MODE_ORACLE:
-        best = None
-        best_rank = -1
-        for f in enumerate_coprime_sums(n, d):
-            r = sum_rank(f)
-            if r > best_rank:
-                best, best_rank = f, r
-        assert best is not None
-        return best
+        return max(enumerate_coprime_sums(n, d), key=sum_rank)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     if d >= n:

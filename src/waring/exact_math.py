@@ -10,7 +10,6 @@ labeled approximate.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from numbers import Rational
 
 LESS = -1
@@ -53,7 +52,3 @@ def ratio_compare(a: Rational, b: Rational) -> int:
         return GREATER
     return EQUAL
 
-
-def as_fraction(value: Rational) -> Fraction:
-    """Normalize any Rational to a Fraction in lowest terms."""
-    return Fraction(value.numerator, value.denominator)

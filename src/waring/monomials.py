@@ -140,14 +140,19 @@ def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
         yield Monomial(tuple(reversed(parts)), n)
 
 
-def max_rank_monomial(n: int, d: int) -> Monomial:
-    """The rank-maximizing degree-d monomial in n ambient variables.
+def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
+    """A rank-maximizing degree-d monomial in n ambient variables.
 
-    Uses n' = min(n, d) variables (extra variables cannot raise monomial
-    rank): one exponent 1 and the remaining d-1 spread as evenly as
-    possible over n'-1 variables. With q = (d-1) div (n'-1) and
-    s = (d-1) mod (n'-1) the rank is (1+q)^(n'-s-1) * (2+q)^s.
+    closed_form uses n' = min(n, d) variables (extra variables cannot raise
+    monomial rank): one exponent 1 and the remaining d-1 spread as evenly
+    as possible over n'-1 variables. With q = (d-1) div (n'-1) and
+    s = (d-1) mod (n'-1) the rank is (1+q)^(n'-s-1) * (2+q)^s. oracle
+    returns the first maximum in enumerate_monomials order instead.
     """
+    if mode == MODE_ORACLE:
+        return max(enumerate_monomials(n, d), key=waring_rank)
+    if mode != MODE_CLOSED_FORM:
+        raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     if d < 1:
         raise DegenerateInputError(f"degree must be positive, got {d}")
     if n < 1:
@@ -168,8 +173,4 @@ def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """
     if n < 1 or d < 1:
         raise UsageError(f"r_max needs n >= 1 and d >= 1, got ({n}, {d})")
-    if mode == MODE_CLOSED_FORM:
-        return waring_rank(max_rank_monomial(n, d))
-    if mode == MODE_ORACLE:
-        return max(waring_rank(m) for m in enumerate_monomials(n, d))
-    raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
+    return waring_rank(max_rank_monomial(n, d, mode))

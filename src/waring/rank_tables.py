@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coprime_sums import CoprimeSum, sum_rank
 from .exact_math import binomial, ceil_div
-from .monomials import Monomial, waring_rank
 
 # Sporadic exceptional generic ranks; the quadric family (n, 2) -> n is
 # handled as a family in generic_rank.
@@ -26,35 +24,19 @@ BOUND_KINDS = (
     "blekherman_bound",
 )
 
-RECORD_KINDS = ("generic", "r_max", "r_max_star") + BOUND_KINDS
-
 
 @dataclass(frozen=True)
 class RankRecord:
-    """One (n, d, kind, value) row, optionally with a rank witness."""
+    """One (n, d, kind, value) row of the upper-bound chain."""
 
     n: int
     d: int
     kind: str
     value: int
-    witness: Monomial | CoprimeSum | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in RECORD_KINDS:
-            raise ValueError(f"unknown record kind {self.kind!r}")
         if self.value < 1:
             raise ValueError(f"rank quantity must be >= 1, got {self.value}")
-        if self.witness is not None:
-            if isinstance(self.witness, Monomial):
-                computed = waring_rank(self.witness)
-            else:
-                computed = sum_rank(self.witness)
-            if computed != self.value:
-                raise ValueError(
-                    f"witness rank {computed} does not match value {self.value}"
-                )
-            if self.witness.ambient_vars != self.n or self.witness.degree != self.d:
-                raise ValueError("witness does not match the record's (n, d)")
 
 
 @dataclass(frozen=True)
@@ -107,15 +89,6 @@ def upper_bounds(n: int, d: int) -> list[RankRecord]:
     blekherman = 2 * generic_rank(n, d)
     values = (span, improved, jelisiejew, ballico_deparis, blekherman)
     return [RankRecord(n, d, kind, v) for kind, v in zip(BOUND_KINDS, values)]
-
-
-def rank_add_powers(base_rank: int, s: int) -> int:
-    """Rank after adding s pure d-th powers in fresh variables: it grows by s."""
-    if base_rank < 1:
-        raise ValueError(f"base_rank must be >= 1, got {base_rank}")
-    if s < 0:
-        raise ValueError(f"number of added powers must be >= 0, got {s}")
-    return base_rank + s
 
 
 _KNOWN_EXAMPLES = (

@@ -48,9 +48,6 @@ class ReportDocument:
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
 
-    def cell(self, row: dict[str, str], column: str) -> str:
-        return row.get(column, "")
-
 
 def render(doc: ReportDocument) -> str:
     if doc.fmt == "json":
@@ -69,7 +66,7 @@ def _render_json(doc: ReportDocument) -> str:
         envelope["generated_at"] = doc.generated_at
     envelope["columns"] = doc.columns
     envelope["rows"] = [
-        {col: doc.cell(row, col) for col in doc.columns} for row in doc.rows
+        {col: row.get(col, "") for col in doc.columns} for row in doc.rows
     ]
     return json.dumps(envelope, indent=2) + "\n"
 
@@ -79,7 +76,7 @@ def _render_csv(doc: ReportDocument) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(doc.columns)
     for row in doc.rows:
-        writer.writerow([doc.cell(row, col) for col in doc.columns])
+        writer.writerow([row.get(col, "") for col in doc.columns])
     return out.getvalue()
 
 
@@ -95,7 +92,7 @@ def _render_md(doc: ReportDocument) -> str:
 
     def md_cell(row: dict[str, str], col: str) -> str:
         # Literal | would end the table cell.
-        return doc.cell(row, col).replace("|", "\\|")
+        return row.get(col, "").replace("|", "\\|")
 
     widths = {
         col: max(len(col), *(len(md_cell(r, col)) for r in doc.rows), 1)

@@ -13,8 +13,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import Callable
 
 from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, r_max_star
 from .errors import UsageError
@@ -32,14 +33,6 @@ from .rank_tables import generic_rank
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_PASS_WITH_EXPECTED = "pass_with_expected_exceptions"
-
-CLAIM_IDS = (
-    "theorem-monomial",
-    "theorem-coprime",
-    "lemma-slope",
-    "ineq-agm",
-    "ineq-pure-power",
-)
 
 # The only coprime sums in n >= 4 variables, d >= 3, whose rank reaches the
 # generic rank: all at (n, d) = (4, 3), identified by block exponent
@@ -60,6 +53,7 @@ class Violation:
     witness: Monomial | CoprimeSum | None
     lhs: int | Fraction
     rhs: int | Fraction
+    expected: bool = False  # one of its claim's expected exceptions
 
 
 @dataclass
@@ -173,7 +167,8 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
 
     expected is a collection of (n, d, block_shapes) triples that are
     allowed (and required, when their cell lies inside the grid) to appear
-    as non-strict cases. Anything else found is an unexpected violation.
+    as non-strict cases; the violations they match come back flagged
+    expected. Anything else found is an unexpected violation.
     """
     start = time.perf_counter()
     results = _run_cells(fn, cells, workers)
@@ -189,9 +184,12 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
         if n_min <= n <= n_max and d_min <= d <= d_max:
             in_grid.add((n, d, shapes))
     found_keys = set()
-    for v in found:
+    for i, v in enumerate(found):
         shapes = v.witness.block_shapes() if isinstance(v.witness, CoprimeSum) else None
-        found_keys.add((v.n, v.d, shapes))
+        key = (v.n, v.d, shapes)
+        found_keys.add(key)
+        if key in in_grid:
+            found[i] = replace(v, expected=True)
 
     matched = found_keys == in_grid
     if not matched:
@@ -212,19 +210,84 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
     )
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One checkable claim: its cell check, preconditions and default grid.
+
+    A claim without an n range (default_n is None) takes one cell per d and
+    ranges over 2 <= n <= d inside the cell. n_at_least_d drops the cells
+    with n < d, which fall outside the claim.
+    """
+
+    cell: Callable
+    min_n: int | None
+    min_d: int
+    default_n: tuple[int, int] | None
+    default_d: tuple[int, int]
+    n_at_least_d: bool = False
+    expected: tuple = ()  # (n, d, block_shapes) cases that must appear
+
+
+CLAIMS: dict[str, Claim] = {
+    "theorem-monomial": Claim(_monomial_cell, 4, 2, (4, 8), (2, 20)),
+    "theorem-coprime": Claim(
+        _coprime_cell,
+        4,
+        3,
+        (4, 8),
+        (3, 10),
+        expected=tuple((4, 3, shapes) for shapes in EXPECTED_COPRIME_EXCEPTIONS),
+    ),
+    "lemma-slope": Claim(_slope_cell, None, 4, None, (4, 20)),
+    "ineq-agm": Claim(_agm_cell, 4, 2, (4, 8), (2, 20)),
+    "ineq-pure-power": Claim(_pure_power_cell, 4, 4, (4, 14), (4, 14), n_at_least_d=True),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
+
+
+def verify_claim(
+    claim_id: str,
+    n_range: tuple[int, int] | None = None,
+    d_range: tuple[int, int] | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Check one claim of CLAIMS over an inclusive grid.
+
+    A range left as None takes the claim's default; ranges are validated
+    against the claim's minimum n and d, n first.
+    """
+    claim = CLAIMS.get(claim_id)
+    if claim is None:
+        raise UsageError(f"unknown claim {claim_id!r}; expected one of {CLAIM_IDS}")
+    d_range = d_range or claim.default_d
+    if claim.default_n is None:
+        if n_range is not None:
+            raise UsageError(f"{claim_id} ranges over n internally; pass only --d-range")
+        _check_range("d", d_range, claim.min_d)
+        grid = (2, d_range[1], d_range[0], d_range[1])
+        cells = list(range(d_range[0], d_range[1] + 1))
+    else:
+        n_range = n_range or claim.default_n
+        _check_range("n", n_range, claim.min_n)
+        _check_range("d", d_range, claim.min_d)
+        grid = (n_range[0], n_range[1], d_range[0], d_range[1])
+        cells = [
+            (n, d)
+            for n in range(n_range[0], n_range[1] + 1)
+            for d in range(d_range[0], d_range[1] + 1)
+            if n >= d or not claim.n_at_least_d
+        ]
+        if not cells:
+            raise UsageError(f"no grid cell satisfies n >= d >= {claim.min_d}")
+    return _collect(claim_id, grid, cells, claim.cell, workers, claim.expected)
+
+
 def verify_theorem_monomial(
     n_range: tuple[int, int], d_range: tuple[int, int], workers: int = 1
 ) -> VerificationReport:
     """Every monomial in n >= 4 variables of degree d > 1 has below-generic rank."""
-    _check_range("n", n_range, 4)
-    _check_range("d", d_range, 2)
-    grid = (n_range[0], n_range[1], d_range[0], d_range[1])
-    cells = [
-        (n, d)
-        for n in range(n_range[0], n_range[1] + 1)
-        for d in range(d_range[0], d_range[1] + 1)
-    ]
-    return _collect("theorem-monomial", grid, cells, _monomial_cell, workers)
+    return verify_claim("theorem-monomial", n_range, d_range, workers)
 
 
 def verify_theorem_coprime(
@@ -232,39 +295,19 @@ def verify_theorem_coprime(
 ) -> VerificationReport:
     """Coprime sums in n >= 4 variables, d >= 3, stay below the generic rank,
     except for three known cases at (4, 3) which meet or exceed it."""
-    _check_range("n", n_range, 4)
-    _check_range("d", d_range, 3)
-    grid = (n_range[0], n_range[1], d_range[0], d_range[1])
-    cells = [
-        (n, d)
-        for n in range(n_range[0], n_range[1] + 1)
-        for d in range(d_range[0], d_range[1] + 1)
-    ]
-    expected = [(4, 3, shapes) for shapes in EXPECTED_COPRIME_EXCEPTIONS]
-    return _collect("theorem-coprime", grid, cells, _coprime_cell, workers, expected)
+    return verify_claim("theorem-coprime", n_range, d_range, workers)
 
 
 def verify_lemma_slope(d_range: tuple[int, int], workers: int = 1) -> VerificationReport:
     """r_max(n, d)/n is nondecreasing in n for 2 <= n <= d, d >= 4 (cross-multiplied)."""
-    _check_range("d", d_range, 4)
-    grid = (2, d_range[1], d_range[0], d_range[1])
-    cells = list(range(d_range[0], d_range[1] + 1))
-    return _collect("lemma-slope", grid, cells, _slope_cell, workers)
+    return verify_claim("lemma-slope", None, d_range, workers)
 
 
 def verify_inequality_agm(
     n_range: tuple[int, int], d_range: tuple[int, int], workers: int = 1
 ) -> VerificationReport:
     """((d+n-2)/(n-1))^(n-1) < C(d+n-1, n-1)/n for n >= 4, checked on integers."""
-    _check_range("n", n_range, 4)
-    _check_range("d", d_range, 2)
-    grid = (n_range[0], n_range[1], d_range[0], d_range[1])
-    cells = [
-        (n, d)
-        for n in range(n_range[0], n_range[1] + 1)
-        for d in range(d_range[0], d_range[1] + 1)
-    ]
-    return _collect("ineq-agm", grid, cells, _agm_cell, workers)
+    return verify_claim("ineq-agm", n_range, d_range, workers)
 
 
 def verify_inequality_pure_power(
@@ -274,18 +317,7 @@ def verify_inequality_pure_power(
 
     Cells with n < d fall outside the claim and are skipped.
     """
-    _check_range("d", d_range, 4)
-    _check_range("n", n_range, 4)
-    grid = (n_range[0], n_range[1], d_range[0], d_range[1])
-    cells = [
-        (n, d)
-        for n in range(n_range[0], n_range[1] + 1)
-        for d in range(d_range[0], d_range[1] + 1)
-        if n >= d
-    ]
-    if not cells:
-        raise UsageError("no grid cell satisfies n >= d >= 4")
-    return _collect("ineq-pure-power", grid, cells, _pure_power_cell, workers)
+    return verify_claim("ineq-pure-power", n_range, d_range, workers)
 
 
 @dataclass(frozen=True)

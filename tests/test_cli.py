@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -222,25 +223,34 @@ def test_verify_malformed_range_exits_two(capsys):
     assert code == 2
 
 
+# The README's default grids, pinned literally.
+DEFAULT_GRIDS = {
+    "theorem-monomial": ("4:8", "2:20"),
+    "theorem-coprime": ("4:8", "3:10"),
+    "lemma-slope": ("", "4:20"),
+    "ineq-agm": ("4:8", "2:20"),
+    "ineq-pure-power": ("4:14", "4:14"),
+}
+
+
 def test_verify_defaults_run_clean(capsys):
-    code, doc = run_json(capsys, "verify", "--claim", "ineq-agm")
-    assert code == 0
-    assert doc["parameters"]["n_range"] == "4:8"
-    assert doc["parameters"]["d_range"] == "2:20"
+    assert set(DEFAULT_GRIDS) == set(vf.CLAIM_IDS)
+    for claim, (n_range, d_range) in DEFAULT_GRIDS.items():
+        code, doc = run_json(capsys, "verify", "--claim", claim)
+        assert code == 0, claim
+        assert doc["parameters"]["n_range"] == n_range
+        assert doc["parameters"]["d_range"] == d_range
+        assert not any(row["kind"] == "violation" for row in doc["rows"])
 
 
 def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
-    def fake(d_range, workers=1):
-        return vf.VerificationReport(
-            claim_id="lemma-slope",
-            grid=(2, 5, 4, 5),
-            checked_count=1,
-            violations=[vf.Violation(3, 4, None, 1, 2)],
-            status=vf.STATUS_FAIL,
-            expected_exceptions_matched=False,
-        )
+    def fake_cell(d):
+        # One unexpected counterexample, in the first cell only.
+        bad = [vf.Violation(3, d, None, 1, 2)] if d == 4 else []
+        return 1, bad
 
-    monkeypatch.setattr(vf, "verify_lemma_slope", fake)
+    claim = dataclasses.replace(vf.CLAIMS["lemma-slope"], cell=fake_cell)
+    monkeypatch.setitem(vf.CLAIMS, "lemma-slope", claim)
     code, out, err = run_cli(
         capsys, "verify", "--claim", "lemma-slope", "--deterministic"
     )
@@ -275,6 +285,13 @@ def test_threads_below_one_is_usage_error(capsys, value):
     assert code == 2
     assert out == ""
     assert "--threads" in err
+
+
+def test_threads_only_on_verify(capsys):
+    code, out, err = run_cli(capsys, "rank", "--monomial", "1,2", "--threads", "2")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --threads 2" in err
 
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):

@@ -209,6 +209,16 @@ def test_max_rank_sum_witness_matches_value():
     assert max_rank_sum(7, 3).block_shapes() == ((1, 2), (1, 2), (1, 2), (3,))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 7))
+def test_max_rank_sum_oracle_is_first_maximum(n, d):
+    listed = list(enumerate_coprime_sums(n, d))
+    ranks = [sum_rank(f) for f in listed]
+    witness = max_rank_sum(n, d, "oracle")
+    assert witness == listed[ranks.index(max(ranks))]
+    assert sum_rank(witness) == r_max_star(n, d, "oracle")
+
+
 def test_cube_block_normalization_preserves_rank_and_vars():
     # A product of three variables can be traded for x*y^2 + z^3: 4 = 3 + 1.
     before = make_sum([[1, 1, 1], [1, 1, 1]], ambient_vars=6)

@@ -1,0 +1,113 @@
+"""Byte-identity of the CLI over a fixed command matrix.
+
+Every command below runs in-process with --deterministic in md, csv and
+json. tests/golden_outputs.json records, per run, the exit code, the
+sha256 of stdout and the stderr text, so a refactor that claims "same
+behaviour" is checked by a diff. The matrix covers every subcommand and
+every exit-2 path. Regenerate the file only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from waring.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+FORMATS = ("md", "csv", "json")
+
+COMMANDS = (
+    "rank --monomial 1,2,2",
+    "rank --monomial 0,2,1,0 --vars 6",
+    "rank --sum 1,2|1,2",
+    "rank --sum 1,1,1|3|0,3 --vars 9",
+    "rank --sum 1,1,1|0,2",
+    "rank --monomial 0,0",
+    "rank --monomial 1,2,3 --vars 2",
+    "generic-rank --n 4 --d 4",
+    "generic-rank --n 100 --d 3",
+    "generic-rank --n 0 --d 3",
+    "max-rank --n 4 --d 4",
+    "max-rank --n 6 --d 13",
+    "max-rank --n 5 --d 9 --oracle",
+    "max-rank --n 4 --d 0",
+    "max-rank --n 4 --d 0 --oracle",
+    "max-rank-sum --n 7 --d 3",
+    "max-rank-sum --n 4 --d 7",
+    "max-rank-sum --n 8 --d 4 --oracle",
+    "max-rank-sum --n 8 --d 4",
+    "bounds --n 4 --d 5",
+    "bounds --n 2 --d 2",
+    "bounds --n 3 --d 0",
+    "enumerate --n 4 --d 4",
+    "enumerate --n 4 --d 3 --sums --spanning",
+    "enumerate --n 5 --d 4 --sums",
+    "enumerate --n 3 --d 3 --spanning",
+    "enumerate --n 0 --d 3 --sums",
+    "verify --claim theorem-monomial",
+    "verify --claim theorem-coprime",
+    "verify --claim lemma-slope",
+    "verify --claim ineq-agm",
+    "verify --claim ineq-pure-power",
+    "verify --claim theorem-coprime --n-range 4:6 --d-range 3:5 --threads 2",
+    "verify --claim ineq-pure-power --n-range 4:6 --d-range 4:9",
+    "verify --claim theorem-unknown",
+    "verify --claim theorem-monomial --n-range 3:5 --d-range 2:4",
+    "verify --claim ineq-agm --n-range 6:5",
+    "verify --claim ineq-agm --d-range four:five",
+    "verify --claim lemma-slope --n-range 4:6",
+    "verify --claim lemma-slope --d-range 3:6",
+    "verify --claim ineq-pure-power --n-range 4:5 --d-range 6:8",
+    "verify --claim ineq-agm --threads 0",
+    "asymptotics --mode d-limit --n 4 --d-samples 10,100",
+    "asymptotics --mode d-limit --n 5 --d-samples 5,9 --which coprime",
+    "asymptotics --mode n-limit --d 4 --n-max 14 --oracle-limit 9",
+    "asymptotics --mode sideways",
+    "asymptotics --mode d-limit",
+    "table --name exceptional-44-53",
+    "table --name coprime-43",
+    "table --name known-examples",
+    "table --name nothing",
+)
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "stderr": err.getvalue(),
+    }
+
+
+def matrix() -> dict[str, list[str]]:
+    """Run key -> argv, for every command in every format."""
+    return {
+        f"{command} --format {fmt}": command.split() + ["--format", fmt, "--deterministic"]
+        for command in COMMANDS
+        for fmt in FORMATS
+    }
+
+
+def test_cli_output_matches_golden(monkeypatch):
+    # argparse wraps its usage text to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    runs = matrix()
+    assert sorted(golden) == sorted(runs)
+    changed = [key for key, argv in runs.items() if run(argv) != golden[key]]
+    assert changed == []
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    os.environ["COLUMNS"] = "80"
+    results = {key: run(argv) for key, argv in matrix().items()}
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -271,6 +271,16 @@ def test_r_max_against_independent_brute_force():
             assert r_max(n, d) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 14))
+def test_max_rank_monomial_oracle_is_first_maximum(n, d):
+    listed = list(enumerate_monomials(n, d))
+    ranks = [waring_rank(m) for m in listed]
+    witness = max_rank_monomial(n, d, "oracle")
+    assert witness == listed[ranks.index(max(ranks))]
+    assert waring_rank(witness) == r_max(n, d)
+
+
 def test_r_max_rejects_bad_mode():
     with pytest.raises(UsageError):
         r_max(3, 3, "guess")

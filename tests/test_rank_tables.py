@@ -2,15 +2,12 @@ import math
 
 import pytest
 
-from waring.coprime_sums import make_sum
-from waring.monomials import Monomial
 from waring.rank_tables import (
     BOUND_KINDS,
     KnownExample,
     RankRecord,
     generic_rank,
     known_examples,
-    rank_add_powers,
     upper_bounds,
 )
 
@@ -122,19 +119,7 @@ def test_bound_chain_descends_to_generic():
 
 
 # ---------------------------------------------------------------------------
-# pure-power additivity and the registry
-
-
-@pytest.mark.parametrize("base, s, expected", [(5, 1, 6), (7, 0, 7), (7, 2, 9)])
-def test_rank_add_powers(base, s, expected):
-    assert rank_add_powers(base, s) == expected
-
-
-def test_rank_add_powers_rejects_bad_args():
-    with pytest.raises(ValueError):
-        rank_add_powers(0, 1)
-    with pytest.raises(ValueError):
-        rank_add_powers(5, -1)
+# the registry
 
 
 def test_known_examples_registry():
@@ -158,33 +143,17 @@ def test_known_examples_exceed_generic_rank():
 def test_registry_consistent_with_pure_power_rule():
     base = next(ex for ex in known_examples() if ex.label == "x^2*y + y^2*z")
     extended = next(ex for ex in known_examples() if ex.label == "x^2*y + y^2*z + w^3")
-    assert rank_add_powers(base.rank, 1) == extended.rank
+    # Adding a pure power in a fresh variable raises the rank by exactly one.
+    assert base.rank + 1 == extended.rank
 
 
 # ---------------------------------------------------------------------------
 # record validation
 
 
-def test_rank_record_accepts_matching_witness():
-    witness = Monomial((1, 1, 1, 1), 4)
-    record = RankRecord(4, 4, "r_max", 8, witness)
-    assert record.value == 8
-
-    sum_witness = make_sum([[1, 2], [1, 2]])
-    record = RankRecord(4, 3, "r_max_star", 6, sum_witness)
-    assert record.value == 6
-
-
 def test_rank_record_rejects_mismatches():
-    witness = Monomial((1, 1, 1, 1), 4)
     with pytest.raises(ValueError):
-        RankRecord(4, 4, "r_max", 9, witness)  # wrong value
-    with pytest.raises(ValueError):
-        RankRecord(5, 4, "r_max", 8, witness)  # wrong n
-    with pytest.raises(ValueError):
-        RankRecord(4, 4, "nonsense", 8)
-    with pytest.raises(ValueError):
-        RankRecord(4, 4, "r_max", 0)
+        RankRecord(4, 4, "span_bound", 0)
 
 
 def test_known_example_requires_positive_rank():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, sum_rank
+from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
@@ -207,6 +207,22 @@ def test_collect_status_pass_when_expected_cell_outside_grid():
     )
     assert report.status == STATUS_PASS
     assert report.expected_exceptions_matched
+
+
+def test_violation_expected_flags_exactly_the_three_exceptions():
+    report = verify_theorem_coprime((4, 5), (3, 5))
+    flagged = sorted(v.witness.block_shapes() for v in report.violations if v.expected)
+    assert flagged == sorted(EXPECTED_COPRIME_EXCEPTIONS)
+    assert all(v.expected for v in report.violations)
+
+    expected = [(4, 3, ((1, 2), (1, 2)))]
+    match = Violation(4, 3, make_sum([[1, 2], [1, 2]]), 6, 5)
+    other = Violation(4, 3, make_sum([[1, 1, 1], [3]]), 5, 5)
+    plain = Violation(4, 3, None, 5, 5)
+    cell = _fake_cell_factory({(4, 3): [match, other, plain]})
+    report = _collect("stub", (4, 4, 3, 3), [(4, 3)], cell, 1, expected)
+    assert [v.expected for v in report.violations] == [True, False, False]
+    assert report.status == STATUS_FAIL
 
 
 # ---------------------------------------------------------------------------
