@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from . import coprime_sums as cs
 from . import monomials as mono
@@ -76,10 +77,19 @@ def _utc_now() -> str:
 # row builders
 
 
-def _witness(obj: mono.Monomial | cs.CoprimeSum) -> str:
+def _block_witness(exponents: Iterable[int]) -> str:
+    """One block of the witness syntax, e.g. '1,2'."""
+    return ",".join(map(str, exponents))
+
+
+def _witness(block_witnesses: Iterable[str]) -> str:
     """Machine-readable exponent syntax, e.g. '1,2|1,2'; rank parses it back."""
+    return "|".join(block_witnesses)
+
+
+def _object_witness(obj: mono.Monomial | cs.CoprimeSum) -> str:
     blocks = obj.blocks if isinstance(obj, cs.CoprimeSum) else (obj,)
-    return "|".join(",".join(str(e) for e in b.exponents) for b in blocks)
+    return _witness(_block_witness(b.exponents) for b in blocks)
 
 
 def _monomial_row(m: mono.Monomial, kind: str = "monomial") -> dict[str, str]:
@@ -89,7 +99,7 @@ def _monomial_row(m: mono.Monomial, kind: str = "monomial") -> dict[str, str]:
         "vars_used": str(m.nvars),
         "kind": kind,
         "value": str(mono.waring_rank(m)),
-        "witness": _witness(m),
+        "witness": _object_witness(m),
         "label": m.label(),
     }
 
@@ -101,9 +111,59 @@ def _sum_row(f: cs.CoprimeSum, kind: str = "coprime_sum") -> dict[str, str]:
         "vars_used": str(f.vars_used),
         "kind": kind,
         "value": str(cs.sum_rank(f)),
-        "witness": _witness(f),
+        "witness": _object_witness(f),
         "label": f.label(),
     }
+
+
+# The enumerate rows equal _monomial_row/_sum_row of the objects that
+# enumerate_monomials/enumerate_coprime_sums yield, in the same order, but
+# come straight from the raw partitions and block-index multisets: no
+# object is built or validated per row.
+
+
+def _monomial_rows(n: int, d: int) -> Iterator[dict[str, str]]:
+    n_text, d_text = str(n), str(d)
+    for parts in mono.partitions(d, n):
+        exponents = parts[::-1]
+        # waring_rank of the descending parts: every factor but the last's.
+        rank = 1
+        for part in parts[:-1]:
+            rank *= part + 1
+        yield {
+            "n": n_text,
+            "d": d_text,
+            "vars_used": str(len(parts)),
+            "kind": "monomial",
+            "value": str(rank),
+            "witness": _block_witness(exponents),
+            "label": mono.monomial_label(exponents),
+        }
+
+
+def _sum_rows(n: int, d: int, spanning: bool) -> Iterator[dict[str, str]]:
+    n_text, d_text = str(n), str(d)
+    pool = cs._block_pool(n, d)
+    sizes = [block.nvars for block in pool]
+    ranks = [mono.waring_rank(block) for block in pool]
+    witnesses = [_block_witness(block.exponents) for block in pool]
+    # labels[i][used]: block i's label when `used` variables precede it.
+    labels = [[block.label(used + 1) for used in range(n - block.nvars + 1)] for block in pool]
+    for picked in cs._block_multisets(pool, n, spanning):
+        used = 0
+        block_labels = []
+        for i in picked:
+            block_labels.append(labels[i][used])
+            used += sizes[i]
+        yield {
+            "n": n_text,
+            "d": d_text,
+            "vars_used": str(used),
+            "kind": "coprime_sum",
+            "value": str(sum([ranks[i] for i in picked])),
+            "witness": _witness([witnesses[i] for i in picked]),
+            "label": cs.sum_label(block_labels),
+        }
 
 
 def _document(args, command: str, columns: list[str], rows, parameters) -> ReportDocument:
@@ -199,12 +259,11 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
     if args.spanning and not args.sums:
         raise UsageError("--spanning applies only to --sums")
     if args.sums:
-        rows = [
-            _sum_row(f)
-            for f in cs.enumerate_coprime_sums(args.n, args.d, spanning=args.spanning)
-        ]
+        mono.check_cell("enumerate_coprime_sums", args.n, args.d)
+        rows = _sum_rows(args.n, args.d, args.spanning)
     else:
-        rows = [_monomial_row(m) for m in mono.enumerate_monomials(args.n, args.d)]
+        mono.check_cell("enumerate_monomials", args.n, args.d)
+        rows = _monomial_rows(args.n, args.d)
     params = {
         "n": str(args.n),
         "d": str(args.d),
@@ -218,6 +277,7 @@ VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
 
 
 def cmd_verify(args) -> tuple[ReportDocument, int]:
+    claim = vf.get_claim(args.claim)
     n_range = parse_range(args.n_range) if args.n_range else None
     d_range = parse_range(args.d_range) if args.d_range else None
     report = vf.verify_claim(args.claim, n_range, d_range, args.threads)
@@ -237,14 +297,14 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
                 "kind": "expected_exception" if v.expected else "violation",
                 "n": str(v.n),
                 "d": str(v.d),
-                "witness": _witness(v.witness) if v.witness else "",
+                "witness": _object_witness(v.witness) if v.witness else "",
                 "label": v.witness.label() if v.witness else "",
                 "lhs": fmt_exact(v.lhs),
                 "rhs": fmt_exact(v.rhs),
             }
         )
     n_min, n_max, d_min, d_max = report.grid
-    has_n_range = vf.CLAIMS[args.claim].default_n is not None
+    has_n_range = claim.default_n is not None
     params = {
         "claim": args.claim,
         "n_range": f"{n_min}:{n_max}" if has_n_range else "",

@@ -18,6 +18,7 @@ from .monomials import (
     MODE_ORACLE,
     Monomial,
     canonicalize,
+    check_cell,
     max_rank_monomial,
     partitions,
     waring_rank,
@@ -81,7 +82,12 @@ class CoprimeSum:
         for b in self.blocks:
             parts.append(b.label(first_var=var))
             var += b.nvars
-        return " + ".join(parts)
+        return sum_label(parts)
+
+
+def sum_label(block_labels: Iterable[str]) -> str:
+    """Join block labels, each numbered from its block's first variable."""
+    return " + ".join(block_labels)
 
 
 def make_sum(block_exponents: Iterable[Iterable[int]], ambient_vars: int | None = None) -> CoprimeSum:
@@ -149,8 +155,7 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
     Blocks are chosen in nonincreasing canonical order, which both avoids
     duplicates and fixes a deterministic output order.
     """
-    if n < 1 or d < 1:
-        raise UsageError(f"enumerate_coprime_sums needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("enumerate_coprime_sums", n, d)
     pool = _block_pool(n, d)
     for picked in _block_multisets(pool, n, spanning):
         yield CoprimeSum(tuple(pool[i] for i in picked), n)
@@ -166,8 +171,7 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     even n and (3n-1)/2 for odd n, attained by a pile of x*y^2 blocks
     (plus one z^3 when n is odd). No closed form is known for n > d >= 4.
     """
-    if n < 1 or d < 1:
-        raise UsageError(f"r_max_star needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("r_max_star", n, d)
     return sum_rank(max_rank_sum(n, d, mode))
 
 
@@ -177,8 +181,7 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     In oracle mode the first maximum in enumeration order is returned, so
     the witness is deterministic.
     """
-    if n < 1 or d < 1:
-        raise UsageError(f"max_rank_sum needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
         return max(enumerate_coprime_sums(n, d), key=sum_rank)
     if mode != MODE_CLOSED_FORM:

@@ -52,11 +52,20 @@ class Monomial:
 
     def label(self, first_var: int = 1) -> str:
         """Render as e.g. 'x1*x2^2', numbering variables from first_var."""
-        parts = []
-        for i, e in enumerate(self.exponents):
-            v = f"x{first_var + i}"
-            parts.append(v if e == 1 else f"{v}^{e}")
-        return "*".join(parts)
+        return monomial_label(self.exponents, first_var)
+
+
+def monomial_label(exponents: Iterable[int], first_var: int = 1) -> str:
+    """The label of an exponent tuple, e.g. (1, 2) -> 'x1*x2^2'; variables from first_var."""
+    return "*".join(
+        f"x{var}" if e == 1 else f"x{var}^{e}" for var, e in enumerate(exponents, first_var)
+    )
+
+
+def check_cell(caller: str, n: int, d: int) -> None:
+    """Reject n < 1 or d < 1 with a usage error that names the caller."""
+    if n < 1 or d < 1:
+        raise UsageError(f"{caller} needs n >= 1 and d >= 1, got ({n}, {d})")
 
 
 def canonicalize(raw_exponents: Iterable[int], ambient_vars: int | None = None) -> Monomial:
@@ -134,8 +143,7 @@ def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
     One Monomial per partition of d into at most n parts, in descending
     lexicographic partition order.
     """
-    if n < 1 or d < 1:
-        raise UsageError(f"enumerate_monomials needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("enumerate_monomials", n, d)
     for parts in partitions(d, n):
         yield Monomial(tuple(reversed(parts)), n)
 
@@ -171,6 +179,5 @@ def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     closed_form evaluates the balanced construction; oracle brute-forces
     the maximum over enumerate_monomials. The two always agree.
     """
-    if n < 1 or d < 1:
-        raise UsageError(f"r_max needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("r_max", n, d)
     return waring_rank(max_rank_monomial(n, d, mode))

@@ -58,6 +58,12 @@ def render(doc: ReportDocument) -> str:
 
 
 def _render_json(doc: ReportDocument) -> str:
+    """json.dumps(envelope, indent=2) + newline, with the rows encoded by hand.
+
+    json.dumps uses its C encoder only without indent, so the envelope head
+    goes through json.dumps and each row is spelled out here, cell by cell
+    with the encoder's own string escaping, byte for byte as indent=2 would.
+    """
     envelope: dict[str, object] = {
         "command": doc.command,
         "parameters": doc.parameters,
@@ -65,18 +71,31 @@ def _render_json(doc: ReportDocument) -> str:
     if doc.generated_at is not None:
         envelope["generated_at"] = doc.generated_at
     envelope["columns"] = doc.columns
-    envelope["rows"] = [
-        {col: row.get(col, "") for col in doc.columns} for row in doc.rows
-    ]
-    return json.dumps(envelope, indent=2) + "\n"
+    envelope["rows"] = []
+    head = json.dumps(envelope, indent=2)
+    if not doc.rows:
+        return head + "\n"
+    encode = json.encoder.encode_basestring_ascii
+    # A row dict holds each column once, where it first appears.
+    fields = [(f"      {encode(col)}: ", col) for col in dict.fromkeys(doc.columns)]
+    if fields:
+        rows = ",\n".join(
+            "    {\n"
+            + ",\n".join([key + encode(row.get(col, "")) for key, col in fields])
+            + "\n    }"
+            for row in doc.rows
+        )
+    else:
+        rows = ",\n".join(["    {}"] * len(doc.rows))
+    # head ends with '"rows": []' and the closing brace.
+    return head[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}\n"
 
 
 def _render_csv(doc: ReportDocument) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(doc.columns)
-    for row in doc.rows:
-        writer.writerow([row.get(col, "") for col in doc.columns])
+    writer.writerows([row.get(col, "") for col in doc.columns] for row in doc.rows)
     return out.getvalue()
 
 
@@ -89,22 +108,16 @@ def _render_md(doc: ReportDocument) -> str:
         lines.append(f"generated_at: {doc.generated_at}")
     if doc.parameters or doc.generated_at is not None:
         lines.append("")
-
-    def md_cell(row: dict[str, str], col: str) -> str:
-        # Literal | would end the table cell.
-        return row.get(col, "").replace("|", "\\|")
-
-    widths = {
-        col: max(len(col), *(len(md_cell(r, col)) for r in doc.rows), 1)
-        if doc.rows
-        else len(col)
-        for col in doc.columns
-    }
-    header = "| " + " | ".join(col.ljust(widths[col]) for col in doc.columns) + " |"
-    rule = "| " + " | ".join("-" * widths[col] for col in doc.columns) + " |"
-    lines.append(header)
-    lines.append(rule)
-    for row in doc.rows:
-        cells = " | ".join(md_cell(row, col).ljust(widths[col]) for col in doc.columns)
-        lines.append(f"| {cells} |")
+    # Escape each cell once; a literal | would end the table cell.
+    cells = [
+        tuple([row.get(col, "").replace("|", "\\|") for col in doc.columns])
+        for row in doc.rows
+    ]
+    widths = [len(col) for col in doc.columns]
+    if cells:
+        widths = [max(w, 1, *map(len, column)) for w, column in zip(widths, zip(*cells))]
+    lines.append("| " + " | ".join(col.ljust(w) for col, w in zip(doc.columns, widths)) + " |")
+    lines.append("| " + " | ".join("-" * w for w in widths) + " |")
+    template = "| " + " | ".join(f"%-{w}s" for w in widths) + " |"
+    lines.extend(template % row for row in cells)
     return "\n".join(lines) + "\n"

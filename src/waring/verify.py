@@ -246,6 +246,14 @@ CLAIMS: dict[str, Claim] = {
 CLAIM_IDS = tuple(CLAIMS)
 
 
+def get_claim(claim_id: str) -> Claim:
+    """The CLAIMS entry for claim_id; an unknown id is a usage error."""
+    claim = CLAIMS.get(claim_id)
+    if claim is None:
+        raise UsageError(f"unknown claim {claim_id!r}; expected one of {CLAIM_IDS}")
+    return claim
+
+
 def verify_claim(
     claim_id: str,
     n_range: tuple[int, int] | None = None,
@@ -257,9 +265,7 @@ def verify_claim(
     A range left as None takes the claim's default; ranges are validated
     against the claim's minimum n and d, n first.
     """
-    claim = CLAIMS.get(claim_id)
-    if claim is None:
-        raise UsageError(f"unknown claim {claim_id!r}; expected one of {CLAIM_IDS}")
+    claim = get_claim(claim_id)
     d_range = d_range or claim.default_d
     if claim.default_n is None:
         if n_range is not None:

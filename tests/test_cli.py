@@ -4,12 +4,14 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from waring import cli
 from waring import verify as vf
 from waring.cli import main, parse_exponent_list, parse_range, parse_sum_spec
-from waring.coprime_sums import make_sum, sum_rank
+from waring.coprime_sums import enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
-from waring.monomials import canonicalize, waring_rank
+from waring.monomials import canonicalize, enumerate_monomials, waring_rank
 from waring.report import ReportDocument, approx12, fmt_exact, render
 from fractions import Fraction
 
@@ -151,6 +153,52 @@ def test_enumerate_spanning_without_sums_is_usage_error(capsys):
     assert code == 2
 
 
+def handler_rows(*argv):
+    """The rows a subcommand's handler builds, before rendering."""
+    args = cli.build_parser().parse_args(list(argv))
+    doc, code = args.handler(args)
+    assert code == 0
+    return doc.rows
+
+
+def enumerate_argv(n, d, sums, spanning):
+    argv = ["enumerate", "--n", str(n), "--d", str(d)]
+    return argv + ["--sums"] * sums + ["--spanning"] * spanning
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    d=st.integers(1, 9),
+    sums=st.booleans(),
+    spanning=st.booleans(),
+)
+def test_enumerate_rows_equal_object_rows(n, d, sums, spanning):
+    spanning = spanning and sums
+    if sums:
+        objects = enumerate_coprime_sums(n, d, spanning=spanning)
+        expected = [cli._sum_row(f) for f in objects]
+    else:
+        expected = [cli._monomial_row(m) for m in enumerate_monomials(n, d)]
+    assert handler_rows(*enumerate_argv(n, d, sums, spanning)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    d=st.integers(1, 6),
+    sums=st.booleans(),
+    spanning=st.booleans(),
+)
+def test_enumerate_witnesses_round_trip_through_rank(n, d, sums, spanning):
+    spanning = spanning and sums
+    flag = "--sum" if sums else "--monomial"
+    for row in handler_rows(*enumerate_argv(n, d, sums, spanning)):
+        # The same value, vars_used and label, and the same n, d and witness.
+        (ranked,) = handler_rows("rank", flag, row["witness"], "--vars", str(n))
+        assert ranked == row
+
+
 def test_table_exceptional(capsys):
     code, doc = run_json(capsys, "table", "--name", "exceptional-44-53")
     assert code == 0
@@ -221,6 +269,14 @@ def test_verify_malformed_range_exits_two(capsys):
         capsys, "verify", "--claim", "theorem-monomial", "--n-range", "four:five"
     )
     assert code == 2
+
+
+def test_verify_unknown_claim_is_named_before_a_malformed_range(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--claim", "theorem-unknown", "--n-range", "four:five"
+    )
+    assert code == 2
+    assert err.startswith("error: unknown claim 'theorem-unknown'")
 
 
 # The README's default grids, pinned literally.
@@ -438,3 +494,50 @@ def test_render_empty_table():
     doc = ReportDocument("x", {"p": "1"}, ["a", "b"], [], fmt="md")
     text = render(doc)
     assert "| a | b |" in text
+
+
+# Cells that stress the JSON string escaping and the Markdown pipe escape.
+cell_text = st.text(
+    st.one_of(st.sampled_from('"\\|%\x00\x1f\x7f\n\té€\u2028😀'), st.characters()),
+    max_size=8,
+)
+
+
+@st.composite
+def documents(draw, fmt):
+    columns = draw(st.lists(cell_text, max_size=5, unique=True))
+    keys = st.sampled_from(columns) if columns else st.nothing()
+    rows = draw(st.lists(st.dictionaries(keys, cell_text), max_size=6))
+    generated_at = draw(st.none() | cell_text)
+    parameters = draw(st.dictionaries(cell_text, cell_text, max_size=3))
+    return ReportDocument(draw(cell_text), parameters, columns, rows, fmt, generated_at)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents("json"))
+@example(ReportDocument("enumerate", {"n": "1"}, ["a", "b"], [], "json"))
+@example(ReportDocument("enumerate", {}, ["a"], [], "json", "2026-01-01T00:00:00Z"))
+@example(ReportDocument("x", {}, [], [{}, {}], "json"))
+def test_json_renderer_equals_indented_json_dumps(doc):
+    envelope = {"command": doc.command, "parameters": doc.parameters}
+    if doc.generated_at is not None:
+        envelope["generated_at"] = doc.generated_at
+    envelope["columns"] = doc.columns
+    envelope["rows"] = [{col: row.get(col, "") for col in doc.columns} for row in doc.rows]
+    assert render(doc) == json.dumps(envelope, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents("md"))
+def test_markdown_renderer_pads_escaped_cells(doc):
+    escaped = [[row.get(col, "").replace("|", "\\|") for col in doc.columns] for row in doc.rows]
+    widths = [
+        max([len(col), 1] + [len(cells[j]) for cells in escaped]) if escaped else len(col)
+        for j, col in enumerate(doc.columns)
+    ]
+    table = [doc.columns, ["-" * w for w in widths]] + escaped
+    expected = "".join(
+        "| " + " | ".join(cell.ljust(w) for cell, w in zip(cells, widths)) + " |\n"
+        for cells in table
+    )
+    assert render(doc).endswith("\n" + expected)

@@ -50,6 +50,12 @@ COMMANDS = (
     "enumerate --n 5 --d 4 --sums",
     "enumerate --n 3 --d 3 --spanning",
     "enumerate --n 0 --d 3 --sums",
+    "enumerate --n 7 --d 3 --sums",
+    "enumerate --n 5 --d 5 --sums --spanning",
+    "enumerate --n 1 --d 4",
+    "enumerate --n 9 --d 2",
+    "enumerate --n 3 --d 0",
+    "enumerate --n 0 --d 3 --spanning",
     "verify --claim theorem-monomial",
     "verify --claim theorem-coprime",
     "verify --claim lemma-slope",
