@@ -126,16 +126,12 @@ def _monomial_rows(n: int, d: int) -> Iterator[dict[str, str]]:
     n_text, d_text = str(n), str(d)
     for parts in mono.partitions(d, n):
         exponents = parts[::-1]
-        # waring_rank of the descending parts: every factor but the last's.
-        rank = 1
-        for part in parts[:-1]:
-            rank *= part + 1
         yield {
             "n": n_text,
             "d": d_text,
             "vars_used": str(len(parts)),
             "kind": "monomial",
-            "value": str(rank),
+            "value": str(mono.partition_rank(parts)),
             "witness": _block_witness(exponents),
             "label": mono.monomial_label(exponents),
         }
@@ -278,6 +274,7 @@ VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
 
 def cmd_verify(args) -> tuple[ReportDocument, int]:
     claim = vf.get_claim(args.claim)
+    vf.check_n_range(args.claim, args.n_range or None)
     n_range = parse_range(args.n_range) if args.n_range else None
     d_range = parse_range(args.d_range) if args.d_range else None
     report = vf.verify_claim(args.claim, n_range, d_range, args.threads)

@@ -165,7 +165,7 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum rank over sums of pairwise coprime degree-d monomials in n variables.
 
     The rank of the max_rank_sum witness: oracle brute-forces the maximum
-    over enumerate_coprime_sums (unused variables allowed). closed_form is
+    over every coprime sum (unused variables allowed). closed_form is
     available in two regimes: for d >= n the maximum is attained by a
     single monomial, so it equals r_max(n, d); for d = 3 it is 3n/2 for
     even n and (3n-1)/2 for odd n, attained by a pile of x*y^2 blocks
@@ -178,12 +178,16 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
 def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     """A witness sum attaining r_max_star(n, d).
 
-    In oracle mode the first maximum in enumeration order is returned, so
-    the witness is deterministic.
+    In oracle mode every multiset of blocks is ranked, in
+    enumerate_coprime_sums order, and the first maximum is returned, so the
+    witness is deterministic; only that witness is built and validated.
     """
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
-        return max(enumerate_coprime_sums(n, d), key=sum_rank)
+        pool = _block_pool(n, d)
+        block_rank = [waring_rank(block) for block in pool].__getitem__
+        best = max(_block_multisets(pool, n), key=lambda picked: sum(map(block_rank, picked)))
+        return CoprimeSum(tuple(pool[i] for i in best), n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     if d >= n:

@@ -95,6 +95,17 @@ def waring_rank(m: Monomial) -> int:
     return math.prod(e + 1 for e in m.exponents[1:])
 
 
+def partition_rank(parts: tuple[int, ...]) -> int:
+    """waring_rank of the monomial with these descending parts as exponents.
+
+    Every factor but the last (smallest) part's; no Monomial is built.
+    """
+    rank = 1
+    for part in parts[:-1]:
+        rank *= part + 1
+    return rank
+
+
 def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of d into at most max_parts positive parts.
 
@@ -155,10 +166,12 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     monomial rank): one exponent 1 and the remaining d-1 spread as evenly
     as possible over n'-1 variables. With q = (d-1) div (n'-1) and
     s = (d-1) mod (n'-1) the rank is (1+q)^(n'-s-1) * (2+q)^s. oracle
-    returns the first maximum in enumerate_monomials order instead.
+    instead walks every partition in enumerate_monomials order and
+    returns the first maximum; only that witness is built and validated.
     """
     if mode == MODE_ORACLE:
-        return max(enumerate_monomials(n, d), key=waring_rank)
+        check_cell("enumerate_monomials", n, d)
+        return Monomial(max(partitions(d, n), key=partition_rank)[::-1], n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     if d < 1:
@@ -177,7 +190,8 @@ def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum Waring rank over degree-d monomials in n variables.
 
     closed_form evaluates the balanced construction; oracle brute-forces
-    the maximum over enumerate_monomials. The two always agree.
+    the maximum over every partition of d into at most n parts. The two
+    always agree.
     """
     check_cell("r_max", n, d)
     return waring_rank(max_rank_monomial(n, d, mode))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
@@ -88,6 +87,10 @@ def _run_cells(fn, cells, workers: int):
     workers = _pool_size(workers, len(cells))
     if workers <= 1:
         return [fn(c) for c in cells]
+    # Imported here: it pulls in multiprocessing, logging, subprocess and
+    # socket, which every other command would pay for at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(cells) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells, chunksize=chunk))
@@ -106,8 +109,7 @@ def _monomial_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     bad = []
     for parts in partitions(d, n):
         checked += 1
-        # waring_rank of the raw descending parts: every factor but the
-        # one for the last (smallest) part.
+        # partition_rank(parts), inlined: this loop is the hot path.
         rank = 1
         for part in parts[:-1]:
             rank *= part + 1
@@ -254,6 +256,12 @@ def get_claim(claim_id: str) -> Claim:
     return claim
 
 
+def check_n_range(claim_id: str, n_range: object) -> None:
+    """Reject an n range (anything but None) for a claim that ranges over n internally."""
+    if n_range is not None and get_claim(claim_id).default_n is None:
+        raise UsageError(f"{claim_id} ranges over n internally; pass only --d-range")
+
+
 def verify_claim(
     claim_id: str,
     n_range: tuple[int, int] | None = None,
@@ -266,10 +274,9 @@ def verify_claim(
     against the claim's minimum n and d, n first.
     """
     claim = get_claim(claim_id)
+    check_n_range(claim_id, n_range)
     d_range = d_range or claim.default_d
     if claim.default_n is None:
-        if n_range is not None:
-            raise UsageError(f"{claim_id} ranges over n internally; pass only --d-range")
         _check_range("d", d_range, claim.min_d)
         grid = (2, d_range[1], d_range[0], d_range[1])
         cells = list(range(d_range[0], d_range[1] + 1))

@@ -279,6 +279,12 @@ def test_verify_unknown_claim_is_named_before_a_malformed_range(capsys):
     assert err.startswith("error: unknown claim 'theorem-unknown'")
 
 
+def test_verify_lemma_slope_names_a_stray_n_range_before_parsing_it(capsys):
+    code, out, err = run_cli(capsys, "verify", "--claim", "lemma-slope", "--n-range", "4:x")
+    assert code == 2
+    assert err == "error: lemma-slope ranges over n internally; pass only --d-range\n"
+
+
 # The README's default grids, pinned literally.
 DEFAULT_GRIDS = {
     "theorem-monomial": ("4:8", "2:20"),

@@ -35,6 +35,26 @@ def multiset_count(n, d, spanning):
     return go(0, n) - (1 if not spanning else 0)  # drop the empty sum
 
 
+def shape_multiset_counts(n, d):
+    """coeffs[m]: multisets of block shapes of degree d on exactly m variables.
+
+    The coefficients of prod_k (1 - x^k)^(-p_k(d)) up to x^n, where p_k(d),
+    the partitions of d into exactly k parts, comes from the recurrence
+    p_k(d) = p_(k-1)(d-1) + p_k(d-k); each factor 1/(1 - x^k) is one pass
+    of coeffs[m] += coeffs[m - k].
+    """
+    exact = [[1] + [0] * d] + [[0] * (d + 1) for _ in range(d)]  # exact[k][t]
+    for k in range(1, d + 1):
+        for t in range(k, d + 1):
+            exact[k][t] = exact[k - 1][t - 1] + exact[k][t - k]
+    coeffs = [1] + [0] * n
+    for k in range(1, d + 1):
+        for _ in range(exact[k][d]):
+            for m in range(k, n + 1):
+                coeffs[m] += coeffs[m - k]
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # construction and additivity
 
@@ -151,6 +171,15 @@ def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
     assert picked == recursive_multisets([b.nvars for b in pool], n, spanning)
     sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
     assert [tuple(pool[i] for i in p) for p in picked] == [f.blocks for f in sums]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 9), d=st.integers(1, 8))
+def test_block_multiset_counts_match_generating_function(n, d):
+    coeffs = shape_multiset_counts(n, d)
+    pool = _block_pool(n, d)
+    assert sum(1 for _ in _block_multisets(pool, n, spanning=True)) == coeffs[n]
+    assert sum(1 for _ in _block_multisets(pool, n)) == sum(coeffs[1:])
 
 
 def test_enumerate_rejects_bad_args():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from waring.exact_math import EQUAL, GREATER, LESS, binomial, ceil_div, ratio_compare
 
@@ -88,6 +89,23 @@ def test_ratio_compare_exact_where_floats_collapse():
     big = 10**30
     assert ratio_compare(Fraction(big + 1, big), Fraction(1, 1)) == GREATER
     assert float(Fraction(big + 1, big)) == 1.0  # the float detour would lie
+
+
+RATIONALS = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=RATIONALS, b=RATIONALS)
+@example(a=0, b=Fraction(0))
+@example(a=3, b=Fraction(6, 2))
+@example(a=2**64 + 1, b=Fraction(2**65 + 1, 2))
+@example(a=Fraction(-(2**64) - 1, 3), b=Fraction(-(2**64), 3))
+def test_ratio_compare_agrees_with_fraction_order(a, b):
+    diff = Fraction(a) - Fraction(b)
+    assert ratio_compare(a, b) == (diff > 0) - (diff < 0)
 
 
 def test_fraction_arithmetic_exact_properties():

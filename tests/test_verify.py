@@ -1,9 +1,14 @@
+import dataclasses
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import waring
 from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
 from waring.exact_math import ceil_div
@@ -16,6 +21,7 @@ from waring.monomials import (
 )
 from waring.rank_tables import generic_rank
 from waring.verify import (
+    CLAIMS,
     EXPECTED_COPRIME_EXCEPTIONS,
     STATUS_FAIL,
     STATUS_PASS,
@@ -29,6 +35,7 @@ from waring.verify import (
     _pure_power_cell,
     ratio_decay_fixed_d,
     ratio_to_generic,
+    verify_claim,
     verify_inequality_agm,
     verify_inequality_pure_power,
     verify_lemma_slope,
@@ -126,6 +133,36 @@ def test_pool_size_never_exceeds_cells_or_cpus(monkeypatch):
     assert _pool_size(10**9, 10**9) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _pool_size(8, 100) == 1
+
+
+@pytest.mark.parametrize("module", ["waring", "waring.cli"])
+def test_import_loads_no_process_pool(module):
+    # A fresh interpreter: this one has loaded the pool for other tests.
+    src = str(Path(waring.__file__).resolve().parents[1])
+    code = (
+        f"import sys, {module}; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert run.stdout == "[]\n"
+
+
+def test_every_claim_reports_the_same_on_two_workers(monkeypatch):
+    # Two CPUs on any host, so workers=2 really starts a two-process pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for claim_id, claim in CLAIMS.items():
+        n_range = None if claim.default_n is None else (claim.min_n, claim.min_n + 2)
+        d_range = (claim.min_d, claim.min_d + 2)
+        solo = verify_claim(claim_id, n_range, d_range, workers=1)
+        pooled = verify_claim(claim_id, n_range, d_range, workers=2)
+        assert dataclasses.replace(pooled, elapsed_ms=0) == dataclasses.replace(solo, elapsed_ms=0)
 
 
 # ---------------------------------------------------------------------------
