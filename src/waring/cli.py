@@ -141,11 +141,10 @@ def _sum_rows(n: int, d: int, spanning: bool) -> Iterator[dict[str, str]]:
     n_text, d_text = str(n), str(d)
     pool = cs._block_pool(n, d)
     sizes = [block.nvars for block in pool]
-    ranks = [mono.waring_rank(block) for block in pool]
     witnesses = [_block_witness(block.exponents) for block in pool]
     # labels[i][used]: block i's label when `used` variables precede it.
     labels = [[block.label(used + 1) for used in range(n - block.nvars + 1)] for block in pool]
-    for picked in cs._block_multisets(pool, n, spanning):
+    for rank, picked in cs._block_multisets(pool, n, spanning):
         used = 0
         block_labels = []
         for i in picked:
@@ -156,7 +155,7 @@ def _sum_rows(n: int, d: int, spanning: bool) -> Iterator[dict[str, str]]:
             "d": d_text,
             "vars_used": str(used),
             "kind": "coprime_sum",
-            "value": str(sum([ranks[i] for i in picked])),
+            "value": str(rank),
             "witness": _witness([witnesses[i] for i in picked]),
             "label": cs.sum_label(block_labels),
         }

@@ -10,6 +10,7 @@ add up to at most the ambient n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import DimensionError, UnsupportedRegimeError, UsageError
@@ -115,34 +116,40 @@ def _block_pool(n: int, d: int) -> list[Monomial]:
     return pool
 
 
-def _block_multisets(pool: list[Monomial], n: int, spanning: bool = False) -> Iterator[tuple[int, ...]]:
-    """Multisets of pool blocks using at most n variables (exactly n when spanning).
+def _block_multisets(
+    pool: list[Monomial], n: int, spanning: bool = False
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Ranked multisets of pool blocks using at most n variables (exactly n when spanning).
 
-    Each multiset is a nondecreasing tuple of pool indices, i.e. its blocks
-    in canonical order. Multisets come depth first: a multiset, then every
-    extension of it by blocks at or after its last index, then the next
-    choice for its last block. The pool lists blocks by variable count
+    Yields (rank, picked): picked is a nondecreasing tuple of pool indices,
+    i.e. its blocks in canonical order, and rank is the sum of their ranks
+    (ranks add across coprime blocks), carried down the walk rather than
+    re-summed per multiset. Multisets come depth first: a multiset, then
+    every extension of it by blocks at or after its last index, then the
+    next choice for its last block. The pool lists blocks by variable count
     descending, so the blocks that fit a budget form a suffix of it.
     """
     sizes = [block.nvars for block in pool]
+    ranks = [waring_rank(block) for block in pool]
     count = len(sizes)
     # first_fit[b]: the first pool index whose block fits in b variables.
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
-    chosen: list[int] = []
-    budgets = [n]  # budgets[j]: variables left before chosen[j] is picked
+    stack = []  # (budget, rank, picked) of each shorter prefix of picked
+    budget, rank, picked = n, 0, ()  # budget: variables left
     i = first_fit[n]
     while True:
         if i < count:
-            budget = budgets[-1] - sizes[i]
-            chosen.append(i)
-            budgets.append(budget)
+            stack.append((budget, rank, picked))
+            budget -= sizes[i]
+            rank += ranks[i]
+            picked += (i,)
             if not spanning or not budget:
-                yield tuple(chosen)
+                yield rank, picked
             i = max(i, first_fit[budget])
-        elif chosen:
+        elif stack:
             # The next index fits too: its block is no larger than the last.
-            i = chosen.pop() + 1
-            budgets.pop()
+            i = picked[-1] + 1
+            budget, rank, picked = stack.pop()
         else:
             return
 
@@ -157,7 +164,7 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
     """
     check_cell("enumerate_coprime_sums", n, d)
     pool = _block_pool(n, d)
-    for picked in _block_multisets(pool, n, spanning):
+    for _, picked in _block_multisets(pool, n, spanning):
         yield CoprimeSum(tuple(pool[i] for i in picked), n)
 
 
@@ -178,15 +185,14 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
 def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     """A witness sum attaining r_max_star(n, d).
 
-    In oracle mode every multiset of blocks is ranked, in
+    In oracle mode every multiset of blocks comes with its rank, in
     enumerate_coprime_sums order, and the first maximum is returned, so the
     witness is deterministic; only that witness is built and validated.
     """
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
         pool = _block_pool(n, d)
-        block_rank = [waring_rank(block) for block in pool].__getitem__
-        best = max(_block_multisets(pool, n), key=lambda picked: sum(map(block_rank, picked)))
+        _, best = max(_block_multisets(pool, n), key=itemgetter(0))
         return CoprimeSum(tuple(pool[i] for i in best), n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")

@@ -169,15 +169,11 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     instead walks every partition in enumerate_monomials order and
     returns the first maximum; only that witness is built and validated.
     """
+    check_cell("max_rank_monomial", n, d)
     if mode == MODE_ORACLE:
-        check_cell("enumerate_monomials", n, d)
         return Monomial(max(partitions(d, n), key=partition_rank)[::-1], n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
-    if d < 1:
-        raise DegenerateInputError(f"degree must be positive, got {d}")
-    if n < 1:
-        raise ValueError(f"ambient_vars must be positive, got {n}")
     used = min(n, d)
     if used == 1:
         return Monomial((d,), n)

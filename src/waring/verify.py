@@ -25,7 +25,6 @@ from .monomials import (
     Monomial,
     partitions,
     r_max,
-    waring_rank,
 )
 from .rank_tables import generic_rank
 
@@ -98,7 +97,8 @@ def _run_cells(fn, cells, workers: int):
 
 # The two theorem cells visit the same objects, in the same order, as
 # enumerate_monomials and enumerate_coprime_sums, but walk the raw
-# partitions and block-index multisets and build a Monomial or CoprimeSum
+# partitions and the ranked block-index multisets of _block_multisets,
+# whose rank is carried down the walk, and build a Monomial or CoprimeSum
 # only for a reported violation.
 
 
@@ -122,12 +122,10 @@ def _coprime_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     n, d = cell
     gen = generic_rank(n, d)
     pool = _block_pool(n, d)
-    block_rank = [waring_rank(block) for block in pool].__getitem__
     checked = 0
     nonstrict = []
-    for picked in _block_multisets(pool, n):
+    for rank, picked in _block_multisets(pool, n):
         checked += 1
-        rank = sum(map(block_rank, picked))
         if rank >= gen:
             f = CoprimeSum(tuple(pool[i] for i in picked), n)
             nonstrict.append(Violation(n, d, f, rank, gen))

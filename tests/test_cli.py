@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -330,6 +331,21 @@ def test_verify_threads_match_single_worker(capsys):
         "--n-range", "4:5", "--d-range", "3:6", "--threads", "2",
     )
     assert doc1["rows"] == doc2["rows"]
+
+
+@pytest.mark.parametrize("claim_id", vf.CLAIM_IDS)
+def test_verify_prints_the_same_on_one_and_two_threads(capsys, monkeypatch, claim_id):
+    # Two CPUs on any host, so --threads 2 really starts a two-process pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    claim = vf.CLAIMS[claim_id]
+    args = ["verify", "--claim", claim_id, "--d-range", f"{claim.min_d}:{claim.min_d + 2}"]
+    if claim.default_n is not None:
+        args += ["--n-range", f"{claim.min_n}:{claim.min_n + 2}"]
+    solo = run_cli(capsys, *args, "--threads", "1", "--deterministic")
+    code, out, err = run_cli(capsys, *args, "--threads", "2", "--deterministic")
+    # The parameters line echoes the requested count; nothing else may differ.
+    assert out.count("threads=2") == 1
+    assert (code, out.replace("threads=2", "threads=1"), err) == solo
 
 
 def test_verify_threads_echo_requested_count(capsys):

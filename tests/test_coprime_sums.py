@@ -167,8 +167,10 @@ def recursive_multisets(sizes, n, spanning):
 @given(n=st.integers(1, 9), d=st.integers(1, 8), spanning=st.booleans())
 def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
     pool = _block_pool(n, d)
-    picked = list(_block_multisets(pool, n, spanning))
+    ranked = list(_block_multisets(pool, n, spanning))
+    picked = [p for _, p in ranked]
     assert picked == recursive_multisets([b.nvars for b in pool], n, spanning)
+    assert [r for r, _ in ranked] == [sum(waring_rank(pool[i]) for i in p) for p in picked]
     sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
     assert [tuple(pool[i] for i in p) for p in picked] == [f.blocks for f in sums]
 

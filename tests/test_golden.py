@@ -42,6 +42,7 @@ COMMANDS = (
     "max-rank-sum --n 4 --d 7",
     "max-rank-sum --n 8 --d 4 --oracle",
     "max-rank-sum --n 8 --d 4",
+    "max-rank-sum --n 10 --d 6 --oracle",
     "bounds --n 4 --d 5",
     "bounds --n 2 --d 2",
     "bounds --n 3 --d 0",
@@ -52,6 +53,7 @@ COMMANDS = (
     "enumerate --n 0 --d 3 --sums",
     "enumerate --n 7 --d 3 --sums",
     "enumerate --n 5 --d 5 --sums --spanning",
+    "enumerate --n 8 --d 5 --sums --spanning",
     "enumerate --n 1 --d 4",
     "enumerate --n 9 --d 2",
     "enumerate --n 3 --d 0",
@@ -62,6 +64,7 @@ COMMANDS = (
     "verify --claim ineq-agm",
     "verify --claim ineq-pure-power",
     "verify --claim theorem-coprime --n-range 4:6 --d-range 3:5 --threads 2",
+    "verify --claim theorem-coprime --n-range 4:7 --d-range 3:7 --threads 2",
     "verify --claim ineq-pure-power --n-range 4:6 --d-range 4:9",
     "verify --claim theorem-unknown",
     "verify --claim theorem-monomial --n-range 3:5 --d-range 2:4",
