@@ -15,12 +15,7 @@ from .coprime_sums import (
     r_max_star,
     sum_rank,
 )
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    UnsupportedRegimeError,
-    UsageError,
-)
+from .errors import DegenerateInputError, DimensionError, UsageError
 from .exact_math import EQUAL, GREATER, LESS, binomial, ceil_div, ratio_compare
 from .monomials import (
     MODE_CLOSED_FORM,
@@ -77,7 +72,6 @@ __all__ = [
     "Monomial",
     "RankRecord",
     "RatioPoint",
-    "UnsupportedRegimeError",
     "UsageError",
     "VerificationReport",
     "Violation",

@@ -328,7 +328,7 @@ def _ratio_row(point: vf.RatioPoint) -> dict[str, str]:
     return {
         "n": str(point.n),
         "d": str(point.d),
-        "kind": "upper_bound" if point.bound_only else "exact",
+        "kind": "exact",
         "ratio": fmt_exact(point.ratio),
         "ratio_approx": approx12(point.ratio),
         "limit": fmt_exact(point.limit),
@@ -353,13 +353,8 @@ def cmd_asymptotics(args) -> tuple[ReportDocument, int]:
     elif args.mode == "n-limit":
         if args.d is None:
             raise UsageError("--mode n-limit requires --d")
-        points = vf.ratio_decay_fixed_d(args.d, args.n_max, args.oracle_limit)
-        params = {
-            "mode": args.mode,
-            "d": str(args.d),
-            "n_max": str(args.n_max),
-            "oracle_limit": str(args.oracle_limit),
-        }
+        points = vf.ratio_decay_fixed_d(args.d, args.n_max)
+        params = {"mode": args.mode, "d": str(args.d), "n_max": str(args.n_max)}
     else:
         raise UsageError(f"unknown mode {args.mode!r}; expected d-limit or n-limit")
     rows = [_ratio_row(p) for p in points]
@@ -485,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("monomial", "coprime"), default="monomial")
     p.add_argument("--d", type=int, default=None, help="fixed d (n-limit)")
     p.add_argument("--n-max", dest="n_max", type=int, default=100, help="largest n (n-limit)")
-    p.add_argument("--oracle-limit", dest="oracle_limit", type=int, default=12,
-                   help="largest n brute-forced when no closed form applies (n-limit)")
     p.set_defaults(handler=cmd_asymptotics)
 
     p = sub.add_parser("table", parents=[common], help="regenerate a reference table")

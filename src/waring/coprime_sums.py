@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import DimensionError, UnsupportedRegimeError, UsageError
+from .errors import DimensionError, UsageError
 from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
@@ -168,26 +168,51 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
         yield CoprimeSum(tuple(pool[i] for i in picked), n)
 
 
+def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], list[int]]:
+    """The best block of each size and the maximum rank for each variable budget.
+
+    Returns (blocks, ranks, best): blocks[k] is max_rank_monomial(k, d) on
+    its own k variables and ranks[k] = r_max(k, d) for 1 <= k <= min(n, d)
+    (index 0 unused); best[b] is the maximum rank of a coprime sum in b
+    variables for 0 <= b <= n. Ranks add across coprime blocks and only a
+    rank-maximal block of a size can appear in a maximum, so best is an
+    unbounded knapsack over block sizes, O(n * min(n, d)).
+    """
+    blocks: list[Monomial | None] = [None]
+    ranks = [0]
+    for k in range(1, min(n, d) + 1):
+        blocks.append(_as_block(max_rank_monomial(k, d)))
+        ranks.append(waring_rank(blocks[k]))
+    best = [0]
+    for b in range(1, n + 1):
+        best.append(max(ranks[k] + best[b - k] for k in range(1, min(b, d) + 1)))
+    return blocks, ranks, best
+
+
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum rank over sums of pairwise coprime degree-d monomials in n variables.
 
-    The rank of the max_rank_sum witness: oracle brute-forces the maximum
-    over every coprime sum (unused variables allowed). closed_form is
-    available in two regimes: for d >= n the maximum is attained by a
-    single monomial, so it equals r_max(n, d); for d = 3 it is 3n/2 for
-    even n and (3n-1)/2 for odd n, attained by a pile of x*y^2 blocks
-    (plus one z^3 when n is odd). No closed form is known for n > d >= 4.
+    closed_form reads the maximum from the block-size knapsack: an exact
+    algorithm for every (n, d), not a closed form (none is known for
+    n > d >= 4). It equals r_max(n, d) for d >= n and 3n div 2 for d = 3.
+    oracle is the rank of max_rank_sum's brute-force witness.
     """
     check_cell("r_max_star", n, d)
+    if mode == MODE_CLOSED_FORM:
+        return _knapsack(n, d)[2][n]
     return sum_rank(max_rank_sum(n, d, mode))
 
 
 def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
-    """A witness sum attaining r_max_star(n, d).
+    """A witness sum attaining r_max_star(n, d): the first maximum in
+    enumerate_coprime_sums order, in both modes.
 
-    In oracle mode every multiset of blocks comes with its rank, in
-    enumerate_coprime_sums order, and the first maximum is returned, so the
-    witness is deterministic; only that witness is built and validated.
+    oracle ranks every multiset of blocks, in enumerate_coprime_sums order,
+    and returns the first maximum; only that witness is built and validated.
+    closed_form backtracks the knapsack table, taking at each step the
+    largest block size that still leads to a maximum. Every maximum uses
+    the best block of each size and the pool lists larger blocks first, so
+    this is the same sum.
     """
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
@@ -196,17 +221,14 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
         return CoprimeSum(tuple(pool[i] for i in best), n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
-    if d >= n:
-        return CoprimeSum((_as_block(max_rank_monomial(n, d)),), n)
-    if d == 3:
-        blocks = [Monomial((1, 2), 2)] * (n // 2)
-        if n % 2 == 1:
-            blocks.append(Monomial((3,), 1))
-        return CoprimeSum(tuple(sorted(blocks, key=_block_key)), n)
-    raise UnsupportedRegimeError(
-        f"no closed form for r_max_star with n > d >= 4 (got n={n}, d={d}); "
-        "use oracle mode"
-    )
+    blocks, ranks, best = _knapsack(n, d)
+    picked = []
+    b = n
+    while b:
+        k = max(k for k in range(1, min(b, d) + 1) if ranks[k] + best[b - k] == best[b])
+        picked.append(blocks[k])
+        b -= k
+    return CoprimeSum(tuple(picked), n)
 
 
 def greedy_construction(n: int, d: int) -> CoprimeSum:

@@ -13,9 +13,5 @@ class DimensionError(ValueError):
     """More variables are used than the ambient space provides."""
 
 
-class UnsupportedRegimeError(ValueError):
-    """A closed form was requested outside the region where one is known."""
-
-
 class UsageError(ValueError):
     """Malformed argument or a range violating an operation's precondition."""

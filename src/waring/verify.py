@@ -16,16 +16,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, r_max_star
+from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, r_max_star
 from .errors import UsageError
 from .exact_math import binomial
-from .monomials import (
-    MODE_CLOSED_FORM,
-    MODE_ORACLE,
-    Monomial,
-    partitions,
-    r_max,
-)
+from .monomials import Monomial, partitions, r_max
 from .rank_tables import generic_rank
 
 STATUS_PASS = "pass"
@@ -333,19 +327,13 @@ def verify_inequality_pure_power(
 
 @dataclass(frozen=True)
 class RatioPoint:
-    """Exact ratio of a maximum rank to the generic rank, with its exact limit.
-
-    bound_only marks rows where the numerator is the linear upper bound
-    n*2^(d-1)/d rather than the exact maximum (used when the brute-force
-    search would be infeasible and no closed form exists).
-    """
+    """Exact ratio of a maximum rank to the generic rank, with its exact limit."""
 
     n: int
     d: int
     ratio: Fraction
     limit: Fraction
     gap: Fraction
-    bound_only: bool = False
 
     def __post_init__(self) -> None:
         if self.ratio <= 0:
@@ -370,10 +358,7 @@ def ratio_to_generic(n: int, d: int, which: str = "monomial") -> RatioPoint:
     if which == "monomial":
         value = r_max(n, d)
     elif which == "coprime":
-        if d >= n or d == 3:
-            value = r_max_star(n, d, MODE_CLOSED_FORM)
-        else:
-            value = r_max_star(n, d, MODE_ORACLE)
+        value = r_max_star(n, d)
     else:
         raise UsageError(f"unknown ratio kind {which!r}; expected monomial or coprime")
     ratio = Fraction(value, generic_rank(n, d))
@@ -381,30 +366,21 @@ def ratio_to_generic(n: int, d: int, which: str = "monomial") -> RatioPoint:
     return RatioPoint(n, d, ratio, limit, abs(ratio - limit))
 
 
-def ratio_decay_fixed_d(d: int, n_max: int, oracle_limit: int = 12) -> list[RatioPoint]:
+def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
     """Exact ratios r_max_star(n, d)/r_gen(n, d) for n = d..n_max at fixed d.
 
-    The limit as n grows is 0: the numerator is bounded by a linear
-    function of n while the generic rank grows like n^(d-1). Where neither
-    closed form applies and n exceeds oracle_limit, the row reports the
-    linear bound n*2^(d-1)/d instead, flagged bound_only.
+    The limit as n grows is 0: the numerator grows linearly in n (3n/2 at
+    d = 3, at most n*2^(d-1)/d for d >= 4) while the generic rank grows
+    like n^(d-1). Every numerator comes from one knapsack table up to n_max.
     """
     if d < 3:
         raise UsageError(f"ratio_decay_fixed_d needs d >= 3, got {d}")
     if n_max < d:
         raise UsageError(f"n_max must be at least d, got n_max={n_max} < d={d}")
+    best = _knapsack(n_max, d)[2]
     zero = Fraction(0)
     points = []
     for n in range(d, n_max + 1):
-        gen = generic_rank(n, d)
-        if d == 3 or d >= n:
-            ratio = Fraction(r_max_star(n, d, MODE_CLOSED_FORM), gen)
-            bound_only = False
-        elif n <= oracle_limit:
-            ratio = Fraction(r_max_star(n, d, MODE_ORACLE), gen)
-            bound_only = False
-        else:
-            ratio = Fraction(n * 2 ** (d - 1), d * gen)
-            bound_only = True
-        points.append(RatioPoint(n, d, ratio, zero, ratio, bound_only))
+        ratio = Fraction(best[n], generic_rank(n, d))
+        points.append(RatioPoint(n, d, ratio, zero, ratio))
     return points

@@ -104,9 +104,12 @@ def test_max_rank_oracle(capsys):
 
 
 def test_max_rank_sum_closed_form_regime_error(capsys):
-    code, out, err = run_cli(capsys, "max-rank-sum", "--n", "5", "--d", "4")
-    assert code == 2
-    assert "oracle" in err
+    # n > d >= 4 has no closed form; the exact knapsack finds the oracle's witness.
+    code, doc = run_json(capsys, "max-rank-sum", "--n", "5", "--d", "4")
+    assert code == 0
+    (row,) = doc["rows"]
+    assert row["value"] == "10"
+    assert row["witness"] == "1,1,2|1,3"
 
 
 def test_max_rank_sum_oracle(capsys):
@@ -319,18 +322,6 @@ def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
     )
     assert code == 1
     assert "violation" in out
-
-
-def test_verify_threads_match_single_worker(capsys):
-    _, doc1 = run_json(
-        capsys, "verify", "--claim", "theorem-coprime",
-        "--n-range", "4:5", "--d-range", "3:6",
-    )
-    _, doc2 = run_json(
-        capsys, "verify", "--claim", "theorem-coprime",
-        "--n-range", "4:5", "--d-range", "3:6", "--threads", "2",
-    )
-    assert doc1["rows"] == doc2["rows"]
 
 
 @pytest.mark.parametrize("claim_id", vf.CLAIM_IDS)

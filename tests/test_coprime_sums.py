@@ -12,8 +12,10 @@ from waring.coprime_sums import (
     r_max_star,
     sum_rank,
 )
-from waring.errors import DimensionError, UnsupportedRegimeError, UsageError
+from waring.errors import DimensionError, UsageError
 from waring.monomials import Monomial, partitions, r_max, waring_rank
+from waring.rank_tables import generic_rank
+from waring.verify import ratio_decay_fixed_d
 
 
 def multiset_count(n, d, spanning):
@@ -207,19 +209,27 @@ def test_r_max_star_oracle_5_4():
 
 
 def test_r_max_star_closed_form_unsupported_regime():
-    for n, d in ((5, 4), (6, 4), (10, 5)):
-        with pytest.raises(UnsupportedRegimeError, match="oracle"):
-            r_max_star(n, d)
-        with pytest.raises(UnsupportedRegimeError, match="oracle"):
-            max_rank_sum(n, d)
+    # n > d >= 4, where no closed form is known: the knapsack is exact there.
+    for (n, d), expected in (((5, 4), 10), ((6, 4), 12), ((10, 5), 32)):
+        assert r_max_star(n, d) == r_max_star(n, d, "oracle") == expected
+        assert max_rank_sum(n, d) == max_rank_sum(n, d, "oracle")
 
 
 def test_r_max_star_modes_agree_where_both_apply():
-    for n in range(1, 13):
-        assert r_max_star(n, 3) == r_max_star(n, 3, "oracle")
-    for n in range(4, 13):
-        for d in range(n, 13):
-            assert r_max_star(n, d) == r_max_star(n, d, "oracle")
+    for n in range(1, 15):
+        for d in range(1, 9):
+            witness = max_rank_sum(n, d)
+            assert witness == max_rank_sum(n, d, "oracle")
+            assert r_max_star(n, d) == r_max_star(n, d, "oracle") == sum_rank(witness)
+
+
+def test_r_max_star_keeps_the_known_closed_forms():
+    # d >= n: a single monomial is best; d = 3: a pile of x*y^2 (and one z^3).
+    for d in range(1, 41):
+        for n in range(1, d + 1):
+            assert r_max_star(n, d) == r_max(n, d)
+    for n in range(2, 201):
+        assert r_max_star(n, 3) == 3 * n // 2
 
 
 def test_r_max_star_oracle_dominates_r_max():
@@ -230,14 +240,13 @@ def test_r_max_star_oracle_dominates_r_max():
 
 def test_max_rank_sum_witness_matches_value():
     for n, d in ((4, 3), (5, 3), (8, 3), (4, 4), (6, 6), (5, 4), (6, 5)):
-        mode = "oracle" if (n > d >= 4) else "closed_form"
-        witness = max_rank_sum(n, d, mode)
+        witness = max_rank_sum(n, d)
         assert witness.ambient_vars == n
-        assert sum_rank(witness) == r_max_star(n, d, mode)
-    # closed-form witnesses in both regimes
+        assert sum_rank(witness) == r_max_star(n, d)
     assert max_rank_sum(6, 6).block_shapes() == ((1, 1, 1, 1, 1, 1),)
     assert max_rank_sum(6, 3).block_shapes() == ((1, 2), (1, 2), (1, 2))
-    assert max_rank_sum(7, 3).block_shapes() == ((1, 2), (1, 2), (1, 2), (3,))
+    # The first maximum takes the larger block x*y*z before the x*y^2 pile.
+    assert max_rank_sum(7, 3).block_shapes() == ((1, 1, 1), (1, 2), (1, 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,6 +256,7 @@ def test_max_rank_sum_oracle_is_first_maximum(n, d):
     ranks = [sum_rank(f) for f in listed]
     witness = max_rank_sum(n, d, "oracle")
     assert witness == listed[ranks.index(max(ranks))]
+    assert max_rank_sum(n, d) == witness
     assert sum_rank(witness) == r_max_star(n, d, "oracle")
 
 
@@ -260,9 +270,12 @@ def test_cube_block_normalization_preserves_rank_and_vars():
 
 
 def test_linear_bound_for_n_above_d():
-    for d in range(4, 12):
-        for n in range(d + 1, 13):
-            assert r_max_star(n, d, "oracle") * d <= n * 2 ** (d - 1)
+    # The n-limit argument: r_max_star(n, d) <= n * 2^(d-1) / d for d >= 4.
+    for d in range(4, 41):
+        for point in ratio_decay_fixed_d(d, 300)[1:]:
+            assert point.ratio * generic_rank(point.n, d) * d <= point.n * 2 ** (d - 1)
+    # It needs d >= 4: x*y^2 has rank 3 > 2 * 2^2 / 3.
+    assert r_max_star(2, 3) * 3 > 2 * 2 ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import waring
-from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
+from waring.coprime_sums import (
+    CoprimeSum,
+    enumerate_coprime_sums,
+    make_sum,
+    max_rank_sum,
+    r_max_star,
+    sum_rank,
+)
 from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
@@ -365,7 +373,7 @@ def test_ratio_to_generic_4_4():
 
 def test_ratio_to_generic_coprime_routes():
     assert ratio_to_generic(4, 3, "coprime").ratio == Fraction(6, 5)
-    # n > d >= 4 has no closed form; the oracle value 10 over generic 15
+    # n > d >= 4 has no closed form; the knapsack value 10 over generic 15
     assert ratio_to_generic(5, 4, "coprime").ratio == Fraction(2, 3)
 
 
@@ -382,7 +390,6 @@ def test_ratio_decay_d3_exact_endpoint():
     last = points[-1]
     assert last.ratio == Fraction(150, 1717)
     assert last.ratio < Fraction(1, 10)
-    assert not any(p.bound_only for p in points)
     assert all(p.limit == 0 and p.gap == p.ratio for p in points)
 
 
@@ -393,17 +400,26 @@ def test_ratio_decay_d3_strictly_decreasing_from_6():
 
 
 def test_ratio_decay_uses_bound_beyond_oracle_limit():
-    points = ratio_decay_fixed_d(4, 20, oracle_limit=12)
-    by_n = {p.n: p for p in points}
-    for n in range(4, 13):
-        assert not by_n[n].bound_only
-    for n in range(13, 21):
-        assert by_n[n].bound_only
-        assert by_n[n].ratio == Fraction(n * 8, 4 * generic_rank(n, 4))
-    # where both are available the bound dominates the exact value
-    exact = Fraction(10, generic_rank(5, 4))
-    assert by_n[5].ratio == exact
-    assert Fraction(5 * 8, 4 * generic_rank(5, 4)) >= exact
+    # Every row is the exact maximum, equal to the brute force.
+    points = ratio_decay_fixed_d(4, 20)
+    assert [p.n for p in points] == list(range(4, 21))
+    for p in points:
+        assert p.ratio == Fraction(r_max_star(p.n, 4, "oracle"), generic_rank(p.n, 4))
+        # the linear bound dominates the exact value
+        assert Fraction(p.n * 8, 4 * generic_rank(p.n, 4)) >= p.ratio
+
+
+def test_exact_coprime_maxima_far_beyond_brute_force():
+    # Hundreds of millions of sums at (30, 12); the knapsack takes milliseconds.
+    start = time.perf_counter()
+    point = ratio_to_generic(30, 12, "coprime")
+    witness = max_rank_sum(40, 12)
+    assert time.perf_counter() - start < 1
+    assert point.ratio == Fraction(4420, generic_rank(30, 12))
+    assert sum_rank(witness) == r_max_star(40, 12) == 6244
+    assert witness.vars_used == 40
+    # both stay within the linear bound n * 2^(d-1) / d
+    assert 4420 * 12 <= 30 * 2**11 and 6244 * 12 <= 40 * 2**11
 
 
 def test_ratio_decay_rejects_bad_args():
