@@ -1,0 +1,35 @@
+"""A small immutable value-class base, cheaper to import than dataclasses.
+
+A subclass names its fields in FIELDS and, after validating them in its
+own __init__, stores them with object.__setattr__, past the refusing
+__setattr__, as frozen dataclasses do. Instances keep a __dict__ rather
+than __slots__, so pickle restores them without calling __setattr__.
+"""
+
+
+class Record:
+    """Equality, hashing, repr and immutability over the fields in FIELDS."""
+
+    __slots__ = ()
+    FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.FIELDS])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")

@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import coprime_sums as cs
 from . import monomials as mono
-from . import rank_tables as rt
-from . import verify as vf
 from .errors import UsageError
 from .monomials import MODE_CLOSED_FORM, MODE_ORACLE
 from .report import FORMATS, ReportDocument, approx12, fmt_exact, render
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .verify import RatioPoint
 
 TABLE_NAMES = ("exceptional-44-53", "coprime-43", "known-examples")
 
@@ -197,6 +198,8 @@ def cmd_rank(args) -> tuple[ReportDocument, int]:
 
 
 def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
+    from . import rank_tables as rt
+
     value = rt.generic_rank(args.n, args.d)
     row = {
         "n": str(args.n),
@@ -232,6 +235,10 @@ BOUNDS_COLUMNS = ["n", "d", "kind", "value", "value_approx"]
 
 
 def cmd_bounds(args) -> tuple[ReportDocument, int]:
+    from fractions import Fraction
+
+    from . import rank_tables as rt
+
     def row(kind: str, value: int | Fraction) -> dict[str, str]:
         return {
             "n": str(args.n),
@@ -272,6 +279,8 @@ VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
 
 
 def cmd_verify(args) -> tuple[ReportDocument, int]:
+    from . import verify as vf
+
     claim = vf.get_claim(args.claim)
     vf.check_n_range(args.claim, args.n_range or None)
     n_range = parse_range(args.n_range) if args.n_range else None
@@ -324,7 +333,7 @@ ASYMPTOTICS_COLUMNS = [
 ]
 
 
-def _ratio_row(point: vf.RatioPoint) -> dict[str, str]:
+def _ratio_row(point: RatioPoint) -> dict[str, str]:
     return {
         "n": str(point.n),
         "d": str(point.d),
@@ -339,10 +348,15 @@ def _ratio_row(point: vf.RatioPoint) -> dict[str, str]:
 
 
 def cmd_asymptotics(args) -> tuple[ReportDocument, int]:
+    from . import verify as vf
+
     if args.mode == "d-limit":
         if args.n is None:
             raise UsageError("--mode d-limit requires --n")
-        samples = parse_exponent_list(args.d_samples)
+        try:
+            samples = [int(d) for d in args.d_samples.split(",")]
+        except ValueError:
+            raise UsageError(f"malformed --d-samples {args.d_samples!r}; expected degrees, e.g. 10,100,1000")
         points = [vf.ratio_to_generic(args.n, d, args.which) for d in samples]
         params = {
             "mode": args.mode,
@@ -365,6 +379,8 @@ TABLE_COLUMNS = ["n", "d", "kind", "witness", "label", "value", "generic_rank", 
 
 
 def cmd_table(args) -> tuple[ReportDocument, int]:
+    from . import rank_tables as rt
+
     rows = []
     if args.name == "exceptional-44-53":
         for n, d in ((4, 4), (5, 3)):
@@ -409,6 +425,15 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+
+class _ClaimIds:
+    """verify.CLAIM_IDS, comma-joined when --claim's help text is rendered."""
+
+    def __str__(self) -> str:
+        from .verify import CLAIM_IDS
+
+        return ", ".join(CLAIM_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="exhaustively check a claim")
     p.add_argument("--threads", type=positive_int, default=1, help="verification worker count")
-    p.add_argument("--claim", required=True, help="one of: " + ", ".join(vf.CLAIM_IDS))
+    # argparse expands %(claim_ids)s only when it prints help, so verify loads
+    # only then. Set after add_argument, which newer Pythons test-expand.
+    claim = p.add_argument("--claim", required=True)
+    claim.help, claim.claim_ids = "one of: %(claim_ids)s", _ClaimIds()
     p.add_argument("--n-range", dest="n_range", default=None, help="inclusive a:b")
     p.add_argument("--d-range", dest="d_range", default=None, help="inclusive a:b")
     p.set_defaults(handler=cmd_verify)

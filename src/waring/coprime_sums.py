@@ -9,10 +9,10 @@ add up to at most the ambient n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
-from typing import Iterable, Iterator
 
+from ._record import Record
 from .errors import DimensionError, UsageError
 from .monomials import (
     MODE_CLOSED_FORM,
@@ -40,29 +40,30 @@ def _as_block(m: Monomial) -> Monomial:
     return Monomial(m.exponents, m.nvars)
 
 
-@dataclass(frozen=True)
-class CoprimeSum:
+class CoprimeSum(Record):
     """Multiset of equal-degree blocks on disjoint variables, canonically ordered."""
 
-    blocks: tuple[Monomial, ...]
-    ambient_vars: int
+    FIELDS = ("blocks", "ambient_vars")
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, blocks: tuple[Monomial, ...], ambient_vars: int) -> None:
+        if not blocks:
             raise ValueError("a coprime sum needs at least one block")
-        degrees = {b.degree for b in self.blocks}
+        degrees = {b.degree for b in blocks}
         if len(degrees) > 1:
             raise ValueError(f"blocks must share one degree, got {sorted(degrees)}")
-        if any(b.ambient_vars != b.nvars for b in self.blocks):
+        if any(b.ambient_vars != b.nvars for b in blocks):
             raise ValueError("blocks must live on exactly their own variables")
-        if self.vars_used > self.ambient_vars:
+        vars_used = sum(b.nvars for b in blocks)
+        if vars_used > ambient_vars:
             raise DimensionError(
-                f"blocks use {self.vars_used} variables but ambient_vars="
-                f"{self.ambient_vars}"
+                f"blocks use {vars_used} variables but ambient_vars="
+                f"{ambient_vars}"
             )
-        keys = [_block_key(b) for b in self.blocks]
+        keys = [_block_key(b) for b in blocks]
         if keys != sorted(keys):
             raise ValueError("blocks are not in canonical order")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "ambient_vars", ambient_vars)
 
     @property
     def degree(self) -> int:

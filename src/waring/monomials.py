@@ -10,36 +10,36 @@ the smallest exponent. A single-variable power has rank 1 (empty product).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
+from ._record import Record
 from .errors import DegenerateInputError, DimensionError, UsageError
 
 MODE_CLOSED_FORM = "closed_form"
 MODE_ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Canonical monomial: ascending positive exponents plus ambient size."""
 
-    exponents: tuple[int, ...]
-    ambient_vars: int
+    FIELDS = ("exponents", "ambient_vars")
 
-    def __post_init__(self) -> None:
-        if not self.exponents:
+    def __init__(self, exponents: tuple[int, ...], ambient_vars: int) -> None:
+        if not exponents:
             raise DegenerateInputError("monomial needs at least one positive exponent")
-        if any(e <= 0 for e in self.exponents):
-            raise ValueError(f"exponents must be positive: {self.exponents}")
-        if any(a > b for a, b in zip(self.exponents, self.exponents[1:])):
-            raise ValueError(f"exponents must be sorted ascending: {self.exponents}")
-        if self.ambient_vars < 1:
+        if any(e <= 0 for e in exponents):
+            raise ValueError(f"exponents must be positive: {exponents}")
+        if any(a > b for a, b in zip(exponents, exponents[1:])):
+            raise ValueError(f"exponents must be sorted ascending: {exponents}")
+        if ambient_vars < 1:
             raise ValueError("ambient_vars must be positive")
-        if len(self.exponents) > self.ambient_vars:
+        if len(exponents) > ambient_vars:
             raise DimensionError(
-                f"{len(self.exponents)} variables used but only "
-                f"{self.ambient_vars} available"
+                f"{len(exponents)} variables used but only "
+                f"{ambient_vars} available"
             )
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "ambient_vars", ambient_vars)
 
     @property
     def degree(self) -> int:

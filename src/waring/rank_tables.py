@@ -8,8 +8,7 @@ the sporadic cases (3,4) -> 6, (4,4) -> 10, (5,3) -> 8, (5,4) -> 15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .exact_math import binomial, ceil_div
 
 # Sporadic exceptional generic ranks; the quadric family (n, 2) -> n is
@@ -25,33 +24,33 @@ BOUND_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class RankRecord:
+class RankRecord(Record):
     """One (n, d, kind, value) row of the upper-bound chain."""
 
-    n: int
-    d: int
-    kind: str
-    value: int
+    FIELDS = ("n", "d", "kind", "value")
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"rank quantity must be >= 1, got {self.value}")
+    def __init__(self, n: int, d: int, kind: str, value: int) -> None:
+        if value < 1:
+            raise ValueError(f"rank quantity must be >= 1, got {value}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class KnownExample:
+class KnownExample(Record):
     """A registry entry for a form whose rank exceeds the generic rank."""
 
-    label: str
-    n: int
-    d: int
-    rank: int
-    source_note: str
+    FIELDS = ("label", "n", "d", "rank", "source_note")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, label: str, n: int, d: int, rank: int, source_note: str) -> None:
+        if rank < 1:
             raise ValueError("rank must be >= 1")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "source_note", source_note)
 
 
 def generic_rank(n: int, d: int) -> int:

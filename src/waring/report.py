@@ -8,23 +8,15 @@ readers; nothing is ever compared through them.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FORMATS = ("md", "csv", "json")
 
 
 def fmt_exact(value: int | Fraction | str) -> str:
-    """Serialize an exact value: ints in decimal, fractions as 'p/q'."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+    """Serialize an exact value: ints in decimal, fractions as 'p/q', as str does."""
     return str(value)
 
 
@@ -33,20 +25,26 @@ def approx12(value: int | Fraction) -> str:
     return f"{float(value):.12g}"
 
 
-@dataclass
 class ReportDocument:
     """One command's output: fixed columns, stringified rows, format choice."""
 
-    command: str
-    parameters: dict[str, str]
-    columns: list[str]
-    rows: list[dict[str, str]] = field(default_factory=list)
-    fmt: str = "md"
-    generated_at: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; expected one of {FORMATS}")
+    def __init__(
+        self,
+        command: str,
+        parameters: dict[str, str],
+        columns: list[str],
+        rows: list[dict[str, str]] | None = None,
+        fmt: str = "md",
+        generated_at: str | None = None,
+    ) -> None:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        self.command = command
+        self.parameters = parameters
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.fmt = fmt
+        self.generated_at = generated_at
 
 
 def render(doc: ReportDocument) -> str:
@@ -64,6 +62,8 @@ def _render_json(doc: ReportDocument) -> str:
     goes through json.dumps and each row is spelled out here, cell by cell
     with the encoder's own string escaping, byte for byte as indent=2 would.
     """
+    import json
+
     envelope: dict[str, object] = {
         "command": doc.command,
         "parameters": doc.parameters,
@@ -92,6 +92,9 @@ def _render_json(doc: ReportDocument) -> str:
 
 
 def _render_csv(doc: ReportDocument) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(doc.columns)

@@ -491,6 +491,36 @@ def test_missing_subcommand_exits_two(capsys):
 # report document primitives
 
 
+VERIFY_HELP = """\
+usage: waring verify [-h] [--format {md,csv,json}] [--out FILE]
+                     [--deterministic] [--threads THREADS] --claim CLAIM
+                     [--n-range N_RANGE] [--d-range D_RANGE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {md,csv,json}
+                        output format
+  --out FILE            write to FILE instead of stdout
+  --deterministic       omit timestamps and timings so identical runs are
+                        byte-identical
+  --threads THREADS     verification worker count
+  --claim CLAIM         one of: theorem-monomial, theorem-coprime, lemma-
+                        slope, ineq-agm, ineq-pure-power
+  --n-range N_RANGE     inclusive a:b
+  --d-range D_RANGE     inclusive a:b
+"""
+
+
+def test_verify_help_is_pinned_and_names_every_claim(capsys, monkeypatch):
+    # argparse wraps help to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "verify", "--help")
+    assert (code, out, err) == (0, VERIFY_HELP, "")
+    # Unwrap: argparse breaks lines after a hyphen.
+    flat = " ".join(out.split()).replace("- ", "-")
+    assert "--claim CLAIM one of: " + ", ".join(vf.CLAIM_IDS) + " --n-range" in flat
+
+
 def test_fmt_exact_and_approx():
     assert fmt_exact(1717) == "1717"
     assert fmt_exact(Fraction(150, 1717)) == "150/1717"

@@ -77,6 +77,7 @@ COMMANDS = (
     "asymptotics --mode d-limit --n 4 --d-samples 10,100",
     "asymptotics --mode d-limit --n 5 --d-samples 5,9 --which coprime",
     "asymptotics --mode d-limit --n 6 --d-samples 4,5 --which coprime",
+    "asymptotics --mode d-limit --n 4 --d-samples 10,x",
     "asymptotics --mode n-limit --d 4 --n-max 14 --oracle-limit 9",
     "asymptotics --mode n-limit --d 4 --n-max 14",
     "asymptotics --mode sideways",

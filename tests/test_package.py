@@ -1,0 +1,118 @@
+"""The lazy `waring` package namespace and the immutable value classes."""
+
+import importlib
+import pickle
+
+import pytest
+
+import waring
+from waring.coprime_sums import CoprimeSum, make_sum
+from waring.monomials import Monomial
+from waring.rank_tables import KnownExample, RankRecord, known_examples, upper_bounds
+from waring.report import ReportDocument
+
+PUBLIC_NAMES = {
+    "BOUND_KINDS", "CLAIMS", "CLAIM_IDS", "CoprimeSum", "DegenerateInputError",
+    "DimensionError", "EQUAL", "EXPECTED_COPRIME_EXCEPTIONS", "GREATER", "KnownExample",
+    "LESS", "MODE_CLOSED_FORM", "MODE_ORACLE", "Monomial", "RankRecord", "RatioPoint",
+    "UsageError", "VerificationReport", "Violation", "binomial", "canonicalize", "ceil_div",
+    "enumerate_coprime_sums", "enumerate_monomials", "generic_rank", "greedy_construction",
+    "known_examples", "make_sum", "max_rank_monomial", "max_rank_sum", "partitions", "r_max",
+    "r_max_star", "ratio_compare", "ratio_decay_fixed_d", "ratio_to_generic", "sum_rank",
+    "upper_bounds", "verify_claim", "verify_inequality_agm", "verify_inequality_pure_power",
+    "verify_lemma_slope", "verify_theorem_coprime", "verify_theorem_monomial", "waring_rank",
+}
+SUBMODULES = ("coprime_sums", "errors", "exact_math", "monomials", "rank_tables", "verify")
+
+
+def test_all_lists_the_public_names_once():
+    assert len(PUBLIC_NAMES) == 45
+    assert sorted(waring.__all__) == sorted(PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
+def test_public_name_is_its_submodules_object(name):
+    value = getattr(waring, name)
+    modules = [importlib.import_module("waring." + m) for m in SUBMODULES]
+    holders = [module for module in modules if hasattr(module, name)]
+    assert holders
+    assert all(getattr(module, name) is value for module in holders)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from waring import *", namespace)
+    assert PUBLIC_NAMES <= set(namespace)
+    assert all(namespace[name] is getattr(waring, name) for name in PUBLIC_NAMES)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        waring.no_such_name
+    assert not hasattr(waring, "Record")
+    with pytest.raises(ImportError):
+        exec("from waring import no_such_name", {})
+
+
+# ---------------------------------------------------------------------------
+# value classes
+
+
+def _values():
+    """Each converted class, built twice from equal but distinct arguments."""
+    return [
+        (Monomial(exponents=(1, 2), ambient_vars=3), Monomial((1, 2), 3)),
+        (make_sum([[1, 2], [3]], 4), make_sum([[3], [2, 1]], 4)),
+        (upper_bounds(2, 2)[0], RankRecord(n=2, d=2, kind="span_bound", value=3)),
+        (known_examples()[0], KnownExample(**vars(known_examples()[0]))),
+    ]
+
+
+def test_repr_is_what_the_dataclasses_printed():
+    reprs = [repr(a) for a, _ in _values()]
+    assert reprs == [
+        "Monomial(exponents=(1, 2), ambient_vars=3)",
+        "CoprimeSum(blocks=(Monomial(exponents=(1, 2), ambient_vars=2), "
+        "Monomial(exponents=(3,), ambient_vars=1)), ambient_vars=4)",
+        "RankRecord(n=2, d=2, kind='span_bound', value=3)",
+        "KnownExample(label='x^2*y + y^2*z', n=3, d=3, rank=5, source_note="
+        "'classical plane cubic attaining the maximum rank 5 for (3,3)')",
+    ]
+
+
+def test_equal_values_compare_and_hash_equal():
+    for a, b in _values():
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert Monomial((1, 2), 3) != Monomial((1, 2), 4)
+    assert Monomial((3,), 1) != CoprimeSum((Monomial((3,), 1),), 1)
+    assert Monomial((1, 2), 3) != ((1, 2), 3)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    for a, _ in _values():
+        for name in list(vars(a)):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 0
+
+
+def test_values_round_trip_through_pickle():
+    for a, _ in _values():
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(a, protocol))
+            assert copy == a and copy is not a
+            assert hash(copy) == hash(a)
+
+
+def test_report_document_takes_keywords_and_fresh_default_rows():
+    doc = ReportDocument(command="c", parameters={}, columns=["a"])
+    other = ReportDocument("c", {}, ["a"])
+    assert (doc.rows, doc.fmt, doc.generated_at) == ([], "md", None)
+    doc.rows.append({"a": "1"})
+    assert other.rows == []

@@ -162,6 +162,44 @@ def test_import_loads_no_process_pool(module):
     assert run.stdout == "[]\n"
 
 
+def _fresh_modules(code: str) -> set[str]:
+    """The names in sys.modules after running code in a fresh interpreter."""
+    src = str(Path(waring.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return set(run.stdout.split())
+
+
+def test_import_waring_loads_no_submodule():
+    assert sorted(m for m in _fresh_modules("import waring") if m.startswith("waring.")) == []
+
+
+def test_rank_call_loads_no_verify_tables_dataclasses_fractions_or_csv():
+    code = (
+        "import os, waring.cli\n"
+        "waring.cli.main(['rank', '--monomial', '1,2,2', '--deterministic', '--out', os.devnull])"
+    )
+    heavy = {"waring.verify", "waring.rank_tables", "dataclasses", "fractions", "csv"}
+    assert sorted(_fresh_modules(code) & heavy) == []
+
+
+def test_verify_handler_loads_verify():
+    # Not before the handler runs: the CLI itself does not import it.
+    code = (
+        "import os, sys, waring.cli\n"
+        "assert 'waring.verify' not in sys.modules\n"
+        "waring.cli.main(['verify', '--claim', 'ineq-agm', '--n-range', '4:4', '--d-range', '2:2',"
+        " '--out', os.devnull])"
+    )
+    assert "waring.verify" in _fresh_modules(code)
+
+
 def test_every_claim_reports_the_same_on_two_workers(monkeypatch):
     # Two CPUs on any host, so workers=2 really starts a two-process pool.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
