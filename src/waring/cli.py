@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import coprime_sums as cs
 from . import monomials as mono
@@ -78,88 +78,61 @@ def _utc_now() -> str:
 # row builders
 
 
-def _block_witness(exponents: Iterable[int]) -> str:
-    """One block of the witness syntax, e.g. '1,2'."""
-    return ",".join(map(str, exponents))
-
-
-def _witness(block_witnesses: Iterable[str]) -> str:
-    """Machine-readable exponent syntax, e.g. '1,2|1,2'; rank parses it back."""
-    return "|".join(block_witnesses)
-
-
-def _object_witness(obj: mono.Monomial | cs.CoprimeSum) -> str:
-    blocks = obj.blocks if isinstance(obj, cs.CoprimeSum) else (obj,)
-    return _witness(_block_witness(b.exponents) for b in blocks)
-
-
-def _monomial_row(m: mono.Monomial, kind: str = "monomial") -> dict[str, str]:
-    return {
-        "n": str(m.ambient_vars),
-        "d": str(m.degree),
-        "vars_used": str(m.nvars),
-        "kind": kind,
-        "value": str(mono.waring_rank(m)),
-        "witness": _object_witness(m),
-        "label": m.label(),
-    }
-
-
-def _sum_row(f: cs.CoprimeSum, kind: str = "coprime_sum") -> dict[str, str]:
-    return {
-        "n": str(f.ambient_vars),
-        "d": str(f.degree),
-        "vars_used": str(f.vars_used),
-        "kind": kind,
-        "value": str(cs.sum_rank(f)),
-        "witness": _object_witness(f),
-        "label": f.label(),
-    }
-
-
-# The enumerate rows equal _monomial_row/_sum_row of the objects that
-# enumerate_monomials/enumerate_coprime_sums yield, in the same order, but
-# come straight from the raw partitions and block-index multisets: no
-# object is built or validated per row.
-
-
-def _monomial_rows(n: int, d: int) -> Iterator[dict[str, str]]:
+def _monomial_rows(
+    n: int, d: int, kind: str, partitions: Iterable[tuple[int, ...]]
+) -> Iterator[dict[str, str]]:
+    """Rank rows of the monomials whose exponents are these descending partitions."""
     n_text, d_text = str(n), str(d)
-    for parts in mono.partitions(d, n):
+    for parts in partitions:
         exponents = parts[::-1]
         yield {
             "n": n_text,
             "d": d_text,
             "vars_used": str(len(parts)),
-            "kind": "monomial",
+            "kind": kind,
             "value": str(mono.partition_rank(parts)),
-            "witness": _block_witness(exponents),
+            "witness": ",".join(map(str, exponents)),
             "label": mono.monomial_label(exponents),
         }
 
 
-def _sum_rows(n: int, d: int, spanning: bool) -> Iterator[dict[str, str]]:
+def _sum_rows(
+    n: int, d: int, kind: str, pool: Sequence[mono.Monomial], ranked: Iterable[tuple[int, Iterable[int]]]
+) -> Iterator[dict[str, str]]:
+    """Rank rows of the sums of pool blocks given as (rank, picked pool indices)."""
     n_text, d_text = str(n), str(d)
-    pool = cs._block_pool(n, d)
     sizes = [block.nvars for block in pool]
-    witnesses = [_block_witness(block.exponents) for block in pool]
-    # labels[i][used]: block i's label when `used` variables precede it.
-    labels = [[block.label(used + 1) for used in range(n - block.nvars + 1)] for block in pool]
-    for rank, picked in cs._block_multisets(pool, n, spanning):
+    # The witness syntax, e.g. '1,2|1,2'; rank parses it back.
+    witnesses = [",".join(map(str, block.exponents)) for block in pool]
+    # labels[i][used]: block i's label when `used` variables precede it, made
+    # on first use, so the cache holds only labels that some row shows.
+    labels = [{} for _ in pool]
+    for rank, picked in ranked:
         used = 0
         block_labels = []
         for i in picked:
-            block_labels.append(labels[i][used])
+            label = labels[i].get(used)
+            if label is None:
+                label = labels[i][used] = pool[i].label(used + 1)
+            block_labels.append(label)
             used += sizes[i]
         yield {
             "n": n_text,
             "d": d_text,
             "vars_used": str(used),
-            "kind": "coprime_sum",
+            "kind": kind,
             "value": str(rank),
-            "witness": _witness([witnesses[i] for i in picked]),
+            "witness": "|".join([witnesses[i] for i in picked]),
             "label": cs.sum_label(block_labels),
         }
+
+
+def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> dict[str, str]:
+    """The rank row of one Monomial or CoprimeSum, from the two builders above."""
+    if isinstance(obj, cs.CoprimeSum):
+        ranked = [(cs.sum_rank(obj), range(len(obj.blocks)))]
+        return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
+    return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, [obj.exponents[::-1]]))
 
 
 def _document(args, command: str, columns: list[str], rows, parameters) -> ReportDocument:
@@ -185,12 +158,12 @@ def cmd_rank(args) -> tuple[ReportDocument, int]:
     if args.monomial is not None:
         exponents = parse_exponent_list(args.monomial)
         m = mono.canonicalize(exponents, args.vars)
-        rows = [_monomial_row(m)]
+        rows = [_object_row(m, "monomial")]
         params = {"monomial": args.monomial}
     else:
         blocks = parse_sum_spec(args.sum)
         f = cs.make_sum(blocks, args.vars)
-        rows = [_sum_row(f)]
+        rows = [_object_row(f, "coprime_sum")]
         params = {"sum": args.sum}
     if args.vars is not None:
         params["vars"] = str(args.vars)
@@ -218,7 +191,7 @@ def _mode(args) -> str:
 def cmd_max_rank(args) -> tuple[ReportDocument, int]:
     mode = _mode(args)
     witness = mono.max_rank_monomial(args.n, args.d, mode)
-    row = _monomial_row(witness, kind="r_max")
+    row = _object_row(witness, "r_max")
     params = {"n": str(args.n), "d": str(args.d), "mode": mode}
     return _document(args, "max-rank", RANK_COLUMNS, [row], params), 0
 
@@ -226,7 +199,7 @@ def cmd_max_rank(args) -> tuple[ReportDocument, int]:
 def cmd_max_rank_sum(args) -> tuple[ReportDocument, int]:
     mode = _mode(args)
     witness = cs.max_rank_sum(args.n, args.d, mode)
-    row = _sum_row(witness, kind="r_max_star")
+    row = _object_row(witness, "r_max_star")
     params = {"n": str(args.n), "d": str(args.d), "mode": mode}
     return _document(args, "max-rank-sum", RANK_COLUMNS, [row], params), 0
 
@@ -262,10 +235,12 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
         raise UsageError("--spanning applies only to --sums")
     if args.sums:
         mono.check_cell("enumerate_coprime_sums", args.n, args.d)
-        rows = _sum_rows(args.n, args.d, args.spanning)
+        pool = cs._block_pool(args.n, args.d)
+        ranked = cs._block_multisets(pool, args.n, args.spanning)
+        rows = _sum_rows(args.n, args.d, "coprime_sum", pool, ranked)
     else:
         mono.check_cell("enumerate_monomials", args.n, args.d)
-        rows = _monomial_rows(args.n, args.d)
+        rows = _monomial_rows(args.n, args.d, "monomial", mono.partitions(args.d, args.n))
     params = {
         "n": str(args.n),
         "d": str(args.d),
@@ -297,13 +272,15 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
     if not args.deterministic:
         rows.append({"kind": "elapsed_ms", "value": str(report.elapsed_ms)})
     for v in report.violations:
+        kind = "expected_exception" if v.expected else "violation"
+        shown = _object_row(v.witness, kind) if v.witness else {"witness": "", "label": ""}
         rows.append(
             {
-                "kind": "expected_exception" if v.expected else "violation",
+                "kind": kind,
                 "n": str(v.n),
                 "d": str(v.d),
-                "witness": _object_witness(v.witness) if v.witness else "",
-                "label": v.witness.label() if v.witness else "",
+                "witness": shown["witness"],
+                "label": shown["label"],
                 "lhs": fmt_exact(v.lhs),
                 "rhs": fmt_exact(v.rhs),
             }
@@ -391,9 +368,7 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
                 reverse=True,
             )
             for m in cell:
-                row = _monomial_row(m)
-                row["generic_rank"] = str(gen)
-                rows.append(row)
+                rows.append({**_object_row(m, "monomial"), "generic_rank": str(gen)})
     elif args.name == "coprime-43":
         sums = sorted(
             cs.enumerate_coprime_sums(4, 3, spanning=True),
@@ -401,9 +376,7 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
         )
         gen = rt.generic_rank(4, 3)
         for f in sums:
-            row = _sum_row(f)
-            row["generic_rank"] = str(gen)
-            rows.append(row)
+            rows.append({**_object_row(f, "coprime_sum"), "generic_rank": str(gen)})
     elif args.name == "known-examples":
         for ex in rt.known_examples():
             rows.append(

@@ -182,7 +182,7 @@ def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], list[in
     blocks: list[Monomial | None] = [None]
     ranks = [0]
     for k in range(1, min(n, d) + 1):
-        blocks.append(_as_block(max_rank_monomial(k, d)))
+        blocks.append(max_rank_monomial(k, d))
         ranks.append(waring_rank(blocks[k]))
     best = [0]
     for b in range(1, n + 1):
@@ -246,6 +246,6 @@ def greedy_construction(n: int, d: int) -> CoprimeSum:
     blocks = [Monomial((1,) * d, d) for _ in range(n // d)]
     remainder = n % d
     if remainder:
-        blocks.append(_as_block(max_rank_monomial(remainder, d)))
+        blocks.append(max_rank_monomial(remainder, d))
     blocks.sort(key=_block_key)
     return CoprimeSum(tuple(blocks), n)

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from waring import cli
 from waring import verify as vf
 from waring.cli import main, parse_exponent_list, parse_range, parse_sum_spec
-from waring.coprime_sums import enumerate_coprime_sums, make_sum, sum_rank
+from waring import coprime_sums as cs
+from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
-from waring.monomials import canonicalize, enumerate_monomials, waring_rank
+from waring.monomials import Monomial, canonicalize, enumerate_monomials, waring_rank
 from waring.report import ReportDocument, approx12, fmt_exact, render
 from fractions import Fraction
 
@@ -178,13 +179,81 @@ def enumerate_argv(n, d, sums, spanning):
     spanning=st.booleans(),
 )
 def test_enumerate_rows_equal_object_rows(n, d, sums, spanning):
+    # The expected rows come from the public object API only, so they stay
+    # an independent reference for the exponent-tuple row builders.
     spanning = spanning and sums
     if sums:
-        objects = enumerate_coprime_sums(n, d, spanning=spanning)
-        expected = [cli._sum_row(f) for f in objects]
+        expected = [
+            {
+                "n": str(f.ambient_vars),
+                "d": str(f.degree),
+                "vars_used": str(f.vars_used),
+                "kind": "coprime_sum",
+                "value": str(sum_rank(f)),
+                "witness": "|".join(",".join(map(str, b.exponents)) for b in f.blocks),
+                "label": f.label(),
+            }
+            for f in enumerate_coprime_sums(n, d, spanning=spanning)
+        ]
     else:
-        expected = [cli._monomial_row(m) for m in enumerate_monomials(n, d)]
+        expected = [
+            {
+                "n": str(m.ambient_vars),
+                "d": str(m.degree),
+                "vars_used": str(m.nvars),
+                "kind": "monomial",
+                "value": str(waring_rank(m)),
+                "witness": ",".join(map(str, m.exponents)),
+                "label": m.label(),
+            }
+            for m in enumerate_monomials(n, d)
+        ]
     assert handler_rows(*enumerate_argv(n, d, sums, spanning)) == expected
+
+
+@pytest.mark.parametrize("sums", [False, True])
+def test_enumerate_builds_no_object_per_row(monkeypatch, sums):
+    # enumerate rows come from raw partitions and block-index multisets:
+    # at most the block pool is built, never one object per row.
+    pool_size = len(cs._block_pool(8, 8))
+    built = {Monomial: 0, CoprimeSum: 0}
+    for cls in built:
+        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    rows = handler_rows(*enumerate_argv(8, 8, sums, False))
+    assert len(rows) == (764 if sums else 22)
+    assert built[CoprimeSum] == 0
+    assert built[Monomial] <= (pool_size if sums else 0)
+
+
+@pytest.mark.parametrize(
+    "argv, first_vars, n, value, label_end",
+    [
+        (["max-rank-sum", "--n", "20000", "--d", "2"], list(range(1, 20000, 2)), "20000", "20000", "x19999*x20000"),
+        (["rank", "--sum", "1,1", "--vars", "10000000"], [1], "10000000", "2", "x1*x2"),
+    ],
+    ids=["max-rank-sum", "rank-sum"],
+)
+def test_object_row_labels_each_block_once(monkeypatch, argv, first_vars, n, value, label_end):
+    # One object's row labels each block once, at its own first variable:
+    # many ambient variables or repeated blocks cost no extra labels.
+    calls = []
+    label = Monomial.label
+
+    def counting_label(self, first_var=1):
+        calls.append(first_var)
+        # Stop at the first extra label, before a per-offset table can grow.
+        assert len(calls) <= len(first_vars), "labelled a block at an offset no row shows"
+        return label(self, first_var)
+
+    monkeypatch.setattr(Monomial, "label", counting_label)
+    (row,) = handler_rows(*argv)
+    assert calls == first_vars
+    assert (row["n"], row["value"]) == (n, value)
+    assert row["label"].endswith(label_end)
 
 
 @settings(max_examples=40, deadline=None)
