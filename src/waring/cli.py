@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from . import coprime_sums as cs
 from . import monomials as mono
-from .errors import UsageError
+from .errors import UsageError, check_cell
 from .monomials import MODE_CLOSED_FORM, MODE_ORACLE
 from .report import FORMATS, ReportDocument, approx12, fmt_exact, render
 
@@ -135,10 +135,10 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> dict[str, str]
     return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, [obj.exponents[::-1]]))
 
 
-def _document(args, command: str, columns: list[str], rows, parameters) -> ReportDocument:
+def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
     generated_at = None if args.deterministic else _utc_now()
     return ReportDocument(
-        command=command,
+        command=args.command,
         parameters=parameters,
         columns=columns,
         rows=list(rows),
@@ -167,7 +167,7 @@ def cmd_rank(args) -> tuple[ReportDocument, int]:
         params = {"sum": args.sum}
     if args.vars is not None:
         params["vars"] = str(args.vars)
-    return _document(args, "rank", RANK_COLUMNS, rows, params), 0
+    return _document(args, RANK_COLUMNS, rows, params), 0
 
 
 def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
@@ -181,7 +181,7 @@ def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
         "value": str(value),
     }
     params = {"n": str(args.n), "d": str(args.d)}
-    return _document(args, "generic-rank", RANK_COLUMNS, [row], params), 0
+    return _document(args, RANK_COLUMNS, [row], params), 0
 
 
 def _mode(args) -> str:
@@ -193,7 +193,7 @@ def cmd_max_rank(args) -> tuple[ReportDocument, int]:
     witness = mono.max_rank_monomial(args.n, args.d, mode)
     row = _object_row(witness, "r_max")
     params = {"n": str(args.n), "d": str(args.d), "mode": mode}
-    return _document(args, "max-rank", RANK_COLUMNS, [row], params), 0
+    return _document(args, RANK_COLUMNS, [row], params), 0
 
 
 def cmd_max_rank_sum(args) -> tuple[ReportDocument, int]:
@@ -201,7 +201,7 @@ def cmd_max_rank_sum(args) -> tuple[ReportDocument, int]:
     witness = cs.max_rank_sum(args.n, args.d, mode)
     row = _object_row(witness, "r_max_star")
     params = {"n": str(args.n), "d": str(args.d), "mode": mode}
-    return _document(args, "max-rank-sum", RANK_COLUMNS, [row], params), 0
+    return _document(args, RANK_COLUMNS, [row], params), 0
 
 
 BOUNDS_COLUMNS = ["n", "d", "kind", "value", "value_approx"]
@@ -227,19 +227,19 @@ def cmd_bounds(args) -> tuple[ReportDocument, int]:
     # only, never asserted.
     rows.append(row("gap_ratio_heuristic", Fraction(args.d * args.n, args.d + args.n - 1)))
     params = {"n": str(args.n), "d": str(args.d)}
-    return _document(args, "bounds", BOUNDS_COLUMNS, rows, params), 0
+    return _document(args, BOUNDS_COLUMNS, rows, params), 0
 
 
 def cmd_enumerate(args) -> tuple[ReportDocument, int]:
     if args.spanning and not args.sums:
         raise UsageError("--spanning applies only to --sums")
     if args.sums:
-        mono.check_cell("enumerate_coprime_sums", args.n, args.d)
+        check_cell("enumerate_coprime_sums", args.n, args.d)
         pool = cs._block_pool(args.n, args.d)
         ranked = cs._block_multisets(pool, args.n, args.spanning)
         rows = _sum_rows(args.n, args.d, "coprime_sum", pool, ranked)
     else:
-        mono.check_cell("enumerate_monomials", args.n, args.d)
+        check_cell("enumerate_monomials", args.n, args.d)
         rows = _monomial_rows(args.n, args.d, "monomial", mono.partitions(args.d, args.n))
     params = {
         "n": str(args.n),
@@ -247,7 +247,7 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
         "sums": str(bool(args.sums)).lower(),
         "spanning": str(bool(args.spanning)).lower(),
     }
-    return _document(args, "enumerate", RANK_COLUMNS, rows, params), 0
+    return _document(args, RANK_COLUMNS, rows, params), 0
 
 
 VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
@@ -257,9 +257,9 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
     from . import verify as vf
 
     claim = vf.get_claim(args.claim)
-    vf.check_n_range(args.claim, args.n_range or None)
-    n_range = parse_range(args.n_range) if args.n_range else None
-    d_range = parse_range(args.d_range) if args.d_range else None
+    vf.check_n_range(args.claim, args.n_range)
+    n_range = None if args.n_range is None else parse_range(args.n_range)
+    d_range = None if args.d_range is None else parse_range(args.d_range)
     report = vf.verify_claim(args.claim, n_range, d_range, args.threads)
     rows = [
         {"kind": "status", "value": report.status},
@@ -293,7 +293,7 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
         "d_range": f"{d_min}:{d_max}",
         "threads": str(args.threads),
     }
-    doc = _document(args, "verify", VERIFY_COLUMNS, rows, params)
+    doc = _document(args, VERIFY_COLUMNS, rows, params)
     return doc, 0 if report.passed else 1
 
 
@@ -349,7 +349,7 @@ def cmd_asymptotics(args) -> tuple[ReportDocument, int]:
     else:
         raise UsageError(f"unknown mode {args.mode!r}; expected d-limit or n-limit")
     rows = [_ratio_row(p) for p in points]
-    return _document(args, "asymptotics", ASYMPTOTICS_COLUMNS, rows, params), 0
+    return _document(args, ASYMPTOTICS_COLUMNS, rows, params), 0
 
 
 TABLE_COLUMNS = ["n", "d", "kind", "witness", "label", "value", "generic_rank", "note"]
@@ -393,7 +393,7 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
     else:
         raise UsageError(f"unknown table {args.name!r}; expected one of {TABLE_NAMES}")
     params = {"name": args.name}
-    return _document(args, "table", TABLE_COLUMNS, rows, params), 0
+    return _document(args, TABLE_COLUMNS, rows, params), 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit timestamps and timings so identical runs are byte-identical",
     )
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--n", type=int, required=True)
+    cell.add_argument("--d", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="waring",
@@ -433,33 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=int, default=None, help="ambient variable count")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("generic-rank", parents=[common], help="generic rank for (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("generic-rank", parents=[common, cell], help="generic rank for (n, d)")
     p.set_defaults(handler=cmd_generic_rank)
 
-    p = sub.add_parser("max-rank", parents=[common], help="maximum monomial rank for (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("max-rank", parents=[common, cell], help="maximum monomial rank for (n, d)")
     p.add_argument("--oracle", action="store_true", help="brute-force instead of closed form")
     p.set_defaults(handler=cmd_max_rank)
 
     p = sub.add_parser(
-        "max-rank-sum", parents=[common], help="maximum coprime-sum rank for (n, d)"
+        "max-rank-sum", parents=[common, cell], help="maximum coprime-sum rank for (n, d)"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="brute-force instead of closed form")
     p.set_defaults(handler=cmd_max_rank_sum)
 
-    p = sub.add_parser("bounds", parents=[common], help="upper-bound chain for (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("bounds", parents=[common, cell], help="upper-bound chain for (n, d)")
     p.set_defaults(handler=cmd_bounds)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list monomials or coprime sums")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("enumerate", parents=[common, cell], help="list monomials or coprime sums")
     p.add_argument("--sums", action="store_true", help="enumerate coprime sums")
     p.add_argument("--spanning", action="store_true", help="only sums using all n variables")
     p.set_defaults(handler=cmd_enumerate)

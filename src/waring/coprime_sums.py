@@ -13,13 +13,12 @@ from collections.abc import Iterable, Iterator
 from operator import itemgetter
 
 from ._record import Record
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, UsageError, check_cell
 from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
     canonicalize,
-    check_cell,
     max_rank_monomial,
     partitions,
     waring_rank,
@@ -239,10 +238,7 @@ def greedy_construction(n: int, d: int) -> CoprimeSum:
     if r = n mod d > 0, one rank-maximal degree-d monomial on the leftover
     r variables. Not always rank-maximal.
     """
-    if n < 1:
-        raise UsageError(f"greedy_construction needs n >= 1, got {n}")
-    if d < 2:
-        raise UsageError(f"greedy_construction needs d >= 2, got {d}")
+    check_cell("greedy_construction", n, d, min_d=2)
     blocks = [Monomial((1,) * d, d) for _ in range(n // d)]
     remainder = n % d
     if remainder:

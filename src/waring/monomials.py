@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from ._record import Record
-from .errors import DegenerateInputError, DimensionError, UsageError
+from .errors import DegenerateInputError, DimensionError, UsageError, check_cell
 
 MODE_CLOSED_FORM = "closed_form"
 MODE_ORACLE = "oracle"
@@ -60,12 +60,6 @@ def monomial_label(exponents: Iterable[int], first_var: int = 1) -> str:
     return "*".join(
         f"x{var}" if e == 1 else f"x{var}^{e}" for var, e in enumerate(exponents, first_var)
     )
-
-
-def check_cell(caller: str, n: int, d: int) -> None:
-    """Reject n < 1 or d < 1 with a usage error that names the caller."""
-    if n < 1 or d < 1:
-        raise UsageError(f"{caller} needs n >= 1 and d >= 1, got ({n}, {d})")
 
 
 def canonicalize(raw_exponents: Iterable[int], ambient_vars: int | None = None) -> Monomial:

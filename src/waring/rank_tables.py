@@ -9,6 +9,7 @@ the sporadic cases (3,4) -> 6, (4,4) -> 10, (5,3) -> 8, (5,4) -> 15.
 from __future__ import annotations
 
 from ._record import Record
+from .errors import check_cell
 from .exact_math import binomial, ceil_div
 
 # Sporadic exceptional generic ranks; the quadric family (n, 2) -> n is
@@ -55,8 +56,7 @@ class KnownExample(Record):
 
 def generic_rank(n: int, d: int) -> int:
     """Generic Waring rank for degree-d forms in n variables."""
-    if n < 1 or d < 1:
-        raise ValueError(f"generic_rank needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("generic_rank", n, d)
     if d == 2:
         # Quadratic forms: rank of the corresponding symmetric matrix, so
         # the generic value is n. For n <= 2 this agrees with the ceiling.
@@ -79,8 +79,7 @@ def upper_bounds(n: int, d: int) -> list[RankRecord]:
     Correction binomials with out-of-range arguments vanish, which keeps
     the chain defined for every n, d >= 1.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"upper_bounds needs n >= 1 and d >= 1, got ({n}, {d})")
+    check_cell("upper_bounds", n, d)
     span = binomial(d + n - 1, n - 1)
     improved = binomial(d + n - 2, n - 1)
     jelisiejew = improved - binomial(d + n - 6, n - 3)

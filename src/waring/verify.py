@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, r_max_star
-from .errors import UsageError
+from .errors import UsageError, check_cell
 from .exact_math import binomial
 from .monomials import Monomial, partitions, r_max
 from .rank_tables import generic_rank
@@ -263,9 +263,11 @@ def verify_claim(
     """Check one claim of CLAIMS over an inclusive grid.
 
     A range left as None takes the claim's default; ranges are validated
-    against the claim's minimum n and d, n first.
+    against the claim's minimum n and d, n first. workers must be at least 1.
     """
     claim = get_claim(claim_id)
+    if workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
     check_n_range(claim_id, n_range)
     d_range = d_range or claim.default_d
     if claim.default_n is None:
@@ -353,8 +355,7 @@ def ratio_to_generic(n: int, d: int, which: str = "monomial") -> RatioPoint:
     The limit column is the exact d -> infinity value n!/(n-1)^(n-1)
     (equal to 3/2 at n = 3), and the gap is the exact distance to it.
     """
-    if n < 2 or d < 2:
-        raise UsageError(f"ratio_to_generic needs n >= 2 and d >= 2, got ({n}, {d})")
+    check_cell("ratio_to_generic", n, d, 2, 2)
     if which == "monomial":
         value = r_max(n, d)
     elif which == "coprime":

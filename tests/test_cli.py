@@ -338,10 +338,12 @@ def test_verify_unknown_claim_exits_two(capsys):
 
 
 def test_verify_malformed_range_exits_two(capsys):
-    code, out, err = run_cli(
-        capsys, "verify", "--claim", "theorem-monomial", "--n-range", "four:five"
-    )
-    assert code == 2
+    # An empty range is malformed too, not a request for the default grid.
+    for flag in ("--n-range", "--d-range"):
+        for text in ("four:five", ""):
+            code, out, err = run_cli(capsys, "verify", "--claim", "theorem-monomial", flag, text)
+            assert code == 2
+            assert err == f"error: malformed range {text!r}; expected a:b\n"
 
 
 def test_verify_unknown_claim_is_named_before_a_malformed_range(capsys):
@@ -353,9 +355,10 @@ def test_verify_unknown_claim_is_named_before_a_malformed_range(capsys):
 
 
 def test_verify_lemma_slope_names_a_stray_n_range_before_parsing_it(capsys):
-    code, out, err = run_cli(capsys, "verify", "--claim", "lemma-slope", "--n-range", "4:x")
-    assert code == 2
-    assert err == "error: lemma-slope ranges over n internally; pass only --d-range\n"
+    for text in ("4:x", ""):
+        code, out, err = run_cli(capsys, "verify", "--claim", "lemma-slope", "--n-range", text)
+        assert code == 2
+        assert err == "error: lemma-slope ranges over n internally; pass only --d-range\n"
 
 
 # The README's default grids, pinned literally.

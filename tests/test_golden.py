@@ -30,22 +30,27 @@ COMMANDS = (
     "rank --sum 1,1,1|0,2",
     "rank --monomial 0,0",
     "rank --monomial 1,2,3 --vars 2",
+    "generic-rank --help",
     "generic-rank --n 4 --d 4",
     "generic-rank --n 100 --d 3",
     "generic-rank --n 0 --d 3",
+    "max-rank --help",
     "max-rank --n 4 --d 4",
     "max-rank --n 6 --d 13",
     "max-rank --n 5 --d 9 --oracle",
     "max-rank --n 4 --d 0",
     "max-rank --n 4 --d 0 --oracle",
+    "max-rank-sum --help",
     "max-rank-sum --n 7 --d 3",
     "max-rank-sum --n 4 --d 7",
     "max-rank-sum --n 8 --d 4 --oracle",
     "max-rank-sum --n 8 --d 4",
     "max-rank-sum --n 10 --d 6 --oracle",
+    "bounds --help",
     "bounds --n 4 --d 5",
     "bounds --n 2 --d 2",
     "bounds --n 3 --d 0",
+    "enumerate --help",
     "enumerate --n 4 --d 4",
     "enumerate --n 4 --d 3 --sums --spanning",
     "enumerate --n 5 --d 4 --sums",

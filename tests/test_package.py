@@ -1,12 +1,17 @@
-"""The lazy `waring` package namespace and the immutable value classes."""
+"""The lazy `waring` package namespace, its imports, the shared (n, d) check,
+and the immutable value classes."""
 
+import ast
 import importlib
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 
 import waring
 from waring.coprime_sums import CoprimeSum, make_sum
+from waring.errors import UsageError
 from waring.monomials import Monomial
 from waring.rank_tables import KnownExample, RankRecord, known_examples, upper_bounds
 from waring.report import ReportDocument
@@ -52,6 +57,52 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(waring, "Record")
     with pytest.raises(ImportError):
         exec("from waring import no_such_name", {})
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "waring").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                assert top == "waring" or top in sys.stdlib_module_names, (path.name, module)
+
+
+# ---------------------------------------------------------------------------
+# the (n, d) domain of each public entry point
+
+# name -> (min_n, min_d); generators are advanced once, since they check lazily.
+CELL_ENTRY_POINTS = {
+    "enumerate_monomials": (1, 1),
+    "enumerate_coprime_sums": (1, 1),
+    "max_rank_monomial": (1, 1),
+    "max_rank_sum": (1, 1),
+    "r_max": (1, 1),
+    "r_max_star": (1, 1),
+    "generic_rank": (1, 1),
+    "upper_bounds": (1, 1),
+    "ratio_to_generic": (2, 2),
+    "greedy_construction": (1, 2),
+}
+
+
+@pytest.mark.parametrize("name", CELL_ENTRY_POINTS)
+def test_entry_point_rejects_a_cell_below_its_domain_by_name(name):
+    fn = getattr(waring, name)
+    min_n, min_d = CELL_ENTRY_POINTS[name]
+    for n, d in ((min_n - 1, min_d), (min_n, min_d - 1)):
+        with pytest.raises(UsageError) as exc:
+            result = fn(n, d)
+            if name.startswith("enumerate_"):
+                next(result)
+        assert str(exc.value) == f"{name} needs n >= {min_n} and d >= {min_d}, got ({n}, {d})"
 
 
 # ---------------------------------------------------------------------------

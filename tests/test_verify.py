@@ -94,6 +94,17 @@ def test_theorem_monomial_workers_agree():
     assert solo.violations == fanned.violations
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_verify_claim_rejects_fewer_than_one_worker(workers):
+    message = f"workers must be at least 1, got {workers}"
+    for claim_id in CLAIMS:
+        with pytest.raises(UsageError) as exc:
+            verify_claim(claim_id, workers=workers)
+        assert str(exc.value) == message
+    with pytest.raises(UsageError):
+        verify_lemma_slope((4, 5), workers)
+
+
 def object_path_cell(n, d, objects, rank):
     """Reference cell: rank-compare every enumerated object."""
     gen = generic_rank(n, d)
