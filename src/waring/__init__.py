@@ -18,7 +18,7 @@ _EXPORTS = {
         "max_rank_sum", "r_max_star", "sum_rank",
     ),
     "errors": ("DegenerateInputError", "DimensionError", "UsageError"),
-    "exact_math": ("EQUAL", "GREATER", "LESS", "binomial", "ceil_div", "ratio_compare"),
+    "exact_math": ("binomial", "ceil_div"),
     "monomials": (
         "MODE_CLOSED_FORM", "MODE_ORACLE", "Monomial", "canonicalize", "enumerate_monomials",
         "max_rank_monomial", "partitions", "r_max", "waring_rank",
@@ -30,8 +30,7 @@ _EXPORTS = {
     "verify": (
         "CLAIM_IDS", "CLAIMS", "EXPECTED_COPRIME_EXCEPTIONS", "RatioPoint",
         "VerificationReport", "Violation", "ratio_decay_fixed_d", "ratio_to_generic",
-        "verify_claim", "verify_inequality_agm", "verify_inequality_pure_power",
-        "verify_lemma_slope", "verify_theorem_coprime", "verify_theorem_monomial",
+        "verify_claim", "verify_theorem_coprime", "verify_theorem_monomial",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

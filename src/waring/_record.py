@@ -1,9 +1,9 @@
-"""A small immutable value-class base, cheaper to import than dataclasses.
+"""The package's one immutable value-class base, cheap to import.
 
 A subclass names its fields in FIELDS and, after validating them in its
-own __init__, stores them with object.__setattr__, past the refusing
-__setattr__, as frozen dataclasses do. Instances keep a __dict__ rather
-than __slots__, so pickle restores them without calling __setattr__.
+own __init__, stores them with _set, which writes the instance __dict__
+past the refusing __setattr__. Instances keep a __dict__ rather than
+__slots__, so pickle restores them without calling __setattr__.
 """
 
 
@@ -12,6 +12,10 @@ class Record:
 
     __slots__ = ()
     FIELDS: tuple[str, ...] = ()
+
+    def _set(self, *values: object) -> None:
+        """Bind values to FIELDS, in order."""
+        vars(self).update(zip(self.FIELDS, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.FIELDS])

@@ -324,30 +324,36 @@ def _ratio_row(point: RatioPoint) -> dict[str, str]:
     }
 
 
+# Per mode, the asymptotics flags it does not read; passing one is a usage
+# error. Their defaults are None for that reason, and are filled in below.
+UNREAD_FLAGS = {"d-limit": ("--d", "--n-max"), "n-limit": ("--n", "--d-samples", "--which")}
+
+
 def cmd_asymptotics(args) -> tuple[ReportDocument, int]:
     from . import verify as vf
 
+    if args.mode not in UNREAD_FLAGS:
+        raise UsageError(f"unknown mode {args.mode!r}; expected d-limit or n-limit")
+    unread = [f for f in UNREAD_FLAGS[args.mode] if getattr(args, f[2:].replace("-", "_")) is not None]
+    if unread:
+        raise UsageError(f"--mode {args.mode} does not read {', '.join(unread)}")
     if args.mode == "d-limit":
         if args.n is None:
             raise UsageError("--mode d-limit requires --n")
+        d_samples = "10,100,1000" if args.d_samples is None else args.d_samples
+        which = args.which or "monomial"
         try:
-            samples = [int(d) for d in args.d_samples.split(",")]
+            samples = [int(d) for d in d_samples.split(",")]
         except ValueError:
-            raise UsageError(f"malformed --d-samples {args.d_samples!r}; expected degrees, e.g. 10,100,1000")
-        points = [vf.ratio_to_generic(args.n, d, args.which) for d in samples]
-        params = {
-            "mode": args.mode,
-            "n": str(args.n),
-            "d_samples": args.d_samples,
-            "which": args.which,
-        }
-    elif args.mode == "n-limit":
+            raise UsageError(f"malformed --d-samples {d_samples!r}; expected degrees, e.g. 10,100,1000")
+        points = [vf.ratio_to_generic(args.n, d, which) for d in samples]
+        params = {"mode": args.mode, "n": str(args.n), "d_samples": d_samples, "which": which}
+    else:
         if args.d is None:
             raise UsageError("--mode n-limit requires --d")
-        points = vf.ratio_decay_fixed_d(args.d, args.n_max)
-        params = {"mode": args.mode, "d": str(args.d), "n_max": str(args.n_max)}
-    else:
-        raise UsageError(f"unknown mode {args.mode!r}; expected d-limit or n-limit")
+        n_max = 100 if args.n_max is None else args.n_max
+        points = vf.ratio_decay_fixed_d(args.d, n_max)
+        params = {"mode": args.mode, "d": str(args.d), "n_max": str(n_max)}
     rows = [_ratio_row(p) for p in points]
     return _document(args, ASYMPTOTICS_COLUMNS, rows, params), 0
 
@@ -470,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics", parents=[common], help="exact ratios to the generic rank")
     p.add_argument("--mode", required=True, help="d-limit or n-limit")
     p.add_argument("--n", type=int, default=None, help="fixed n (d-limit)")
-    p.add_argument("--d-samples", dest="d_samples", default="10,100,1000", help="comma list of d values (d-limit)")
-    p.add_argument("--which", choices=("monomial", "coprime"), default="monomial")
+    p.add_argument("--d-samples", dest="d_samples", help="comma list of d values (d-limit; default 10,100,1000)")
+    p.add_argument("--which", choices=("monomial", "coprime"), help="monomial (default) or coprime (d-limit)")
     p.add_argument("--d", type=int, default=None, help="fixed d (n-limit)")
-    p.add_argument("--n-max", dest="n_max", type=int, default=100, help="largest n (n-limit)")
+    p.add_argument("--n-max", dest="n_max", type=int, help="largest n (n-limit; default 100)")
     p.set_defaults(handler=cmd_asymptotics)
 
     p = sub.add_parser("table", parents=[common], help="regenerate a reference table")

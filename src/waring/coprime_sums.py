@@ -61,8 +61,7 @@ class CoprimeSum(Record):
         keys = [_block_key(b) for b in blocks]
         if keys != sorted(keys):
             raise ValueError("blocks are not in canonical order")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "ambient_vars", ambient_vars)
+        self._set(blocks, ambient_vars)
 
     @property
     def degree(self) -> int:

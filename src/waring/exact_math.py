@@ -10,11 +10,6 @@ labeled approximate.
 from __future__ import annotations
 
 import math
-from numbers import Rational
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
 
 
 def binomial(m: int, k: int) -> int:
@@ -36,19 +31,4 @@ def ceil_div(a: int, b: int) -> int:
     if b < 0:
         raise ValueError("ceil_div: divisor must be positive")
     return -(-a // b)
-
-
-def ratio_compare(a: Rational, b: Rational) -> int:
-    """Exact three-way comparison of rationals by cross-multiplication.
-
-    Returns LESS (-1), EQUAL (0), or GREATER (1). Accepts any Rational
-    (int or Fraction); never touches floating point.
-    """
-    lhs = a.numerator * b.denominator
-    rhs = b.numerator * a.denominator
-    if lhs < rhs:
-        return LESS
-    if lhs > rhs:
-        return GREATER
-    return EQUAL
 

@@ -38,8 +38,7 @@ class Monomial(Record):
                 f"{len(exponents)} variables used but only "
                 f"{ambient_vars} available"
             )
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "ambient_vars", ambient_vars)
+        self._set(exponents, ambient_vars)
 
     @property
     def degree(self) -> int:

@@ -33,10 +33,7 @@ class RankRecord(Record):
     def __init__(self, n: int, d: int, kind: str, value: int) -> None:
         if value < 1:
             raise ValueError(f"rank quantity must be >= 1, got {value}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
+        self._set(n, d, kind, value)
 
 
 class KnownExample(Record):
@@ -47,11 +44,7 @@ class KnownExample(Record):
     def __init__(self, label: str, n: int, d: int, rank: int, source_note: str) -> None:
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "source_note", source_note)
+        self._set(label, n, d, rank, source_note)
 
 
 def generic_rank(n: int, d: int) -> int:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable
 
+from ._record import Record
 from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
@@ -36,39 +35,65 @@ EXPECTED_COPRIME_EXCEPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed (or non-strict) comparison, recomputable from (n, d, witness)."""
+class Violation(Record):
+    """One failed (or non-strict) comparison, recomputable from (n, d, witness).
 
-    n: int
-    d: int
-    witness: Monomial | CoprimeSum | None
-    lhs: int | Fraction
-    rhs: int | Fraction
-    expected: bool = False  # one of its claim's expected exceptions
+    expected marks one of its claim's expected exceptions.
+    """
+
+    FIELDS = ("n", "d", "witness", "lhs", "rhs", "expected")
+
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        witness: Monomial | CoprimeSum | None,
+        lhs: int | Fraction,
+        rhs: int | Fraction,
+        expected: bool = False,
+    ) -> None:
+        self._set(n, d, witness, lhs, rhs, expected)
 
 
-@dataclass
-class VerificationReport:
-    claim_id: str
-    grid: tuple[int, int, int, int]  # (n_min, n_max, d_min, d_max)
-    checked_count: int
-    violations: list[Violation] = field(default_factory=list)
-    status: str = STATUS_PASS
-    expected_exceptions_matched: bool = True
-    elapsed_ms: int = 0
+class VerificationReport(Record):
+    """The outcome of one claim over grid = (n_min, n_max, d_min, d_max)."""
+
+    FIELDS = (
+        "claim_id", "grid", "checked_count", "violations", "status",
+        "expected_exceptions_matched", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        claim_id: str,
+        grid: tuple[int, int, int, int],
+        checked_count: int,
+        violations: list[Violation],
+        status: str,
+        expected_exceptions_matched: bool,
+        elapsed_ms: int,
+    ) -> None:
+        self._set(
+            claim_id, grid, checked_count, violations, status, expected_exceptions_matched,
+            elapsed_ms,
+        )
 
     @property
     def passed(self) -> bool:
         return self.status in (STATUS_PASS, STATUS_PASS_WITH_EXPECTED)
 
 
-def _check_range(name: str, rng: tuple[int, int], minimum: int) -> None:
-    lo, hi = rng
+def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, int]:
+    """rng as (lo, hi); anything but a nonempty pair from minimum up is a usage error."""
+    try:
+        lo, hi = rng
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} range must be a pair (first, last), got {rng!r}") from None
     if lo > hi:
         raise UsageError(f"{name} range {lo}:{hi} is empty")
     if lo < minimum:
         raise UsageError(f"{name} range must start at {minimum} or above, got {lo}")
+    return lo, hi
 
 
 def _pool_size(workers: int, cells: int) -> int:
@@ -127,6 +152,7 @@ def _coprime_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
 
 
 def _slope_cell(d: int) -> tuple[int, list[Violation]]:
+    """r_max(n, d)/n is nondecreasing in n for 2 <= n <= d (cross-multiplied)."""
     checked = 0
     bad = []
     for n in range(2, d + 1):
@@ -139,6 +165,7 @@ def _slope_cell(d: int) -> tuple[int, list[Violation]]:
 
 
 def _agm_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
+    """((d+n-2)/(n-1))^(n-1) < C(d+n-1, n-1)/n, checked on integers."""
     n, d = cell
     lhs = n * (d + n - 2) ** (n - 1)
     rhs = (n - 1) ** (n - 1) * binomial(d + n - 1, n - 1)
@@ -148,6 +175,7 @@ def _agm_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
 
 
 def _pure_power_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
+    """C(d+n-1, n-1)/n^2 > 2^(d-1)/d, checked on integers."""
     n, d = cell
     lhs = d * binomial(d + n - 1, n - 1)
     rhs = n * n * 2 ** (d - 1)
@@ -183,7 +211,7 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
         key = (v.n, v.d, shapes)
         found_keys.add(key)
         if key in in_grid:
-            found[i] = replace(v, expected=True)
+            found[i] = Violation(v.n, v.d, v.witness, v.lhs, v.rhs, True)
 
     matched = found_keys == in_grid
     if not matched:
@@ -193,33 +221,31 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
     else:
         status = STATUS_PASS
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return VerificationReport(
-        claim_id=claim_id,
-        grid=grid,
-        checked_count=checked,
-        violations=found,
-        status=status,
-        expected_exceptions_matched=matched,
-        elapsed_ms=elapsed_ms,
-    )
+    return VerificationReport(claim_id, grid, checked, found, status, matched, elapsed_ms)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One checkable claim: its cell check, preconditions and default grid.
 
     A claim without an n range (default_n is None) takes one cell per d and
     ranges over 2 <= n <= d inside the cell. n_at_least_d drops the cells
-    with n < d, which fall outside the claim.
+    with n < d, which fall outside the claim. expected lists the
+    (n, d, block_shapes) cases that must appear.
     """
 
-    cell: Callable
-    min_n: int | None
-    min_d: int
-    default_n: tuple[int, int] | None
-    default_d: tuple[int, int]
-    n_at_least_d: bool = False
-    expected: tuple = ()  # (n, d, block_shapes) cases that must appear
+    FIELDS = ("cell", "min_n", "min_d", "default_n", "default_d", "n_at_least_d", "expected")
+
+    def __init__(
+        self,
+        cell,
+        min_n: int | None,
+        min_d: int,
+        default_n: tuple[int, int] | None,
+        default_d: tuple[int, int],
+        n_at_least_d: bool = False,
+        expected: tuple = (),
+    ) -> None:
+        self._set(cell, min_n, min_d, default_n, default_d, n_at_least_d, expected)
 
 
 CLAIMS: dict[str, Claim] = {
@@ -262,27 +288,28 @@ def verify_claim(
 ) -> VerificationReport:
     """Check one claim of CLAIMS over an inclusive grid.
 
-    A range left as None takes the claim's default; ranges are validated
-    against the claim's minimum n and d, n first. workers must be at least 1.
+    A range left as None takes the claim's default; any other range must be
+    a (first, last) pair, validated against the claim's minimum n and d, n
+    first. workers must be at least 1.
     """
     claim = get_claim(claim_id)
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     check_n_range(claim_id, n_range)
-    d_range = d_range or claim.default_d
+    if d_range is None:
+        d_range = claim.default_d
     if claim.default_n is None:
-        _check_range("d", d_range, claim.min_d)
-        grid = (2, d_range[1], d_range[0], d_range[1])
-        cells = list(range(d_range[0], d_range[1] + 1))
+        d_lo, d_hi = _check_range("d", d_range, claim.min_d)
+        grid = (2, d_hi, d_lo, d_hi)
+        cells = list(range(d_lo, d_hi + 1))
     else:
-        n_range = n_range or claim.default_n
-        _check_range("n", n_range, claim.min_n)
-        _check_range("d", d_range, claim.min_d)
-        grid = (n_range[0], n_range[1], d_range[0], d_range[1])
+        n_lo, n_hi = _check_range("n", claim.default_n if n_range is None else n_range, claim.min_n)
+        d_lo, d_hi = _check_range("d", d_range, claim.min_d)
+        grid = (n_lo, n_hi, d_lo, d_hi)
         cells = [
             (n, d)
-            for n in range(n_range[0], n_range[1] + 1)
-            for d in range(d_range[0], d_range[1] + 1)
+            for n in range(n_lo, n_hi + 1)
+            for d in range(d_lo, d_hi + 1)
             if n >= d or not claim.n_at_least_d
         ]
         if not cells:
@@ -305,43 +332,17 @@ def verify_theorem_coprime(
     return verify_claim("theorem-coprime", n_range, d_range, workers)
 
 
-def verify_lemma_slope(d_range: tuple[int, int], workers: int = 1) -> VerificationReport:
-    """r_max(n, d)/n is nondecreasing in n for 2 <= n <= d, d >= 4 (cross-multiplied)."""
-    return verify_claim("lemma-slope", None, d_range, workers)
-
-
-def verify_inequality_agm(
-    n_range: tuple[int, int], d_range: tuple[int, int], workers: int = 1
-) -> VerificationReport:
-    """((d+n-2)/(n-1))^(n-1) < C(d+n-1, n-1)/n for n >= 4, checked on integers."""
-    return verify_claim("ineq-agm", n_range, d_range, workers)
-
-
-def verify_inequality_pure_power(
-    d_range: tuple[int, int], n_range: tuple[int, int], workers: int = 1
-) -> VerificationReport:
-    """C(d+n-1, n-1)/n^2 > 2^(d-1)/d for n >= d >= 4, checked on integers.
-
-    Cells with n < d fall outside the claim and are skipped.
-    """
-    return verify_claim("ineq-pure-power", n_range, d_range, workers)
-
-
-@dataclass(frozen=True)
-class RatioPoint:
+class RatioPoint(Record):
     """Exact ratio of a maximum rank to the generic rank, with its exact limit."""
 
-    n: int
-    d: int
-    ratio: Fraction
-    limit: Fraction
-    gap: Fraction
+    FIELDS = ("n", "d", "ratio", "limit", "gap")
 
-    def __post_init__(self) -> None:
-        if self.ratio <= 0:
+    def __init__(self, n: int, d: int, ratio: Fraction, limit: Fraction, gap: Fraction) -> None:
+        if ratio <= 0:
             raise ValueError("ratio must be positive")
-        if self.gap < 0:
+        if gap < 0:
             raise ValueError("gap must be nonnegative")
+        self._set(n, d, ratio, limit, gap)
 
 
 def _fixed_n_limit(n: int) -> Fraction:

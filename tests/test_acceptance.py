@@ -18,9 +18,7 @@ from waring.verify import (
     EXPECTED_COPRIME_EXCEPTIONS,
     STATUS_PASS,
     STATUS_PASS_WITH_EXPECTED,
-    verify_inequality_agm,
-    verify_inequality_pure_power,
-    verify_lemma_slope,
+    verify_claim,
     verify_theorem_coprime,
     verify_theorem_monomial,
 )
@@ -119,7 +117,7 @@ def test_theorem_coprime_exhaustive(capsys):
 
 def test_lemma_slope_exhaustive(capsys):
     start = time.perf_counter()
-    report = verify_lemma_slope((4, 40))
+    report = verify_claim("lemma-slope", None, (4, 40))
     elapsed = time.perf_counter() - start
     assert report.status == STATUS_PASS
     assert report.violations == []
@@ -157,8 +155,8 @@ def test_oracle_equivalence(capsys):
 
 def test_inequality_suites(capsys):
     start = time.perf_counter()
-    agm = verify_inequality_agm((4, 12), (2, 40))
-    pure = verify_inequality_pure_power((4, 14), (4, 14))
+    agm = verify_claim("ineq-agm", (4, 12), (2, 40))
+    pure = verify_claim("ineq-pure-power", (4, 14), (4, 14))
     elapsed = time.perf_counter() - start
     assert agm.status == STATUS_PASS and agm.violations == []
     assert pure.status == STATUS_PASS and pure.violations == []

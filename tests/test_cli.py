@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -387,7 +386,8 @@ def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
         bad = [vf.Violation(3, d, None, 1, 2)] if d == 4 else []
         return 1, bad
 
-    claim = dataclasses.replace(vf.CLAIMS["lemma-slope"], cell=fake_cell)
+    old = vf.CLAIMS["lemma-slope"]
+    claim = vf.Claim(fake_cell, old.min_n, old.min_d, old.default_n, old.default_d)
     monkeypatch.setitem(vf.CLAIMS, "lemma-slope", claim)
     code, out, err = run_cli(
         capsys, "verify", "--claim", "lemma-slope", "--deterministic"
@@ -482,6 +482,30 @@ def test_asymptotics_bad_mode_exits_two(capsys):
 def test_asymptotics_missing_n_exits_two(capsys):
     code, out, err = run_cli(capsys, "asymptotics", "--mode", "d-limit")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [
+        ("d-limit", "--d", "7"),
+        ("d-limit", "--n-max", "3"),
+        ("n-limit", "--n", "9"),
+        ("n-limit", "--d-samples", "10"),
+        ("n-limit", "--which", "monomial"),
+    ],
+)
+def test_asymptotics_rejects_a_flag_its_mode_does_not_read(capsys, mode, flag, value):
+    cell = ["--n", "4"] if mode == "d-limit" else ["--d", "4"]
+    code, out, err = run_cli(capsys, "asymptotics", "--mode", mode, *cell, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --mode {mode} does not read {flag}\n"
+
+
+def test_asymptotics_defaults_are_those_of_the_mode_that_reads_them(capsys):
+    code, doc = run_json(capsys, "asymptotics", "--mode", "d-limit", "--n", "4")
+    assert (code, doc["parameters"]["d_samples"], doc["parameters"]["which"]) == (0, "10,100,1000", "monomial")
+    code, doc = run_json(capsys, "asymptotics", "--mode", "n-limit", "--d", "4")
+    assert (code, doc["parameters"]["n_max"]) == (0, "100")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from waring.exact_math import EQUAL, GREATER, LESS, binomial, ceil_div, ratio_compare
+from waring.exact_math import binomial, ceil_div
 
 
 @pytest.mark.parametrize(
@@ -71,41 +70,6 @@ def test_ceil_div_matches_add_and_floor():
     for a in (0, 1, 999_999):
         for b in (1, 2, 1000):
             assert ceil_div(a, b) == (a + b - 1) // b
-
-
-def test_ratio_compare_examples():
-    assert ratio_compare(Fraction(3, 2), Fraction(3, 2)) == EQUAL
-    assert ratio_compare(Fraction(8, 9), Fraction(1, 1)) == LESS
-    # (d+n-2)/(d+n-1) at d=3, n=4 against (n-1)/n: 5*4 > 6*3.
-    assert ratio_compare(Fraction(5, 6), Fraction(3, 4)) == GREATER
-
-
-def test_ratio_compare_accepts_ints():
-    assert ratio_compare(2, Fraction(3, 2)) == GREATER
-    assert ratio_compare(1, 1) == EQUAL
-
-
-def test_ratio_compare_exact_where_floats_collapse():
-    big = 10**30
-    assert ratio_compare(Fraction(big + 1, big), Fraction(1, 1)) == GREATER
-    assert float(Fraction(big + 1, big)) == 1.0  # the float detour would lie
-
-
-RATIONALS = st.one_of(
-    st.integers(-(2**80), 2**80),
-    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=RATIONALS, b=RATIONALS)
-@example(a=0, b=Fraction(0))
-@example(a=3, b=Fraction(6, 2))
-@example(a=2**64 + 1, b=Fraction(2**65 + 1, 2))
-@example(a=Fraction(-(2**64) - 1, 3), b=Fraction(-(2**64), 3))
-def test_ratio_compare_agrees_with_fraction_order(a, b):
-    diff = Fraction(a) - Fraction(b)
-    assert ratio_compare(a, b) == (diff > 0) - (diff < 0)
 
 
 def test_fraction_arithmetic_exact_properties():

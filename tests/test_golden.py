@@ -85,6 +85,10 @@ COMMANDS = (
     "asymptotics --mode d-limit --n 4 --d-samples 10,x",
     "asymptotics --mode n-limit --d 4 --n-max 14 --oracle-limit 9",
     "asymptotics --mode n-limit --d 4 --n-max 14",
+    "asymptotics --mode n-limit --d 4 --n-max 14 --which monomial --n 9",
+    "asymptotics --mode n-limit --d 4 --n-max 14 --d-samples 10",
+    "asymptotics --mode d-limit --n 4 --d-samples 10,100 --d 7 --n-max 3",
+    "asymptotics --mode d-limit --n 4 --d-samples 10,100 --n-max 3",
     "asymptotics --mode sideways",
     "asymptotics --mode d-limit",
     "table --name exceptional-44-53",

@@ -5,6 +5,7 @@ import ast
 import importlib
 import pickle
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,23 +16,32 @@ from waring.errors import UsageError
 from waring.monomials import Monomial
 from waring.rank_tables import KnownExample, RankRecord, known_examples, upper_bounds
 from waring.report import ReportDocument
+from waring.verify import (
+    CLAIMS,
+    Claim,
+    RatioPoint,
+    VerificationReport,
+    Violation,
+    _agm_cell,
+    ratio_to_generic,
+    verify_claim,
+)
 
 PUBLIC_NAMES = {
     "BOUND_KINDS", "CLAIMS", "CLAIM_IDS", "CoprimeSum", "DegenerateInputError",
-    "DimensionError", "EQUAL", "EXPECTED_COPRIME_EXCEPTIONS", "GREATER", "KnownExample",
-    "LESS", "MODE_CLOSED_FORM", "MODE_ORACLE", "Monomial", "RankRecord", "RatioPoint",
-    "UsageError", "VerificationReport", "Violation", "binomial", "canonicalize", "ceil_div",
-    "enumerate_coprime_sums", "enumerate_monomials", "generic_rank", "greedy_construction",
-    "known_examples", "make_sum", "max_rank_monomial", "max_rank_sum", "partitions", "r_max",
-    "r_max_star", "ratio_compare", "ratio_decay_fixed_d", "ratio_to_generic", "sum_rank",
-    "upper_bounds", "verify_claim", "verify_inequality_agm", "verify_inequality_pure_power",
-    "verify_lemma_slope", "verify_theorem_coprime", "verify_theorem_monomial", "waring_rank",
+    "DimensionError", "EXPECTED_COPRIME_EXCEPTIONS", "KnownExample", "MODE_CLOSED_FORM",
+    "MODE_ORACLE", "Monomial", "RankRecord", "RatioPoint", "UsageError", "VerificationReport",
+    "Violation", "binomial", "canonicalize", "ceil_div", "enumerate_coprime_sums",
+    "enumerate_monomials", "generic_rank", "greedy_construction", "known_examples", "make_sum",
+    "max_rank_monomial", "max_rank_sum", "partitions", "r_max", "r_max_star",
+    "ratio_decay_fixed_d", "ratio_to_generic", "sum_rank", "upper_bounds", "verify_claim",
+    "verify_theorem_coprime", "verify_theorem_monomial", "waring_rank",
 }
 SUBMODULES = ("coprime_sums", "errors", "exact_math", "monomials", "rank_tables", "verify")
 
 
 def test_all_lists_the_public_names_once():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(waring.__all__) == sorted(PUBLIC_NAMES)
 
 
@@ -59,7 +69,8 @@ def test_unknown_name_raises_attribute_error():
         exec("from waring import no_such_name", {})
 
 
-def test_package_imports_only_the_standard_library():
+def _absolute_imports():
+    """(file name, top-level module) for each absolute import in src/waring."""
     sources = sorted((Path(__file__).resolve().parents[1] / "src" / "waring").glob("*.py"))
     assert sources
     for path in sources:
@@ -71,8 +82,17 @@ def test_package_imports_only_the_standard_library():
             else:
                 continue
             for module in modules:
-                top = module.partition(".")[0]
-                assert top == "waring" or top in sys.stdlib_module_names, (path.name, module)
+                yield path.name, module.partition(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    for name, top in _absolute_imports():
+        assert top == "waring" or top in sys.stdlib_module_names, (name, top)
+
+
+def test_no_module_imports_dataclasses():
+    # Every value class is a _record.Record; one mechanism, not two.
+    assert [(name, top) for name, top in _absolute_imports() if top == "dataclasses"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +130,26 @@ def test_entry_point_rejects_a_cell_below_its_domain_by_name(name):
 
 
 def _values():
-    """Each converted class, built twice from equal but distinct arguments."""
+    """Each value class, built twice from equal but distinct arguments."""
+    coprime = make_sum([[1, 2], [3]], 4)
     return [
         (Monomial(exponents=(1, 2), ambient_vars=3), Monomial((1, 2), 3)),
         (make_sum([[1, 2], [3]], 4), make_sum([[3], [2, 1]], 4)),
         (upper_bounds(2, 2)[0], RankRecord(n=2, d=2, kind="span_bound", value=3)),
         (known_examples()[0], KnownExample(**vars(known_examples()[0]))),
+        (Violation(4, 2, Monomial((1, 1), 4), 2, 4), Violation(4, 2, Monomial((1, 1), 4), 2, 4, False)),
+        (Violation(4, 3, coprime, 5, 5, True), Violation(n=4, d=3, witness=coprime, lhs=5, rhs=5, expected=True)),
+        (
+            ratio_to_generic(5, 9, "coprime"),
+            RatioPoint(5, 9, Fraction(81, 143), Fraction(15, 32), Fraction(447, 4576)),
+        ),
+        (CLAIMS["ineq-agm"], Claim(_agm_cell, 4, 2, (4, 8), (2, 20))),
     ]
 
 
 def test_repr_is_what_the_dataclasses_printed():
-    reprs = [repr(a) for a, _ in _values()]
+    # A Claim's repr holds its cell function's address, so it is left out.
+    reprs = [repr(a) for a, _ in _values() if not isinstance(a, Claim)]
     assert reprs == [
         "Monomial(exponents=(1, 2), ambient_vars=3)",
         "CoprimeSum(blocks=(Monomial(exponents=(1, 2), ambient_vars=2), "
@@ -128,6 +157,12 @@ def test_repr_is_what_the_dataclasses_printed():
         "RankRecord(n=2, d=2, kind='span_bound', value=3)",
         "KnownExample(label='x^2*y + y^2*z', n=3, d=3, rank=5, source_note="
         "'classical plane cubic attaining the maximum rank 5 for (3,3)')",
+        "Violation(n=4, d=2, witness=Monomial(exponents=(1, 1), ambient_vars=4), lhs=2, rhs=4, "
+        "expected=False)",
+        "Violation(n=4, d=3, witness=CoprimeSum(blocks=(Monomial(exponents=(1, 2), ambient_vars=2), "
+        "Monomial(exponents=(3,), ambient_vars=1)), ambient_vars=4), lhs=5, rhs=5, expected=True)",
+        "RatioPoint(n=5, d=9, ratio=Fraction(81, 143), limit=Fraction(15, 32), "
+        "gap=Fraction(447, 4576))",
     ]
 
 
@@ -159,6 +194,41 @@ def test_values_round_trip_through_pickle():
             copy = pickle.loads(pickle.dumps(a, protocol))
             assert copy == a and copy is not a
             assert hash(copy) == hash(a)
+
+
+def test_verification_report_repr_equality_and_pickle():
+    report = verify_claim("theorem-coprime", (4, 4), (3, 3))
+    other = VerificationReport(
+        "theorem-coprime", (4, 4, 3, 3), 10, list(report.violations),
+        "pass_with_expected_exceptions", True, report.elapsed_ms,
+    )
+    assert repr(report) == (
+        f"VerificationReport(claim_id='theorem-coprime', grid=(4, 4, 3, 3), checked_count=10, "
+        f"violations={report.violations!r}, status='pass_with_expected_exceptions', "
+        f"expected_exceptions_matched=True, elapsed_ms={report.elapsed_ms})"
+    )
+    assert report == other and report is not other
+    with pytest.raises(TypeError):  # its violations are a list
+        hash(report)
+    with pytest.raises(AttributeError):
+        report.status = "fail"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(report, protocol))
+        assert copy == report and copy is not report
+
+
+@pytest.mark.parametrize(
+    "ratio, gap, message",
+    [
+        (Fraction(0), Fraction(1), "ratio must be positive"),
+        (Fraction(-1, 2), Fraction(0), "ratio must be positive"),
+        (Fraction(1, 2), Fraction(-1, 3), "gap must be nonnegative"),
+    ],
+)
+def test_ratio_point_rejects_a_nonpositive_ratio_or_a_negative_gap(ratio, gap, message):
+    with pytest.raises(ValueError) as exc:
+        RatioPoint(4, 4, ratio, Fraction(1), gap)
+    assert str(exc.value) == message
 
 
 def test_report_document_takes_keywords_and_fresh_default_rows():

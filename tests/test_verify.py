@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -44,9 +43,6 @@ from waring.verify import (
     ratio_decay_fixed_d,
     ratio_to_generic,
     verify_claim,
-    verify_inequality_agm,
-    verify_inequality_pure_power,
-    verify_lemma_slope,
     verify_theorem_coprime,
     verify_theorem_monomial,
 )
@@ -102,7 +98,18 @@ def test_verify_claim_rejects_fewer_than_one_worker(workers):
             verify_claim(claim_id, workers=workers)
         assert str(exc.value) == message
     with pytest.raises(UsageError):
-        verify_lemma_slope((4, 5), workers)
+        verify_claim("lemma-slope", None, (4, 5), workers)
+
+
+@pytest.mark.parametrize("bad", [(), (4,), (4, 5, 6), 4, "4:5"], ids=["empty", "one", "three", "int", "str"])
+def test_verify_claim_rejects_a_range_that_is_not_a_pair(monkeypatch, bad):
+    # Only None takes the default grid; nothing may be checked at all.
+    monkeypatch.setattr("waring.verify._run_cells", lambda *args: pytest.fail("a grid was checked"))
+    for n_range, d_range in ((bad, (2, 3)), ((4, 5), bad), (bad, bad)):
+        with pytest.raises(UsageError, match="range must be a pair"):
+            verify_claim("ineq-agm", n_range, d_range)
+    with pytest.raises(UsageError, match="d range must be a pair"):
+        verify_claim("lemma-slope", None, bad)
 
 
 def object_path_cell(n, d, objects, rank):
@@ -200,6 +207,20 @@ def test_rank_call_loads_no_verify_tables_dataclasses_fractions_or_csv():
     assert sorted(_fresh_modules(code) & heavy) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--claim", "theorem-coprime", "--n-range", "4:4", "--d-range", "3:3"],
+        ["asymptotics", "--mode", "d-limit", "--n", "4", "--d-samples", "10"],
+        ["asymptotics", "--mode", "n-limit", "--d", "4", "--n-max", "8"],
+    ],
+)
+def test_verify_and_asymptotics_load_no_dataclasses(argv):
+    modules = _fresh_modules(f"import os, waring.cli\nwaring.cli.main({argv!r} + ['--out', os.devnull])")
+    assert "waring.verify" in modules
+    assert sorted(modules & {"dataclasses", "inspect"}) == []
+
+
 def test_verify_handler_loads_verify():
     # Not before the handler runs: the CLI itself does not import it.
     code = (
@@ -219,7 +240,7 @@ def test_every_claim_reports_the_same_on_two_workers(monkeypatch):
         d_range = (claim.min_d, claim.min_d + 2)
         solo = verify_claim(claim_id, n_range, d_range, workers=1)
         pooled = verify_claim(claim_id, n_range, d_range, workers=2)
-        assert dataclasses.replace(pooled, elapsed_ms=0) == dataclasses.replace(solo, elapsed_ms=0)
+        assert {**vars(pooled), "elapsed_ms": 0} == {**vars(solo), "elapsed_ms": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +345,7 @@ def test_violation_expected_flags_exactly_the_three_exceptions():
 
 
 def test_lemma_slope_full_grid():
-    report = verify_lemma_slope((4, 40))
+    report = verify_claim("lemma-slope", None, (4, 40))
     assert report.status == STATUS_PASS
     assert report.checked_count == sum(d - 1 for d in range(4, 41))
 
@@ -343,7 +364,7 @@ def test_lemma_slope_documented_edge_cases():
 
 def test_lemma_slope_rejects_small_d():
     with pytest.raises(UsageError):
-        verify_lemma_slope((3, 10))
+        verify_claim("lemma-slope", None, (3, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +372,7 @@ def test_lemma_slope_rejects_small_d():
 
 
 def test_agm_inequality_grid():
-    report = verify_inequality_agm((4, 12), (2, 40))
+    report = verify_claim("ineq-agm", (4, 12), (2, 40))
     assert report.status == STATUS_PASS
     assert report.checked_count == 9 * 39
 
@@ -365,11 +386,11 @@ def test_agm_cell_4_4_values():
 
 def test_agm_rejects_n_below_4():
     with pytest.raises(UsageError):
-        verify_inequality_agm((3, 6), (2, 10))
+        verify_claim("ineq-agm", (3, 6), (2, 10))
 
 
 def test_pure_power_inequality_grid():
-    report = verify_inequality_pure_power((4, 14), (4, 14))
+    report = verify_claim("ineq-pure-power", (4, 14), (4, 14))
     assert report.status == STATUS_PASS
     assert report.checked_count == sum(1 for d in range(4, 15) for n in range(d, 15))
 
@@ -383,7 +404,7 @@ def test_pure_power_cell_base_case():
 
 def test_pure_power_rejects_d_below_4():
     with pytest.raises(UsageError):
-        verify_inequality_pure_power((3, 10), (4, 10))
+        verify_claim("ineq-pure-power", (4, 10), (3, 10))
 
 
 # ---------------------------------------------------------------------------
