@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
 
 from . import coprime_sums as cs
 from . import monomials as mono
@@ -79,18 +80,18 @@ def _utc_now() -> str:
 
 
 def _monomial_rows(
-    n: int, d: int, kind: str, partitions: Iterable[tuple[int, ...]]
+    n: int, d: int, kind: str, ranked: Iterable[tuple[int, tuple[int, ...]]]
 ) -> Iterator[dict[str, str]]:
-    """Rank rows of the monomials whose exponents are these descending partitions."""
+    """Rank rows of the monomials given as (rank, exponents as a descending partition)."""
     n_text, d_text = str(n), str(d)
-    for parts in partitions:
+    for rank, parts in ranked:
         exponents = parts[::-1]
         yield {
             "n": n_text,
             "d": d_text,
             "vars_used": str(len(parts)),
             "kind": kind,
-            "value": str(mono.partition_rank(parts)),
+            "value": str(rank),
             "witness": ",".join(map(str, exponents)),
             "label": mono.monomial_label(exponents),
         }
@@ -132,7 +133,8 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> dict[str, str]
     if isinstance(obj, cs.CoprimeSum):
         ranked = [(cs.sum_rank(obj), range(len(obj.blocks)))]
         return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
-    return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, [obj.exponents[::-1]]))
+    ranked = [(mono.waring_rank(obj), obj.exponents[::-1])]
+    return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, ranked))
 
 
 def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
@@ -240,7 +242,7 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
         rows = _sum_rows(args.n, args.d, "coprime_sum", pool, ranked)
     else:
         check_cell("enumerate_monomials", args.n, args.d)
-        rows = _monomial_rows(args.n, args.d, "monomial", mono.partitions(args.d, args.n))
+        rows = _monomial_rows(args.n, args.d, "monomial", mono._ranked_partitions(args.d, args.n))
     params = {
         "n": str(args.n),
         "d": str(args.d),
@@ -366,23 +368,17 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
 
     rows = []
     if args.name == "exceptional-44-53":
+        # Each cell's monomials by rank, highest first, ties in enumerate order.
         for n, d in ((4, 4), (5, 3)):
-            gen = rt.generic_rank(n, d)
-            cell = sorted(
-                mono.enumerate_monomials(n, d),
-                key=mono.waring_rank,
-                reverse=True,
-            )
-            for m in cell:
-                rows.append({**_object_row(m, "monomial"), "generic_rank": str(gen)})
+            ranked = sorted(mono._ranked_partitions(d, n), key=itemgetter(0), reverse=True)
+            gen = str(rt.generic_rank(n, d))
+            rows += [{**row, "generic_rank": gen} for row in _monomial_rows(n, d, "monomial", ranked)]
     elif args.name == "coprime-43":
-        sums = sorted(
-            cs.enumerate_coprime_sums(4, 3, spanning=True),
-            key=lambda f: (cs.sum_rank(f), f.block_shapes()),
-        )
-        gen = rt.generic_rank(4, 3)
-        for f in sums:
-            rows.append({**_object_row(f, "coprime_sum"), "generic_rank": str(gen)})
+        # The spanning sums at (4, 3) by rank, lowest first, ties in enumerate order.
+        pool = cs._block_pool(4, 3)
+        ranked = sorted(cs._block_multisets(pool, 4, spanning=True), key=itemgetter(0))
+        gen = str(rt.generic_rank(4, 3))
+        rows += [{**row, "generic_rank": gen} for row in _sum_rows(4, 3, "coprime_sum", pool, ranked)]
     elif args.name == "known-examples":
         for ex in rt.known_examples():
             rows.append(

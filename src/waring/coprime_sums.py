@@ -1,10 +1,10 @@
 """Sums of pairwise coprime monomials.
 
 A sum F = M1 + ... + Ms whose terms use pairwise disjoint variable sets has
-rank r(F) = r(M1) + ... + r(Ms), so a sum is identified by the multiset of
-its block exponent-partitions; which concrete variables each block uses is
-irrelevant. All blocks share one degree d and the blocks' variable counts
-add up to at most the ambient n.
+rank r(F) = r(M1) + ... + r(Ms) (at d = 1 it is one linear form, of rank 1),
+so a sum is identified by the multiset of its block exponent-partitions;
+which concrete variables each block uses is irrelevant. All blocks share
+one degree d and the blocks' variable counts add up to at most the ambient n.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ def make_sum(block_exponents: Iterable[Iterable[int]], ambient_vars: int | None 
 
 
 def sum_rank(f: CoprimeSum) -> int:
-    """Rank of the sum: ranks add across coprime blocks."""
-    return sum(waring_rank(b) for b in f.blocks)
+    """Rank of the sum: ranks add across coprime blocks, but at d = 1 a sum
+    of variables is one linear form, of rank 1."""
+    return 1 if f.degree == 1 else sum(waring_rank(b) for b in f.blocks)
 
 
 def _block_pool(n: int, d: int) -> list[Monomial]:
@@ -121,20 +122,22 @@ def _block_multisets(
     """Ranked multisets of pool blocks using at most n variables (exactly n when spanning).
 
     Yields (rank, picked): picked is a nondecreasing tuple of pool indices,
-    i.e. its blocks in canonical order, and rank is the sum of their ranks
-    (ranks add across coprime blocks), carried down the walk rather than
-    re-summed per multiset. Multisets come depth first: a multiset, then
+    i.e. its blocks in canonical order, and rank is sum_rank of their sum,
+    carried down the walk rather than re-summed per multiset. Ranks add
+    across coprime blocks; at d = 1 the one block, x1, adds nothing to a
+    base rank of 1. Multisets come depth first: a multiset, then
     every extension of it by blocks at or after its last index, then the
     next choice for its last block. The pool lists blocks by variable count
     descending, so the blocks that fit a budget form a suffix of it.
     """
     sizes = [block.nvars for block in pool]
-    ranks = [waring_rank(block) for block in pool]
+    linear = pool[0].degree == 1
+    ranks = [0 if linear else waring_rank(block) for block in pool]
     count = len(sizes)
     # first_fit[b]: the first pool index whose block fits in b variables.
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
     stack = []  # (budget, rank, picked) of each shorter prefix of picked
-    budget, rank, picked = n, 0, ()  # budget: variables left
+    budget, rank, picked = n, int(linear), ()  # budget: variables left
     i = first_fit[n]
     while True:
         if i < count:
@@ -175,13 +178,16 @@ def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], list[in
     (index 0 unused); best[b] is the maximum rank of a coprime sum in b
     variables for 0 <= b <= n. Ranks add across coprime blocks and only a
     rank-maximal block of a size can appear in a maximum, so best is an
-    unbounded knapsack over block sizes, O(n * min(n, d)).
+    unbounded knapsack over block sizes, O(n * min(n, d)). At d = 1 every
+    sum is one linear form, so best[b] = 1 for every b >= 1.
     """
     blocks: list[Monomial | None] = [None]
     ranks = [0]
     for k in range(1, min(n, d) + 1):
         blocks.append(max_rank_monomial(k, d))
         ranks.append(waring_rank(blocks[k]))
+    if d == 1:
+        return blocks, ranks, [0] + [1] * n
     best = [0]
     for b in range(1, n + 1):
         best.append(max(ranks[k] + best[b - k] for k in range(1, min(b, d) + 1)))
@@ -211,7 +217,8 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     closed_form backtracks the knapsack table, taking at each step the
     largest block size that still leads to a maximum. Every maximum uses
     the best block of each size and the pool lists larger blocks first, so
-    this is the same sum.
+    this is the same sum. At d = 1 every sum has rank 1, and the first one
+    listed is the one-block sum x1.
     """
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
@@ -221,6 +228,8 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     blocks, ranks, best = _knapsack(n, d)
+    if d == 1:
+        return CoprimeSum((blocks[1],), n)
     picked = []
     b = n
     while b:

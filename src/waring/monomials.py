@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
 from ._record import Record
 from .errors import DegenerateInputError, DimensionError, UsageError, check_cell
@@ -88,57 +89,57 @@ def waring_rank(m: Monomial) -> int:
     return math.prod(e + 1 for e in m.exponents[1:])
 
 
-def partition_rank(parts: tuple[int, ...]) -> int:
-    """waring_rank of the monomial with these descending parts as exponents.
+def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The degree-d monomials in n variables as ranked partitions of d.
 
-    Every factor but the last (smallest) part's; no Monomial is built.
-    """
-    rank = 1
-    for part in parts[:-1]:
-        rank *= part + 1
-    return rank
-
-
-def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of d into at most max_parts positive parts.
-
-    Yields nonincreasing part tuples in descending lexicographic order,
-    e.g. partitions(4, 4) gives (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
-    Parts are at most max_part when it is given.
+    Yields (rank, parts) for every partition of d into at most n parts:
+    parts is nonincreasing, in descending lexicographic order, e.g. (4),
+    (3,1), (2,2), (2,1,1), (1,1,1,1) for d = n = 4, and rank is the
+    waring_rank of the monomial with those exponents.
 
     Iterative: each step lowers the rightmost part that can drop by one
     and still leave room for the parts after it, then refills those
     parts greedily (as many copies of the lowered value as fit, then the
-    remainder), which is the next partition in this order.
+    remainder), which is the next partition in this order. The common
+    step splits a 1 off the last part and so multiplies the rank by the
+    old last part; any other step recomputes the rank.
     """
     if d == 0:
-        yield ()
+        yield 1, ()
         return
-    cap = d if max_part is None else min(max_part, d)
-    if max_parts <= 0 or cap * max_parts < d:
+    if n <= 0:
         return
-    q, r = divmod(d, cap)
-    parts = [cap] * q + ([r] if r else [])
+    parts = [d]
+    rank = 1
     while True:
-        yield tuple(parts)
+        yield rank, tuple(parts)
         i = len(parts) - 1
         last = parts[i]
-        if last > 1 and i + 1 < max_parts:
-            # The common case of the step below: split a 1 off the last part.
+        if last > 1 and i + 1 < n:
             parts[i] = last - 1
             parts.append(1)
+            rank *= last
             continue
         rest = 0  # sum of the parts right of i
         while True:
             if i < 0:
                 return
             lowered = parts[i] - 1
-            if lowered and rest < lowered * (max_parts - i - 1):
+            if lowered and rest < lowered * (n - i - 1):
                 break
             rest += parts[i]
             i -= 1
         q, r = divmod(rest + 1, lowered)
         parts[i:] = [lowered] * (q + 1) + ([r] if r else [])
+        rank = 1
+        for part in parts[:-1]:
+            rank *= part + 1
+
+
+def partitions(d: int, max_parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of d into at most max_parts positive parts, as nonincreasing
+    tuples in descending lexicographic order: the parts of _ranked_partitions."""
+    return map(itemgetter(1), _ranked_partitions(d, max_parts))
 
 
 def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
@@ -148,8 +149,8 @@ def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
     lexicographic partition order.
     """
     check_cell("enumerate_monomials", n, d)
-    for parts in partitions(d, n):
-        yield Monomial(tuple(reversed(parts)), n)
+    for _, parts in _ranked_partitions(d, n):
+        yield Monomial(parts[::-1], n)
 
 
 def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
@@ -159,12 +160,13 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     monomial rank): one exponent 1 and the remaining d-1 spread as evenly
     as possible over n'-1 variables. With q = (d-1) div (n'-1) and
     s = (d-1) mod (n'-1) the rank is (1+q)^(n'-s-1) * (2+q)^s. oracle
-    instead walks every partition in enumerate_monomials order and
+    instead walks every ranked partition in enumerate_monomials order and
     returns the first maximum; only that witness is built and validated.
     """
     check_cell("max_rank_monomial", n, d)
     if mode == MODE_ORACLE:
-        return Monomial(max(partitions(d, n), key=partition_rank)[::-1], n)
+        _, parts = max(_ranked_partitions(d, n), key=itemgetter(0))
+        return Monomial(parts[::-1], n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     used = min(n, d)

@@ -18,7 +18,7 @@ from ._record import Record
 from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
-from .monomials import Monomial, partitions, r_max
+from .monomials import Monomial, _ranked_partitions, r_max
 from .rank_tables import generic_rank
 
 STATUS_PASS = "pass"
@@ -114,41 +114,35 @@ def _run_cells(fn, cells, workers: int):
         return list(pool.map(fn, cells, chunksize=chunk))
 
 
-# The two theorem cells visit the same objects, in the same order, as
-# enumerate_monomials and enumerate_coprime_sums, but walk the raw
-# partitions and the ranked block-index multisets of _block_multisets,
-# whose rank is carried down the walk, and build a Monomial or CoprimeSum
-# only for a reported violation.
+def _theorem_cell(n: int, d: int, ranked, build) -> tuple[int, list[Violation]]:
+    """Count a ranked walk's (rank, raw) pairs; each rank at or above
+    generic_rank(n, d) is a violation with witness build(raw).
+
+    The theorem cells walk the raw partitions or block-index multisets, in
+    enumerate_monomials or enumerate_coprime_sums order, with each rank
+    carried down the walk, so only a violation builds its object.
+    """
+    gen = generic_rank(n, d)
+    checked = 0
+    bad = []
+    for rank, raw in ranked:
+        checked += 1
+        if rank >= gen:
+            bad.append(Violation(n, d, build(raw), rank, gen))
+    return checked, bad
 
 
 def _monomial_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     n, d = cell
-    gen = generic_rank(n, d)
-    checked = 0
-    bad = []
-    for parts in partitions(d, n):
-        checked += 1
-        # partition_rank(parts), inlined: this loop is the hot path.
-        rank = 1
-        for part in parts[:-1]:
-            rank *= part + 1
-        if rank >= gen:
-            bad.append(Violation(n, d, Monomial(tuple(reversed(parts)), n), rank, gen))
-    return checked, bad
+    return _theorem_cell(n, d, _ranked_partitions(d, n), lambda parts: Monomial(parts[::-1], n))
 
 
 def _coprime_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     n, d = cell
-    gen = generic_rank(n, d)
     pool = _block_pool(n, d)
-    checked = 0
-    nonstrict = []
-    for rank, picked in _block_multisets(pool, n):
-        checked += 1
-        if rank >= gen:
-            f = CoprimeSum(tuple(pool[i] for i in picked), n)
-            nonstrict.append(Violation(n, d, f, rank, gen))
-    return checked, nonstrict
+    return _theorem_cell(
+        n, d, _block_multisets(pool, n), lambda picked: CoprimeSum(tuple(pool[i] for i in picked), n)
+    )
 
 
 def _slope_cell(d: int) -> tuple[int, list[Violation]]:

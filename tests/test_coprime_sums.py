@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waring.coprime_sums import (
     CoprimeSum,
@@ -105,9 +105,17 @@ def test_sum_invariants_enforced():
 
 def test_additivity_across_enumerations():
     for n in range(1, 9):
-        for d in range(1, 9):
+        for d in range(2, 9):
             for f in enumerate_coprime_sums(n, d):
                 assert sum_rank(f) == sum(waring_rank(b) for b in f.blocks)
+
+
+def test_degree_one_sums_are_one_linear_form_of_rank_one():
+    for n in range(1, 9):
+        assert [sum_rank(f) for f in enumerate_coprime_sums(n, 1)] == [1] * n
+        assert r_max_star(n, 1) == r_max_star(n, 1, "oracle") == 1
+        assert max_rank_sum(n, 1) == max_rank_sum(n, 1, "oracle") == make_sum([[1]], n)
+    assert sum_rank(make_sum([[1], [0, 1], [1]])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +175,18 @@ def recursive_multisets(sizes, n, spanning):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 9), d=st.integers(1, 8), spanning=st.booleans())
+@example(n=1, d=1, spanning=False)
+@example(n=6, d=1, spanning=False)
+@example(n=4, d=1, spanning=True)
 def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
     pool = _block_pool(n, d)
     ranked = list(_block_multisets(pool, n, spanning))
     picked = [p for _, p in ranked]
     assert picked == recursive_multisets([b.nvars for b in pool], n, spanning)
-    assert [r for r, _ in ranked] == [sum(waring_rank(pool[i]) for i in p) for p in picked]
+    # Ranks add across coprime blocks, except that a sum of variables is one
+    # linear form, of rank 1.
+    expected = [1 if d == 1 else sum(waring_rank(pool[i]) for i in p) for p in picked]
+    assert [r for r, _ in ranked] == expected
     sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
     assert [tuple(pool[i] for i in p) for p in picked] == [f.blocks for f in sums]
 

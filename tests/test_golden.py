@@ -9,6 +9,7 @@ every exit-2 path. Regenerate the file only for an intended output change:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,7 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from waring.cli import main
+from waring.cli import TABLE_NAMES, build_parser, main
+from waring.verify import CLAIM_IDS
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 FORMATS = ("md", "csv", "json")
@@ -28,6 +30,7 @@ COMMANDS = (
     "rank --sum 1,2|1,2",
     "rank --sum 1,1,1|3|0,3 --vars 9",
     "rank --sum 1,1,1|0,2",
+    "rank --sum 1|1",
     "rank --monomial 0,0",
     "rank --monomial 1,2,3 --vars 2",
     "generic-rank --help",
@@ -46,6 +49,8 @@ COMMANDS = (
     "max-rank-sum --n 8 --d 4 --oracle",
     "max-rank-sum --n 8 --d 4",
     "max-rank-sum --n 10 --d 6 --oracle",
+    "max-rank-sum --n 5 --d 1",
+    "max-rank-sum --n 5 --d 1 --oracle",
     "bounds --help",
     "bounds --n 4 --d 5",
     "bounds --n 2 --d 2",
@@ -63,6 +68,7 @@ COMMANDS = (
     "enumerate --n 9 --d 2",
     "enumerate --n 3 --d 0",
     "enumerate --n 0 --d 3 --spanning",
+    "enumerate --n 3 --d 1 --sums",
     "verify --claim theorem-monomial",
     "verify --claim theorem-coprime",
     "verify --claim lemma-slope",
@@ -116,6 +122,18 @@ def matrix() -> dict[str, list[str]]:
         for command in COMMANDS
         for fmt in FORMATS
     }
+
+
+def test_commands_cover_every_subcommand_table_and_claim():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    words = [command.split() for command in COMMANDS]
+
+    def named(flag):
+        return {argv[argv.index(flag) + 1] for argv in words if flag in argv}
+
+    assert {argv[0] for argv in words} >= set(subparsers.choices)
+    assert named("--name") >= set(TABLE_NAMES)
+    assert named("--claim") >= set(CLAIM_IDS)
 
 
 def test_cli_output_matches_golden(monkeypatch):

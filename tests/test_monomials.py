@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from waring.errors import DegenerateInputError, DimensionError, UsageError
 from waring.monomials import (
     Monomial,
+    _ranked_partitions,
     canonicalize,
     enumerate_monomials,
     max_rank_monomial,
@@ -175,21 +176,16 @@ def test_partitions_descending_lex_order():
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    d=st.integers(0, 18),
-    max_parts=st.integers(0, 8),
-    max_part=st.none() | st.integers(0, 20),
-)
-def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts, max_part):
-    got = list(partitions(d, max_parts, max_part))
-    cap = d if max_part is None else max_part
-    expected = sorted(
-        (p for p in brute_partitions(d, max_parts) if not p or p[0] <= cap),
-        reverse=True,
-    )
-    assert got == expected
-    if max_part is None:
-        assert len(got) == partition_count(d, max_parts)
+@given(d=st.integers(0, 18), max_parts=st.integers(0, 8))
+def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
+    got = list(partitions(d, max_parts))
+    assert got == sorted(brute_partitions(d, max_parts), reverse=True)
+    assert len(got) == partition_count(d, max_parts)
+    ranked = list(_ranked_partitions(d, max_parts))
+    assert [parts for _, parts in ranked] == got
+    for rank, parts in ranked:
+        if parts:
+            assert rank == waring_rank(Monomial(parts[::-1], max_parts))
 
 
 def test_enumerate_rejects_bad_args():

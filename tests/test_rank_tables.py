@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from waring.coprime_sums import r_max_star
+from waring.monomials import r_max
 from waring.rank_tables import (
     BOUND_KINDS,
     KnownExample,
@@ -116,6 +118,16 @@ def test_bound_chain_descends_to_generic():
             values = [r.value for r in upper_bounds(n, d)]
             span, improved, jelisiejew, ballico, _ = values
             assert span >= improved >= jelisiejew >= ballico >= generic_rank(n, d)
+
+
+def test_maximum_ranks_stay_within_every_upper_bound():
+    # Every form's rank is at most every bound of the chain, so the maxima
+    # over monomials and over coprime sums are too.
+    for n in range(1, 41):
+        for d in range(1, 41):
+            lowest = min(r.value for r in upper_bounds(n, d))
+            assert r_max(n, d) <= lowest, (n, d)
+            assert r_max_star(n, d) <= lowest, (n, d)
 
 
 # ---------------------------------------------------------------------------
