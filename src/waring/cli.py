@@ -4,12 +4,13 @@ Subcommands: rank, generic-rank, max-rank, max-rank-sum, bounds, enumerate,
 verify, asymptotics, table. Output formats: Markdown (default), CSV, JSON.
 Exit codes: 0 success (including verification passes with the expected
 exceptions), 1 a verification found an unexpected counterexample, 2 usage
-or input error.
+or input error, or output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
@@ -82,14 +83,13 @@ def _utc_now() -> str:
 def _monomial_rows(
     n: int, d: int, kind: str, ranked: Iterable[tuple[int, tuple[int, ...]]]
 ) -> Iterator[dict[str, str]]:
-    """Rank rows of the monomials given as (rank, exponents as a descending partition)."""
+    """Rank rows of the monomials given as (rank, exponents), exponents ascending."""
     n_text, d_text = str(n), str(d)
-    for rank, parts in ranked:
-        exponents = parts[::-1]
+    for rank, exponents in ranked:
         yield {
             "n": n_text,
             "d": d_text,
-            "vars_used": str(len(parts)),
+            "vars_used": str(len(exponents)),
             "kind": kind,
             "value": str(rank),
             "witness": ",".join(map(str, exponents)),
@@ -133,7 +133,7 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> dict[str, str]
     if isinstance(obj, cs.CoprimeSum):
         ranked = [(cs.sum_rank(obj), range(len(obj.blocks)))]
         return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
-    ranked = [(mono.waring_rank(obj), obj.exponents[::-1])]
+    ranked = [(mono.waring_rank(obj), obj.exponents)]
     return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, ranked))
 
 
@@ -175,33 +175,22 @@ def cmd_rank(args) -> tuple[ReportDocument, int]:
 def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
     from . import rank_tables as rt
 
-    value = rt.generic_rank(args.n, args.d)
-    row = {
-        "n": str(args.n),
-        "d": str(args.d),
-        "kind": "generic",
-        "value": str(value),
-    }
     params = {"n": str(args.n), "d": str(args.d)}
+    row = {**params, "kind": "generic", "value": str(rt.generic_rank(args.n, args.d))}
     return _document(args, RANK_COLUMNS, [row], params), 0
 
 
-def _mode(args) -> str:
-    return MODE_ORACLE if args.oracle else MODE_CLOSED_FORM
+# Per max-rank subcommand: its help, witness search and row kind.
+MAX_RANK_COMMANDS = {
+    "max-rank": ("maximum monomial rank for (n, d)", mono.max_rank_monomial, "r_max"),
+    "max-rank-sum": ("maximum coprime-sum rank for (n, d)", cs.max_rank_sum, "r_max_star"),
+}
 
 
 def cmd_max_rank(args) -> tuple[ReportDocument, int]:
-    mode = _mode(args)
-    witness = mono.max_rank_monomial(args.n, args.d, mode)
-    row = _object_row(witness, "r_max")
-    params = {"n": str(args.n), "d": str(args.d), "mode": mode}
-    return _document(args, RANK_COLUMNS, [row], params), 0
-
-
-def cmd_max_rank_sum(args) -> tuple[ReportDocument, int]:
-    mode = _mode(args)
-    witness = cs.max_rank_sum(args.n, args.d, mode)
-    row = _object_row(witness, "r_max_star")
+    _, search, kind = MAX_RANK_COMMANDS[args.command]
+    mode = MODE_ORACLE if args.oracle else MODE_CLOSED_FORM
+    row = _object_row(search(args.n, args.d, mode), kind)
     params = {"n": str(args.n), "d": str(args.d), "mode": mode}
     return _document(args, RANK_COLUMNS, [row], params), 0
 
@@ -214,21 +203,16 @@ def cmd_bounds(args) -> tuple[ReportDocument, int]:
 
     from . import rank_tables as rt
 
+    params = {"n": str(args.n), "d": str(args.d)}
+
     def row(kind: str, value: int | Fraction) -> dict[str, str]:
-        return {
-            "n": str(args.n),
-            "d": str(args.d),
-            "kind": kind,
-            "value": fmt_exact(value),
-            "value_approx": approx12(value),
-        }
+        return {**params, "kind": kind, "value": fmt_exact(value), "value_approx": approx12(value)}
 
     rows = [row(record.kind, record.value) for record in rt.upper_bounds(args.n, args.d)]
     rows.append(row("generic", rt.generic_rank(args.n, args.d)))
     # Heuristic size of the bound-to-generic gap, reported approximately
     # only, never asserted.
     rows.append(row("gap_ratio_heuristic", Fraction(args.d * args.n, args.d + args.n - 1)))
-    params = {"n": str(args.n), "d": str(args.d)}
     return _document(args, BOUNDS_COLUMNS, rows, params), 0
 
 
@@ -441,15 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generic-rank", parents=[common, cell], help="generic rank for (n, d)")
     p.set_defaults(handler=cmd_generic_rank)
 
-    p = sub.add_parser("max-rank", parents=[common, cell], help="maximum monomial rank for (n, d)")
-    p.add_argument("--oracle", action="store_true", help="brute-force instead of closed form")
-    p.set_defaults(handler=cmd_max_rank)
-
-    p = sub.add_parser(
-        "max-rank-sum", parents=[common, cell], help="maximum coprime-sum rank for (n, d)"
-    )
-    p.add_argument("--oracle", action="store_true", help="brute-force instead of closed form")
-    p.set_defaults(handler=cmd_max_rank_sum)
+    for name, (help_text, _, _) in MAX_RANK_COMMANDS.items():
+        p = sub.add_parser(name, parents=[common, cell], help=help_text)
+        p.add_argument("--oracle", action="store_true", help="brute-force instead of closed form")
+        p.set_defaults(handler=cmd_max_rank)
 
     p = sub.add_parser("bounds", parents=[common, cell], help="upper-bound chain for (n, d)")
     p.set_defaults(handler=cmd_bounds)
@@ -485,6 +464,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of text to stdout, or raise OSError with stdout pointed at
+    the null device, so the flush at exit cannot fail again.
+
+    Bytes are written until none are left: under python -u a closed pipe
+    can cut a raw write short, and stdout's text layer would drop the rest.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    try:
+        sys.stdout.flush()
+        while data:
+            data = data[out.write(data):]
+        out.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -497,15 +500,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render(doc)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write --out: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+        else:
+            _write_stdout(text)
+    except OSError as exc:
+        print(f"error: cannot write {'--out' if args.out else 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return exit_code
 
 

@@ -18,9 +18,9 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
+    _ranked_partitions,
     canonicalize,
     max_rank_monomial,
-    partitions,
     waring_rank,
 )
 
@@ -111,7 +111,7 @@ def sum_rank(f: CoprimeSum) -> int:
 
 def _block_pool(n: int, d: int) -> list[Monomial]:
     """Every possible block shape for degree d within n variables, canonically ordered."""
-    pool = [Monomial(tuple(reversed(p)), len(p)) for p in partitions(d, min(n, d))]
+    pool = [Monomial(exponents, len(exponents)) for _, exponents in _ranked_partitions(d, min(n, d))]
     pool.sort(key=_block_key)
     return pool
 

@@ -92,17 +92,18 @@ def waring_rank(m: Monomial) -> int:
 def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The degree-d monomials in n variables as ranked partitions of d.
 
-    Yields (rank, parts) for every partition of d into at most n parts:
-    parts is nonincreasing, in descending lexicographic order, e.g. (4),
-    (3,1), (2,2), (2,1,1), (1,1,1,1) for d = n = 4, and rank is the
-    waring_rank of the monomial with those exponents.
+    Yields (rank, exponents) for every partition of d into at most n parts:
+    exponents is the partition smallest part first, as Monomial stores it,
+    and rank is its waring_rank. The partitions come in descending
+    lexicographic order of their parts read largest first, e.g. (4),
+    (1,3), (2,2), (1,1,2), (1,1,1,1) for d = n = 4.
 
-    Iterative: each step lowers the rightmost part that can drop by one
-    and still leave room for the parts after it, then refills those
-    parts greedily (as many copies of the lowered value as fit, then the
-    remainder), which is the next partition in this order. The common
-    step splits a 1 off the last part and so multiplies the rank by the
-    old last part; any other step recomputes the rank.
+    Iterative: each step lowers the leftmost part that can drop by one
+    and still leave room for the parts before it, then refills those
+    parts greedily (the remainder, then as many copies of the lowered
+    value as fit): the next partition in this order. The rank follows:
+    the common step splits a 1 off the first part, multiplying it by the
+    old first part, and any other step swaps the replaced parts' factors.
     """
     if d == 0:
         yield 1, ()
@@ -113,33 +114,34 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     rank = 1
     while True:
         yield rank, tuple(parts)
-        i = len(parts) - 1
-        last = parts[i]
-        if last > 1 and i + 1 < n:
-            parts[i] = last - 1
-            parts.append(1)
-            rank *= last
+        first = parts[0]
+        room = n - len(parts)  # variables left unused
+        if first > 1 and room:
+            parts[0] = first - 1
+            parts.insert(0, 1)
+            rank *= first
             continue
-        rest = 0  # sum of the parts right of i
-        while True:
-            if i < 0:
-                return
-            lowered = parts[i] - 1
-            if lowered and rest < lowered * (n - i - 1):
+        rest = 0  # sum of the parts left of j
+        passed = 1  # product of part + 1 over the parts left of j
+        for j, part in enumerate(parts):
+            if part > 1 and rest < (part - 1) * (room + j):
                 break
-            rest += parts[i]
-            i -= 1
+            rest += part
+            passed *= part + 1
+        else:
+            return
+        lowered = part - 1
         q, r = divmod(rest + 1, lowered)
-        parts[i:] = [lowered] * (q + 1) + ([r] if r else [])
-        rank = 1
-        for part in parts[:-1]:
-            rank *= part + 1
+        parts[: j + 1] = ([r] if r else []) + [lowered] * (q + 1)
+        # rank lacks the first part's factor; keep those of the parts after j.
+        tail = rank * (first + 1) // (passed * (part + 1))
+        rank = tail * (lowered + 1) ** (q + 1 if r else q)  # the new first part has none
 
 
 def partitions(d: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """Partitions of d into at most max_parts positive parts, as nonincreasing
-    tuples in descending lexicographic order: the parts of _ranked_partitions."""
-    return map(itemgetter(1), _ranked_partitions(d, max_parts))
+    tuples in descending lexicographic order: _ranked_partitions reversed."""
+    return (exponents[::-1] for _, exponents in _ranked_partitions(d, max_parts))
 
 
 def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
@@ -149,8 +151,8 @@ def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
     lexicographic partition order.
     """
     check_cell("enumerate_monomials", n, d)
-    for _, parts in _ranked_partitions(d, n):
-        yield Monomial(parts[::-1], n)
+    for _, exponents in _ranked_partitions(d, n):
+        yield Monomial(exponents, n)
 
 
 def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
@@ -165,8 +167,8 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     """
     check_cell("max_rank_monomial", n, d)
     if mode == MODE_ORACLE:
-        _, parts = max(_ranked_partitions(d, n), key=itemgetter(0))
-        return Monomial(parts[::-1], n)
+        _, exponents = max(_ranked_partitions(d, n), key=itemgetter(0))
+        return Monomial(exponents, n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     used = min(n, d)

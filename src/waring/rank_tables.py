@@ -61,7 +61,8 @@ def generic_rank(n: int, d: int) -> int:
 
 
 def upper_bounds(n: int, d: int) -> list[RankRecord]:
-    """The five classical upper bounds on the maximum rank, largest first.
+    """The five classical upper bounds on the maximum rank, in BOUND_KINDS
+    order, which is not by value: at (4, 3) they are 20, 10, 9, 9, 10.
 
     span_bound             C(d+n-1, n-1)    (dimension of the space of forms)
     improved_bound         C(d+n-2, n-1)

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from ._record import Record
-from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, r_max_star
+from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, make_sum, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
 from .monomials import Monomial, _ranked_partitions, r_max
@@ -134,7 +134,7 @@ def _theorem_cell(n: int, d: int, ranked, build) -> tuple[int, list[Violation]]:
 
 def _monomial_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
     n, d = cell
-    return _theorem_cell(n, d, _ranked_partitions(d, n), lambda parts: Monomial(parts[::-1], n))
+    return _theorem_cell(n, d, _ranked_partitions(d, n), lambda exponents: Monomial(exponents, n))
 
 
 def _coprime_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
@@ -181,10 +181,11 @@ def _pure_power_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
 def _collect(claim_id, grid, cells, fn, workers, expected=()):
     """Run per-cell checks, merge deterministically, and classify the outcome.
 
-    expected is a collection of (n, d, block_shapes) triples that are
-    allowed (and required, when their cell lies inside the grid) to appear
-    as non-strict cases; the violations they match come back flagged
-    expected. Anything else found is an unexpected violation.
+    expected is a collection of (n, d, witness) triples that are allowed
+    (and required, when their cell lies inside the grid) to appear as
+    non-strict cases; a violation matches one when its own (n, d, witness)
+    is equal, and comes back flagged expected. Anything else found is an
+    unexpected violation.
     """
     start = time.perf_counter()
     results = _run_cells(fn, cells, workers)
@@ -194,20 +195,11 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
         checked += cell_checked
         found.extend(cell_bad)
 
-    in_grid = set()
-    for n, d, shapes in expected:
-        n_min, n_max, d_min, d_max = grid
-        if n_min <= n <= n_max and d_min <= d <= d_max:
-            in_grid.add((n, d, shapes))
-    found_keys = set()
-    for i, v in enumerate(found):
-        shapes = v.witness.block_shapes() if isinstance(v.witness, CoprimeSum) else None
-        key = (v.n, v.d, shapes)
-        found_keys.add(key)
-        if key in in_grid:
-            found[i] = Violation(v.n, v.d, v.witness, v.lhs, v.rhs, True)
-
-    matched = found_keys == in_grid
+    n_min, n_max, d_min, d_max = grid
+    in_grid = {(n, d, w) for n, d, w in expected if n_min <= n <= n_max and d_min <= d <= d_max}
+    keys = [(v.n, v.d, v.witness) for v in found]
+    found = [Violation(*key, v.lhs, v.rhs, True) if key in in_grid else v for key, v in zip(keys, found)]
+    matched = set(keys) == in_grid
     if not matched:
         status = STATUS_FAIL
     elif found:
@@ -224,7 +216,7 @@ class Claim(Record):
     A claim without an n range (default_n is None) takes one cell per d and
     ranges over 2 <= n <= d inside the cell. n_at_least_d drops the cells
     with n < d, which fall outside the claim. expected lists the
-    (n, d, block_shapes) cases that must appear.
+    (n, d, witness) violations that must appear.
     """
 
     FIELDS = ("cell", "min_n", "min_d", "default_n", "default_d", "n_at_least_d", "expected")
@@ -250,7 +242,7 @@ CLAIMS: dict[str, Claim] = {
         3,
         (4, 8),
         (3, 10),
-        expected=tuple((4, 3, shapes) for shapes in EXPECTED_COPRIME_EXCEPTIONS),
+        expected=tuple((4, 3, make_sum(shapes, 4)) for shapes in EXPECTED_COPRIME_EXCEPTIONS),
     ),
     "lemma-slope": Claim(_slope_cell, None, 4, None, (4, 20)),
     "ineq-agm": Claim(_agm_cell, 4, 2, (4, 8), (2, 20)),

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -577,6 +580,49 @@ def test_out_flag_writes_file(tmp_path, capsys):
         "--deterministic",
     )
     assert on_disk == stdout_copy
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "rank", "--monomial", "1,2", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out: [Errno 21] Is a directory")
+
+
+def _cli_process(*args: str, stdout, unbuffered: str) -> subprocess.Popen:
+    """waring with args in a fresh interpreter, its stderr piped as text;
+    unbuffered is PYTHONUNBUFFERED, which "" turns off."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-m", "waring.cli", *args],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_stdout_exits_two_with_one_error_line(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process("rank", "--monomial", "1,2", stdout=full, unbuffered=unbuffered)
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_two_with_one_error_line(unbuffered):
+    # About 2 MB of rows: far more than a pipe buffers once its reader is
+    # gone. Unbuffered, the closed pipe cuts the raw write short instead.
+    args = ("enumerate", "--n", "10", "--d", "40")
+    proc = _cli_process(*args, stdout=subprocess.PIPE, unbuffered=unbuffered)
+    assert proc.stdout.readline() == "# enumerate\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_missing_subcommand_exits_two(capsys):

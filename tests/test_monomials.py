@@ -182,10 +182,12 @@ def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
     assert got == sorted(brute_partitions(d, max_parts), reverse=True)
     assert len(got) == partition_count(d, max_parts)
     ranked = list(_ranked_partitions(d, max_parts))
-    assert [parts for _, parts in ranked] == got
-    for rank, parts in ranked:
-        if parts:
-            assert rank == waring_rank(Monomial(parts[::-1], max_parts))
+    # The walk yields the same partitions in the same order, smallest part first.
+    assert [exponents[::-1] for _, exponents in ranked] == got
+    for rank, exponents in ranked:
+        assert list(exponents) == sorted(exponents)
+        if exponents:
+            assert rank == waring_rank(Monomial(exponents, max_parts))
 
 
 def test_enumerate_rejects_bad_args():

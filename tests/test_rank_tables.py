@@ -78,9 +78,11 @@ def test_generic_rank_rejects_bad_args():
 
 
 def test_upper_bounds_kinds_and_order():
-    records = upper_bounds(5, 7)
-    assert tuple(r.kind for r in records) == BOUND_KINDS
-    assert all(r.n == 5 and r.d == 7 for r in records)
+    for n in range(1, 41):
+        for d in range(1, 41):
+            records = upper_bounds(n, d)
+            assert tuple(r.kind for r in records) == BOUND_KINDS, (n, d)
+            assert all(r.n == n and r.d == d for r in records), (n, d)
 
 
 def test_upper_bounds_literature_values():

@@ -308,7 +308,7 @@ def test_collect_status_fail_on_unexpected_violation():
 
 
 def test_collect_status_fail_when_expected_exception_missing():
-    expected = [(4, 3, ((1, 2), (1, 2)))]
+    expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
     report = _collect(
         "stub", (4, 4, 3, 3), [(4, 3)], _fake_cell_factory({}), 1, expected
     )
@@ -316,7 +316,7 @@ def test_collect_status_fail_when_expected_exception_missing():
 
 
 def test_collect_status_pass_when_expected_cell_outside_grid():
-    expected = [(4, 3, ((1, 2), (1, 2)))]
+    expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
     report = _collect(
         "stub", (5, 6, 3, 3), [(5, 3), (6, 3)], _fake_cell_factory({}), 1, expected
     )
@@ -330,7 +330,7 @@ def test_violation_expected_flags_exactly_the_three_exceptions():
     assert flagged == sorted(EXPECTED_COPRIME_EXCEPTIONS)
     assert all(v.expected for v in report.violations)
 
-    expected = [(4, 3, ((1, 2), (1, 2)))]
+    expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
     match = Violation(4, 3, make_sum([[1, 2], [1, 2]]), 6, 5)
     other = Violation(4, 3, make_sum([[1, 1, 1], [3]]), 5, 5)
     plain = Violation(4, 3, None, 5, 5)
