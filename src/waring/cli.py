@@ -98,9 +98,9 @@ def _monomial_rows(
 
 
 def _sum_rows(
-    n: int, d: int, kind: str, pool: Sequence[mono.Monomial], ranked: Iterable[tuple[int, Iterable[int]]]
+    n: int, d: int, kind: str, pool: Sequence[mono.Monomial], ranked: Iterable[tuple[int, int, Iterable[int]]]
 ) -> Iterator[dict[str, str]]:
-    """Rank rows of the sums of pool blocks given as (rank, picked pool indices)."""
+    """Rank rows of the sums of pool blocks given as (rank, used, picked pool indices)."""
     n_text, d_text = str(n), str(d)
     sizes = [block.nvars for block in pool]
     # The witness syntax, e.g. '1,2|1,2'; rank parses it back.
@@ -108,7 +108,7 @@ def _sum_rows(
     # labels[i][used]: block i's label when `used` variables precede it, made
     # on first use, so the cache holds only labels that some row shows.
     labels = [{} for _ in pool]
-    for rank, picked in ranked:
+    for rank, _, picked in ranked:
         used = 0
         block_labels = []
         for i in picked:
@@ -131,7 +131,7 @@ def _sum_rows(
 def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> dict[str, str]:
     """The rank row of one Monomial or CoprimeSum, from the two builders above."""
     if isinstance(obj, cs.CoprimeSum):
-        ranked = [(cs.sum_rank(obj), range(len(obj.blocks)))]
+        ranked = [(cs.sum_rank(obj), obj.vars_used, range(len(obj.blocks)))]
         return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
     ranked = [(mono.waring_rank(obj), obj.exponents)]
     return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, ranked))

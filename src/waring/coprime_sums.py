@@ -118,11 +118,12 @@ def _block_pool(n: int, d: int) -> list[Monomial]:
 
 def _block_multisets(
     pool: list[Monomial], n: int, spanning: bool = False
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Ranked multisets of pool blocks using at most n variables (exactly n when spanning).
 
-    Yields (rank, picked): picked is a nondecreasing tuple of pool indices,
-    i.e. its blocks in canonical order, and rank is sum_rank of their sum,
+    Yields (rank, used, picked): picked is a nondecreasing tuple of pool
+    indices, i.e. its blocks in canonical order, used is the number of
+    variables its blocks use, and rank is sum_rank of their sum, both
     carried down the walk rather than re-summed per multiset. Ranks add
     across coprime blocks; at d = 1 the one block, x1, adds nothing to a
     base rank of 1. Multisets come depth first: a multiset, then
@@ -146,7 +147,7 @@ def _block_multisets(
             rank += ranks[i]
             picked += (i,)
             if not spanning or not budget:
-                yield rank, picked
+                yield rank, n - budget, picked
             i = max(i, first_fit[budget])
         elif stack:
             # The next index fits too: its block is no larger than the last.
@@ -166,7 +167,7 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
     """
     check_cell("enumerate_coprime_sums", n, d)
     pool = _block_pool(n, d)
-    for _, picked in _block_multisets(pool, n, spanning):
+    for _, _, picked in _block_multisets(pool, n, spanning):
         yield CoprimeSum(tuple(pool[i] for i in picked), n)
 
 
@@ -197,10 +198,13 @@ def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], list[in
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum rank over sums of pairwise coprime degree-d monomials in n variables.
 
-    closed_form reads the maximum from the block-size knapsack: an exact
-    algorithm for every (n, d), not a closed form (none is known for
-    n > d >= 4). It equals r_max(n, d) for d >= n and 3n div 2 for d = 3.
-    oracle is the rank of max_rank_sum's brute-force witness.
+    closed_form reads the maximum from the block-size knapsack, an exact
+    algorithm for every (n, d). Its values have closed forms, matched to
+    the table on every 2 <= d <= 40 and n <= d^2 + 2d: n for d = 2;
+    3n div 2 for d = 3; (n div d) * 2^(d-1) + r_max(n mod d, d) for d >= 4,
+    where r_max(0, d) means 0, plus 1 for d = 4, 5 when n = 1 (mod d) and
+    n > d. So it equals r_max(n, d) for d >= n. oracle is the rank of
+    max_rank_sum's brute-force witness.
     """
     check_cell("r_max_star", n, d)
     if mode == MODE_CLOSED_FORM:
@@ -223,7 +227,7 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
         pool = _block_pool(n, d)
-        _, best = max(_block_multisets(pool, n), key=itemgetter(0))
+        _, _, best = max(_block_multisets(pool, n), key=itemgetter(0))
         return CoprimeSum(tuple(pool[i] for i in best), n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")

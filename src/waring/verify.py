@@ -2,9 +2,11 @@
 
 Each claim is checked over an inclusive (n, d) grid by pure enumeration and
 exact integer comparison; divisions are cleared by cross-multiplication
-first, so strict inequalities never depend on rounding. Grid cells are
-independent, which allows optional fan-out to worker processes; results
-merge in (n, d) order, so the report does not depend on the worker count.
+first, so strict inequalities never depend on rounding. The unit of work
+is one degree column, the grid's cells with one d: the theorem claims walk
+each degree's objects once for all its cells. Columns are independent,
+which allows optional fan-out to worker processes; their cells merge in
+(n, d) order, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import os
 import time
 from fractions import Fraction
+from itertools import accumulate
+from operator import ge, gt, itemgetter, lt
 
 from ._record import Record
 from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, make_sum, r_max_star
@@ -96,102 +100,136 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-def _pool_size(workers: int, cells: int) -> int:
-    """Worker processes to start: never more than the cells or the CPUs."""
-    return min(workers, cells, os.cpu_count() or 1)
+def _pool_size(workers: int, columns: int) -> int:
+    """Worker processes to start: never more than the degree columns or the CPUs."""
+    return min(workers, columns, os.cpu_count() or 1)
 
 
-def _run_cells(fn, cells, workers: int):
-    workers = _pool_size(workers, len(cells))
+def _run_columns(fn, columns, workers: int):
+    """fn of each degree column, in the order given, on up to _pool_size processes.
+
+    A pool hands the columns out one at a time, in order, to whichever
+    worker is free, so listing the costliest columns first keeps the last
+    one from setting the wall time.
+    """
+    workers = _pool_size(workers, len(columns))
     if workers <= 1:
-        return [fn(c) for c in cells]
+        return [fn(c) for c in columns]
     # Imported here: it pulls in multiprocessing, logging, subprocess and
     # socket, which every other command would pay for at start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(cells) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells, chunksize=chunk))
+        return list(pool.map(fn, columns))
 
 
-def _theorem_cell(n: int, d: int, ranked, build) -> tuple[int, list[Violation]]:
-    """Count a ranked walk's (rank, raw) pairs; each rank at or above
-    generic_rank(n, d) is a violation with witness build(raw).
+def _monomial_walk(n: int, d: int):
+    """The degree-d monomials in n variables, in enumerate_monomials order, as
+    (rank, used, exponents), used being len(exponents); and their builder."""
+    ranked = ((rank, len(exponents), exponents) for rank, exponents in _ranked_partitions(d, n))
+    return ranked, lambda exponents: Monomial(exponents, n)
 
-    The theorem cells walk the raw partitions or block-index multisets, in
-    enumerate_monomials or enumerate_coprime_sums order, with each rank
-    carried down the walk, so only a violation builds its object.
+
+def _coprime_walk(n: int, d: int):
+    """The degree-d coprime sums in n variables, in enumerate_coprime_sums
+    order, as (rank, used, picked pool indices); and their builder."""
+    pool = _block_pool(n, d)
+    return _block_multisets(pool, n), lambda picked: CoprimeSum(tuple(pool[i] for i in picked), n)
+
+
+def _theorem_cell(n: int, d: int, walk) -> tuple[int, list[Violation]]:
+    """Count walk(n, d)'s objects; each ranked at or above generic_rank(n, d)
+    is a violation, in walk order, with its object built as the witness.
+
+    Each rank is carried down the walk, so only a violation builds its object.
     """
     gen = generic_rank(n, d)
+    ranked, build = walk(n, d)
     checked = 0
     bad = []
-    for rank, raw in ranked:
+    for rank, _, raw in ranked:
         checked += 1
         if rank >= gen:
             bad.append(Violation(n, d, build(raw), rank, gen))
     return checked, bad
 
 
-def _monomial_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
-    n, d = cell
-    return _theorem_cell(n, d, _ranked_partitions(d, n), lambda exponents: Monomial(exponents, n))
+def _theorem_column(column, walk) -> list[tuple[int, list[Violation]]]:
+    """_theorem_cell(n, d, walk) for each n of column = (d, ascending ns), from one walk.
+
+    An object using k variables lies in every cell with n >= k, with the
+    same rank in each. So the column walks the objects in max(ns) variables
+    once and keeps, for each k, their count and maximum rank: cell n counts
+    the objects with k <= n and compares their maximum rank with the
+    generic rank. Only a cell whose maximum reaches it is walked again, by
+    _theorem_cell, to list its violations in walk order.
+    """
+    d, ns = column
+    counts = [0] * (ns[-1] + 1)
+    best = [0] * (ns[-1] + 1)
+    ranked, _ = walk(ns[-1], d)
+    for rank, used, _ in ranked:
+        counts[used] += 1
+        if rank > best[used]:
+            best[used] = rank
+    counts = list(accumulate(counts))
+    best = list(accumulate(best, max))
+    return [
+        _theorem_cell(n, d, walk) if best[n] >= generic_rank(n, d) else (counts[n], [])
+        for n in ns
+    ]
 
 
-def _coprime_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
-    n, d = cell
-    pool = _block_pool(n, d)
-    return _theorem_cell(
-        n, d, _block_multisets(pool, n), lambda picked: CoprimeSum(tuple(pool[i] for i in picked), n)
-    )
+def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
+    return _theorem_column(column, _monomial_walk)
 
 
-def _slope_cell(d: int) -> tuple[int, list[Violation]]:
-    """r_max(n, d)/n is nondecreasing in n for 2 <= n <= d (cross-multiplied)."""
-    checked = 0
-    bad = []
-    for n in range(2, d + 1):
-        checked += 1
-        lhs = (n - 1) * r_max(n, d)
-        rhs = n * r_max(n - 1, d)
-        if lhs < rhs:
-            bad.append(Violation(n, d, None, lhs, rhs))
-    return checked, bad
+def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
+    return _theorem_column(column, _coprime_walk)
 
 
-def _agm_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
+def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
+    """One checked cell: a violation unless holds(lhs, rhs)."""
+    return 1, [] if holds(lhs, rhs) else [Violation(n, d, None, lhs, rhs)]
+
+
+def _slope_column(column) -> list[tuple[int, list[Violation]]]:
+    """r_max(n, d)/n >= r_max(n - 1, d)/(n - 1) for each n of the column (cross-multiplied)."""
+    d, ns = column
+    return [_inequality(n, d, (n - 1) * r_max(n, d), n * r_max(n - 1, d), ge) for n in ns]
+
+
+def _agm_column(column) -> list[tuple[int, list[Violation]]]:
     """((d+n-2)/(n-1))^(n-1) < C(d+n-1, n-1)/n, checked on integers."""
-    n, d = cell
-    lhs = n * (d + n - 2) ** (n - 1)
-    rhs = (n - 1) ** (n - 1) * binomial(d + n - 1, n - 1)
-    if lhs >= rhs:
-        return 1, [Violation(n, d, None, lhs, rhs)]
-    return 1, []
+    d, ns = column
+    return [
+        _inequality(n, d, n * (d + n - 2) ** (n - 1), (n - 1) ** (n - 1) * binomial(d + n - 1, n - 1), lt)
+        for n in ns
+    ]
 
 
-def _pure_power_cell(cell: tuple[int, int]) -> tuple[int, list[Violation]]:
+def _pure_power_column(column) -> list[tuple[int, list[Violation]]]:
     """C(d+n-1, n-1)/n^2 > 2^(d-1)/d, checked on integers."""
-    n, d = cell
-    lhs = d * binomial(d + n - 1, n - 1)
-    rhs = n * n * 2 ** (d - 1)
-    if lhs <= rhs:
-        return 1, [Violation(n, d, None, lhs, rhs)]
-    return 1, []
+    d, ns = column
+    return [_inequality(n, d, d * binomial(d + n - 1, n - 1), n * n * 2 ** (d - 1), gt) for n in ns]
 
 
-def _collect(claim_id, grid, cells, fn, workers, expected=()):
-    """Run per-cell checks, merge deterministically, and classify the outcome.
+def _collect(claim_id, grid, columns, fn, workers, expected=()):
+    """Run the column checks, merge their cells in (n, d) order, and classify the outcome.
 
-    expected is a collection of (n, d, witness) triples that are allowed
-    (and required, when their cell lies inside the grid) to appear as
-    non-strict cases; a violation matches one when its own (n, d, witness)
-    is equal, and comes back flagged expected. Anything else found is an
-    unexpected violation.
+    columns lists (d, ns) pairs; fn(column) returns one (checked,
+    violations) pair per n of ns. expected is a collection of (n, d,
+    witness) triples that are allowed (and required, when their cell lies
+    inside the grid) to appear as non-strict cases; a violation matches one
+    when its own (n, d, witness) is equal, and comes back flagged expected.
+    Anything else found is an unexpected violation.
     """
     start = time.perf_counter()
-    results = _run_cells(fn, cells, workers)
+    results = _run_columns(fn, columns, workers)
+    cells = [((n, d), cell) for (d, ns), column in zip(columns, results) for n, cell in zip(ns, column)]
     checked = 0
     found: list[Violation] = []
-    for cell_checked, cell_bad in results:
+    for _, (cell_checked, cell_bad) in sorted(cells, key=itemgetter(0)):
         checked += cell_checked
         found.extend(cell_bad)
 
@@ -211,19 +249,20 @@ def _collect(claim_id, grid, cells, fn, workers, expected=()):
 
 
 class Claim(Record):
-    """One checkable claim: its cell check, preconditions and default grid.
+    """One checkable claim: its column check, preconditions and default grid.
 
-    A claim without an n range (default_n is None) takes one cell per d and
-    ranges over 2 <= n <= d inside the cell. n_at_least_d drops the cells
-    with n < d, which fall outside the claim. expected lists the
-    (n, d, witness) violations that must appear.
+    column((d, ns)) checks the cells (n, d) for n in ns, returning one
+    (checked, violations) pair per n. A claim without an n range
+    (default_n is None) takes the cells 2 <= n <= d of each column.
+    n_at_least_d drops the cells with n < d, which fall outside the claim.
+    expected lists the (n, d, witness) violations that must appear.
     """
 
-    FIELDS = ("cell", "min_n", "min_d", "default_n", "default_d", "n_at_least_d", "expected")
+    FIELDS = ("column", "min_n", "min_d", "default_n", "default_d", "n_at_least_d", "expected")
 
     def __init__(
         self,
-        cell,
+        column,
         min_n: int | None,
         min_d: int,
         default_n: tuple[int, int] | None,
@@ -231,22 +270,22 @@ class Claim(Record):
         n_at_least_d: bool = False,
         expected: tuple = (),
     ) -> None:
-        self._set(cell, min_n, min_d, default_n, default_d, n_at_least_d, expected)
+        self._set(column, min_n, min_d, default_n, default_d, n_at_least_d, expected)
 
 
 CLAIMS: dict[str, Claim] = {
-    "theorem-monomial": Claim(_monomial_cell, 4, 2, (4, 8), (2, 20)),
+    "theorem-monomial": Claim(_monomial_column, 4, 2, (4, 8), (2, 20)),
     "theorem-coprime": Claim(
-        _coprime_cell,
+        _coprime_column,
         4,
         3,
         (4, 8),
         (3, 10),
         expected=tuple((4, 3, make_sum(shapes, 4)) for shapes in EXPECTED_COPRIME_EXCEPTIONS),
     ),
-    "lemma-slope": Claim(_slope_cell, None, 4, None, (4, 20)),
-    "ineq-agm": Claim(_agm_cell, 4, 2, (4, 8), (2, 20)),
-    "ineq-pure-power": Claim(_pure_power_cell, 4, 4, (4, 14), (4, 14), n_at_least_d=True),
+    "lemma-slope": Claim(_slope_column, None, 4, None, (4, 20)),
+    "ineq-agm": Claim(_agm_column, 4, 2, (4, 8), (2, 20)),
+    "ineq-pure-power": Claim(_pure_power_column, 4, 4, (4, 14), (4, 14), n_at_least_d=True),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -286,21 +325,19 @@ def verify_claim(
         d_range = claim.default_d
     if claim.default_n is None:
         d_lo, d_hi = _check_range("d", d_range, claim.min_d)
-        grid = (2, d_hi, d_lo, d_hi)
-        cells = list(range(d_lo, d_hi + 1))
+        n_lo, n_hi = 2, d_hi
     else:
         n_lo, n_hi = _check_range("n", claim.default_n if n_range is None else n_range, claim.min_n)
         d_lo, d_hi = _check_range("d", d_range, claim.min_d)
-        grid = (n_lo, n_hi, d_lo, d_hi)
-        cells = [
-            (n, d)
-            for n in range(n_lo, n_hi + 1)
-            for d in range(d_lo, d_hi + 1)
-            if n >= d or not claim.n_at_least_d
-        ]
-        if not cells:
-            raise UsageError(f"no grid cell satisfies n >= d >= {claim.min_d}")
-    return _collect(claim_id, grid, cells, claim.cell, workers, claim.expected)
+    columns = []
+    for d in range(d_hi, d_lo - 1, -1):  # largest, and costliest, first
+        first = max(n_lo, d) if claim.n_at_least_d else n_lo
+        last = d if claim.default_n is None else n_hi
+        if first <= last:
+            columns.append((d, range(first, last + 1)))
+    if not columns:
+        raise UsageError(f"no grid cell satisfies n >= d >= {claim.min_d}")
+    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, claim.column, workers, claim.expected)
 
 
 def verify_theorem_monomial(

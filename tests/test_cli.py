@@ -384,13 +384,13 @@ def test_verify_defaults_run_clean(capsys):
 
 
 def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
-    def fake_cell(d):
+    def fake_column(column):
         # One unexpected counterexample, in the first cell only.
-        bad = [vf.Violation(3, d, None, 1, 2)] if d == 4 else []
-        return 1, bad
+        d, ns = column
+        return [(1, [vf.Violation(n, d, None, 1, 2)] if (n, d) == (2, 4) else []) for n in ns]
 
     old = vf.CLAIMS["lemma-slope"]
-    claim = vf.Claim(fake_cell, old.min_n, old.min_d, old.default_n, old.default_d)
+    claim = vf.Claim(fake_column, old.min_n, old.min_d, old.default_n, old.default_d)
     monkeypatch.setitem(vf.CLAIMS, "lemma-slope", claim)
     code, out, err = run_cli(
         capsys, "verify", "--claim", "lemma-slope", "--deterministic"

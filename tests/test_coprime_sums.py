@@ -5,6 +5,7 @@ from waring.coprime_sums import (
     CoprimeSum,
     _block_multisets,
     _block_pool,
+    _knapsack,
     enumerate_coprime_sums,
     greedy_construction,
     make_sum,
@@ -181,12 +182,13 @@ def recursive_multisets(sizes, n, spanning):
 def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
     pool = _block_pool(n, d)
     ranked = list(_block_multisets(pool, n, spanning))
-    picked = [p for _, p in ranked]
+    picked = [p for _, _, p in ranked]
     assert picked == recursive_multisets([b.nvars for b in pool], n, spanning)
+    assert [used for _, used, _ in ranked] == [sum(pool[i].nvars for i in p) for p in picked]
     # Ranks add across coprime blocks, except that a sum of variables is one
     # linear form, of rank 1.
     expected = [1 if d == 1 else sum(waring_rank(pool[i]) for i in p) for p in picked]
-    assert [r for r, _ in ranked] == expected
+    assert [r for r, _, _ in ranked] == expected
     sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
     assert [tuple(pool[i] for i in p) for p in picked] == [f.blocks for f in sums]
 
@@ -223,7 +225,7 @@ def test_r_max_star_oracle_5_4():
 
 
 def test_r_max_star_closed_form_unsupported_regime():
-    # n > d >= 4, where no closed form is known: the knapsack is exact there.
+    # n > d >= 4: the knapsack, which the closed forms below describe, is exact there.
     for (n, d), expected in (((5, 4), 10), ((6, 4), 12), ((10, 5), 32)):
         assert r_max_star(n, d) == r_max_star(n, d, "oracle") == expected
         assert max_rank_sum(n, d) == max_rank_sum(n, d, "oracle")
@@ -244,6 +246,27 @@ def test_r_max_star_keeps_the_known_closed_forms():
             assert r_max_star(n, d) == r_max(n, d)
     for n in range(2, 201):
         assert r_max_star(n, 3) == 3 * n // 2
+
+
+def closed_form_r_max_star(n, d):
+    """r_max_star(n, d) for d >= 2, as the r_max_star docstring states it."""
+    if d == 2:
+        return n
+    if d == 3:
+        return 3 * n // 2
+    q, r = divmod(n, d)
+    value = q * 2 ** (d - 1) + (r_max(r, d) if r else 0)
+    return value + 1 if d in (4, 5) and r == 1 and n > d else value
+
+
+def test_r_max_star_matches_its_closed_forms():
+    # best[b] does not depend on the table's length, so one table per d
+    # gives _knapsack(n, d)[2][n] for every n up to d^2 + 2d.
+    for d in range(2, 41):
+        top = d * d + 2 * d
+        best = _knapsack(top, d)[2]
+        assert [closed_form_r_max_star(n, d) for n in range(1, top + 1)] == best[1:], d
+    assert r_max_star(9, 4) == closed_form_r_max_star(9, 4) == 2 * 8 + 1 + 1
 
 
 def test_r_max_star_oracle_dominates_r_max():

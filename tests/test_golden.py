@@ -76,6 +76,8 @@ COMMANDS = (
     "verify --claim ineq-pure-power",
     "verify --claim theorem-coprime --n-range 4:6 --d-range 3:5 --threads 2",
     "verify --claim theorem-coprime --n-range 4:7 --d-range 3:7 --threads 2",
+    "verify --claim theorem-monomial --n-range 4:12 --d-range 2:6",
+    "verify --claim theorem-coprime --n-range 4:6 --d-range 3:3 --threads 2",
     "verify --claim ineq-pure-power --n-range 4:6 --d-range 4:9",
     "verify --claim theorem-unknown",
     "verify --claim theorem-monomial --n-range 3:5 --d-range 2:4",

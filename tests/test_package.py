@@ -22,7 +22,7 @@ from waring.verify import (
     RatioPoint,
     VerificationReport,
     Violation,
-    _agm_cell,
+    _agm_column,
     ratio_to_generic,
     verify_claim,
 )
@@ -143,7 +143,7 @@ def _values():
             ratio_to_generic(5, 9, "coprime"),
             RatioPoint(5, 9, Fraction(81, 143), Fraction(15, 32), Fraction(447, 4576)),
         ),
-        (CLAIMS["ineq-agm"], Claim(_agm_cell, 4, 2, (4, 8), (2, 20))),
+        (CLAIMS["ineq-agm"], Claim(_agm_column, 4, 2, (4, 8), (2, 20))),
     ]
 
 

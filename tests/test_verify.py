@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -34,12 +35,13 @@ from waring.verify import (
     STATUS_PASS,
     STATUS_PASS_WITH_EXPECTED,
     Violation,
-    _agm_cell,
+    _agm_column,
     _collect,
-    _coprime_cell,
-    _monomial_cell,
+    _coprime_walk,
+    _monomial_walk,
     _pool_size,
-    _pure_power_cell,
+    _pure_power_column,
+    _theorem_cell,
     ratio_decay_fixed_d,
     ratio_to_generic,
     verify_claim,
@@ -104,7 +106,7 @@ def test_verify_claim_rejects_fewer_than_one_worker(workers):
 @pytest.mark.parametrize("bad", [(), (4,), (4, 5, 6), 4, "4:5"], ids=["empty", "one", "three", "int", "str"])
 def test_verify_claim_rejects_a_range_that_is_not_a_pair(monkeypatch, bad):
     # Only None takes the default grid; nothing may be checked at all.
-    monkeypatch.setattr("waring.verify._run_cells", lambda *args: pytest.fail("a grid was checked"))
+    monkeypatch.setattr("waring.verify._run_columns", lambda *args: pytest.fail("a grid was checked"))
     for n_range, d_range in ((bad, (2, 3)), ((4, 5), bad), (bad, bad)):
         with pytest.raises(UsageError, match="range must be a pair"):
             verify_claim("ineq-agm", n_range, d_range)
@@ -131,7 +133,7 @@ def object_path_cell(n, d, objects, rank):
 @example(n=4, d=3)
 def test_monomial_cell_matches_object_path(n, d):
     expected = object_path_cell(n, d, enumerate_monomials(n, d), waring_rank)
-    assert _monomial_cell((n, d)) == expected
+    assert _theorem_cell(n, d, _monomial_walk) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,14 +143,106 @@ def test_monomial_cell_matches_object_path(n, d):
 @example(n=4, d=3)
 def test_coprime_cell_matches_object_path(n, d):
     expected = object_path_cell(n, d, enumerate_coprime_sums(n, d), sum_rank)
-    assert _coprime_cell((n, d)) == expected
+    assert _theorem_cell(n, d, _coprime_walk) == expected
 
 
 def test_theorem_cells_find_violations_below_four_variables():
-    for cell in ((2, 7), (3, 4)):
-        assert _monomial_cell(cell)[1]
-    assert _coprime_cell((3, 3))[1]
-    assert len(_coprime_cell((4, 3))[1]) == 3
+    for n, d in ((2, 7), (3, 4)):
+        assert _theorem_cell(n, d, _monomial_walk)[1]
+    assert _theorem_cell(3, 3, _coprime_walk)[1]
+    assert len(_theorem_cell(4, 3, _coprime_walk)[1]) == 3
+
+
+WALKS = {"theorem-monomial": _monomial_walk, "theorem-coprime": _coprime_walk}
+
+
+@functools.cache
+def cell_walk(claim_id, n, d):
+    """_theorem_cell of one cell, walked on its own; kept across tests."""
+    return _theorem_cell(n, d, WALKS[claim_id])
+
+
+def assert_report_equals_cell_walks(report, claim_id, n_range, d_range):
+    """The report counts and lists what the cells walked one by one find, in (n, d) order."""
+    cells = [
+        cell_walk(claim_id, n, d)
+        for n in range(n_range[0], n_range[1] + 1)
+        for d in range(d_range[0], d_range[1] + 1)
+    ]
+    assert report.checked_count == sum(checked for checked, _ in cells)
+    found = [Violation(v.n, v.d, v.witness, v.lhs, v.rhs) for v in report.violations]
+    assert found == [v for _, bad in cells for v in bad]
+
+
+# The default grids, then the grids the benchmark runs.
+@pytest.mark.parametrize(
+    "claim_id, n_range, d_range",
+    [
+        ("theorem-monomial", (4, 8), (2, 20)),
+        ("theorem-coprime", (4, 8), (3, 10)),
+        ("theorem-monomial", (4, 10), (2, 40)),
+        ("theorem-coprime", (4, 12), (3, 12)),
+    ],
+)
+def test_theorem_columns_equal_the_cell_walks(monkeypatch, claim_id, n_range, d_range):
+    ns = range(n_range[0], n_range[1] + 1)
+    column = CLAIMS[claim_id].column
+    for d in range(d_range[0], d_range[1] + 1):
+        assert column((d, ns)) == [cell_walk(claim_id, n, d) for n in ns], d
+    # Two CPUs on any host, so workers=2 really starts a two-process pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        report = verify_claim(claim_id, n_range, d_range, workers)
+        assert_report_equals_cell_walks(report, claim_id, n_range, d_range)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    claim_id=st.sampled_from(sorted(WALKS)),
+    n_range=st.lists(st.integers(4, 12), min_size=2, max_size=2).map(sorted),
+    d_range=st.lists(st.integers(2, 14), min_size=2, max_size=2).map(sorted),
+)
+@example(claim_id="theorem-coprime", n_range=[4, 5], d_range=[3, 4])
+def test_theorem_reports_equal_the_cell_walks_on_any_subgrid(claim_id, n_range, d_range):
+    d_lo = max(d_range[0], CLAIMS[claim_id].min_d)
+    d_range = (d_lo, max(d_range[1], d_lo))
+    report = verify_claim(claim_id, tuple(n_range), d_range)
+    assert_report_equals_cell_walks(report, claim_id, n_range, d_range)
+
+
+@settings(max_examples=60, deadline=None)
+@given(claim_id=st.sampled_from(sorted(WALKS)), n=st.integers(1, 9), d=st.integers(1, 8))
+@example(claim_id="theorem-monomial", n=2, d=1)
+@example(claim_id="theorem-coprime", n=4, d=3)
+def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, n, d):
+    # Here cells reach the generic rank through objects on fewer than n
+    # variables, e.g. x1 at (2, 1).
+    ns = range(1, n + 1)
+    assert CLAIMS[claim_id].column((d, ns)) == [cell_walk(claim_id, k, d) for k in ns]
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call verify makes to its name from here on."""
+    calls = []
+    original = getattr(waring.verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(waring.verify, name, counted)
+    return calls
+
+
+def test_each_degree_is_walked_once(monkeypatch):
+    walks = count_calls(monkeypatch, "_ranked_partitions")
+    assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
+    assert walks == [(d, 10) for d in range(40, 1, -1)]
+
+    # One walk per degree, in 12 variables, then (4, 3) walked again for its witnesses.
+    walks = count_calls(monkeypatch, "_block_multisets")
+    assert verify_claim("theorem-coprime", (4, 12), (3, 12)).status == STATUS_PASS_WITH_EXPECTED
+    assert [(pool[0].degree, n) for pool, n in walks] == [(d, 12) for d in range(12, 2, -1)] + [(3, 4)]
 
 
 def test_pool_size_never_exceeds_cells_or_cpus(monkeypatch):
@@ -290,27 +384,37 @@ def test_theorem_coprime_rejects_bad_ranges():
 # status classification machinery
 
 
-def _fake_cell_factory(violations_by_cell):
-    def cell(c):
-        return 1, list(violations_by_cell.get(c, ()))
+def _fake_column_factory(violations_by_cell):
+    def column(c):
+        d, ns = c
+        return [(1, list(violations_by_cell.get((n, d), ()))) for n in ns]
 
-    return cell
+    return column
 
 
 def test_collect_status_fail_on_unexpected_violation():
     bad = Violation(4, 4, None, 10, 10)
     report = _collect(
-        "stub", (4, 4, 4, 4), [(4, 4)], _fake_cell_factory({(4, 4): [bad]}), 1
+        "stub", (4, 4, 4, 4), [(4, (4,))], _fake_column_factory({(4, 4): [bad]}), 1
     )
     assert report.status == STATUS_FAIL
     assert not report.expected_exceptions_matched
     assert not report.passed
 
 
+def test_collect_merges_cells_in_n_then_d_order():
+    # Columns come largest d first; the report lists cells n first, then d.
+    cells = {(n, d): [Violation(n, d, None, 1, 1)] for n in (4, 5) for d in (4, 5)}
+    columns = [(5, (4, 5)), (4, (4, 5))]
+    report = _collect("stub", (4, 5, 4, 5), columns, _fake_column_factory(cells), 1)
+    assert report.checked_count == 4
+    assert [(v.n, v.d) for v in report.violations] == [(4, 4), (4, 5), (5, 4), (5, 5)]
+
+
 def test_collect_status_fail_when_expected_exception_missing():
     expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
     report = _collect(
-        "stub", (4, 4, 3, 3), [(4, 3)], _fake_cell_factory({}), 1, expected
+        "stub", (4, 4, 3, 3), [(3, (4,))], _fake_column_factory({}), 1, expected
     )
     assert report.status == STATUS_FAIL
 
@@ -318,7 +422,7 @@ def test_collect_status_fail_when_expected_exception_missing():
 def test_collect_status_pass_when_expected_cell_outside_grid():
     expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
     report = _collect(
-        "stub", (5, 6, 3, 3), [(5, 3), (6, 3)], _fake_cell_factory({}), 1, expected
+        "stub", (5, 6, 3, 3), [(3, (5, 6))], _fake_column_factory({}), 1, expected
     )
     assert report.status == STATUS_PASS
     assert report.expected_exceptions_matched
@@ -334,8 +438,8 @@ def test_violation_expected_flags_exactly_the_three_exceptions():
     match = Violation(4, 3, make_sum([[1, 2], [1, 2]]), 6, 5)
     other = Violation(4, 3, make_sum([[1, 1, 1], [3]]), 5, 5)
     plain = Violation(4, 3, None, 5, 5)
-    cell = _fake_cell_factory({(4, 3): [match, other, plain]})
-    report = _collect("stub", (4, 4, 3, 3), [(4, 3)], cell, 1, expected)
+    column = _fake_column_factory({(4, 3): [match, other, plain]})
+    report = _collect("stub", (4, 4, 3, 3), [(3, (4,))], column, 1, expected)
     assert [v.expected for v in report.violations] == [True, False, False]
     assert report.status == STATUS_FAIL
 
@@ -378,8 +482,7 @@ def test_agm_inequality_grid():
 
 
 def test_agm_cell_4_4_values():
-    checked, bad = _agm_cell((4, 4))
-    assert checked == 1 and bad == []
+    assert _agm_column((4, (4,))) == [(1, [])]
     assert 4 * 6**3 == 864
     assert 27 * 35 == 945  # (n-1)^(n-1) * C(7,3)
 
@@ -396,8 +499,7 @@ def test_pure_power_inequality_grid():
 
 
 def test_pure_power_cell_base_case():
-    checked, bad = _pure_power_cell((4, 4))
-    assert checked == 1 and bad == []
+    assert _pure_power_column((4, (4,))) == [(1, [])]
     assert 4 * 35 == 140
     assert 16 * 8 == 128
 
@@ -443,7 +545,7 @@ def test_ratio_to_generic_4_4():
 
 def test_ratio_to_generic_coprime_routes():
     assert ratio_to_generic(4, 3, "coprime").ratio == Fraction(6, 5)
-    # n > d >= 4 has no closed form; the knapsack value 10 over generic 15
+    # n > d >= 4: (5 div 4) * 2^3 + r_max(1, 4), plus 1 as 5 = 1 (mod 4), is 10 over generic 15
     assert ratio_to_generic(5, 4, "coprime").ratio == Fraction(2, 3)
 
 
