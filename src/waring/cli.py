@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from . import coprime_sums as cs
 from . import monomials as mono
@@ -79,62 +79,90 @@ def _utc_now() -> str:
 # ---------------------------------------------------------------------------
 # row builders
 
+RANK_COLUMNS = ["n", "d", "vars_used", "kind", "value", "witness", "label"]
+
+
+class _Cache(dict):
+    """A dict that makes each missing value on first use, as make(key), so
+    it holds only what was asked for."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _label_pieces(var: int) -> _Cache:
+    """Exponent -> the label piece of variable var, e.g. 2 -> 'x3^2' for var 3."""
+    return _Cache(lambda e: mono.monomial_label((e,), var))
+
 
 def _monomial_rows(
     n: int, d: int, kind: str, ranked: Iterable[tuple[int, tuple[int, ...]]]
-) -> Iterator[dict[str, str]]:
+) -> Iterator[tuple[str, ...]]:
     """Rank rows of the monomials given as (rank, exponents), exponents ascending."""
     n_text, d_text = str(n), str(d)
+    texts = _Cache(str)
+    # pieces[v]: the label pieces of variable v + 1, one list entry per
+    # variable that some row uses, each made on first use.
+    pieces: list[_Cache] = []
     for rank, exponents in ranked:
-        yield {
-            "n": n_text,
-            "d": d_text,
-            "vars_used": str(len(exponents)),
-            "kind": kind,
-            "value": str(rank),
-            "witness": ",".join(map(str, exponents)),
-            "label": mono.monomial_label(exponents),
-        }
+        used = len(exponents)
+        if used > len(pieces):
+            pieces += map(_label_pieces, range(len(pieces) + 1, used + 1))
+        yield (
+            n_text,
+            d_text,
+            texts[used],
+            kind,
+            str(rank),
+            ",".join(map(texts.__getitem__, exponents)),
+            "*".join(map(getitem, pieces, exponents)),
+        )
 
 
 def _sum_rows(
     n: int, d: int, kind: str, pool: Sequence[mono.Monomial], ranked: Iterable[tuple[int, int, Iterable[int]]]
-) -> Iterator[dict[str, str]]:
+) -> Iterator[tuple[str, ...]]:
     """Rank rows of the sums of pool blocks given as (rank, used, picked pool indices)."""
     n_text, d_text = str(n), str(d)
     sizes = [block.nvars for block in pool]
     # The witness syntax, e.g. '1,2|1,2'; rank parses it back.
     witnesses = [",".join(map(str, block.exponents)) for block in pool]
-    # labels[i][used]: block i's label when `used` variables precede it, made
-    # on first use, so the cache holds only labels that some row shows.
-    labels = [{} for _ in pool]
-    for rank, _, picked in ranked:
-        used = 0
+    # labels[i][first_var]: block i's label from variable first_var, made on
+    # first use, so the cache holds only labels that some row shows.
+    labels = [_Cache(block.label) for block in pool]
+    for rank, used, picked in ranked:
+        first_var = 1
         block_labels = []
         for i in picked:
-            label = labels[i].get(used)
-            if label is None:
-                label = labels[i][used] = pool[i].label(used + 1)
-            block_labels.append(label)
-            used += sizes[i]
-        yield {
-            "n": n_text,
-            "d": d_text,
-            "vars_used": str(used),
-            "kind": kind,
-            "value": str(rank),
-            "witness": "|".join([witnesses[i] for i in picked]),
-            "label": cs.sum_label(block_labels),
-        }
+            block_labels.append(labels[i][first_var])
+            first_var += sizes[i]
+        yield (
+            n_text,
+            d_text,
+            str(used),
+            kind,
+            str(rank),
+            "|".join([witnesses[i] for i in picked]),
+            cs.sum_label(block_labels),
+        )
 
 
-def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> dict[str, str]:
+def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> tuple[str, ...]:
     """The rank row of one Monomial or CoprimeSum, from the two builders above."""
     if isinstance(obj, cs.CoprimeSum):
         ranked = [(cs.sum_rank(obj), obj.vars_used, range(len(obj.blocks)))]
         return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
     ranked = [(mono.waring_rank(obj), obj.exponents)]
     return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, ranked))
+
+
+def _sparse_row(columns: list[str], /, **cells: str) -> tuple[str, ...]:
+    """The row of the named cells in column order: a column they leave out is ''."""
+    return tuple([cells.get(col, "") for col in columns])
 
 
 def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
@@ -147,9 +175,6 @@ def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
         fmt=args.format,
         generated_at=generated_at,
     )
-
-
-RANK_COLUMNS = ["n", "d", "vars_used", "kind", "value", "witness", "label"]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +201,7 @@ def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
     from . import rank_tables as rt
 
     params = {"n": str(args.n), "d": str(args.d)}
-    row = {**params, "kind": "generic", "value": str(rt.generic_rank(args.n, args.d))}
+    row = _sparse_row(RANK_COLUMNS, **params, kind="generic", value=str(rt.generic_rank(args.n, args.d)))
     return _document(args, RANK_COLUMNS, [row], params), 0
 
 
@@ -205,8 +230,8 @@ def cmd_bounds(args) -> tuple[ReportDocument, int]:
 
     params = {"n": str(args.n), "d": str(args.d)}
 
-    def row(kind: str, value: int | Fraction) -> dict[str, str]:
-        return {**params, "kind": kind, "value": fmt_exact(value), "value_approx": approx12(value)}
+    def row(kind: str, value: int | Fraction) -> tuple[str, ...]:
+        return (params["n"], params["d"], kind, fmt_exact(value), approx12(value))
 
     rows = [row(record.kind, record.value) for record in rt.upper_bounds(args.n, args.d)]
     rows.append(row("generic", rt.generic_rank(args.n, args.d)))
@@ -247,29 +272,28 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
     n_range = None if args.n_range is None else parse_range(args.n_range)
     d_range = None if args.d_range is None else parse_range(args.d_range)
     report = vf.verify_claim(args.claim, n_range, d_range, args.threads)
-    rows = [
-        {"kind": "status", "value": report.status},
-        {"kind": "checked_count", "value": str(report.checked_count)},
-        {
-            "kind": "expected_exceptions_matched",
-            "value": str(report.expected_exceptions_matched).lower(),
-        },
+    summary = [
+        ("status", report.status),
+        ("checked_count", str(report.checked_count)),
+        ("expected_exceptions_matched", str(report.expected_exceptions_matched).lower()),
     ]
     if not args.deterministic:
-        rows.append({"kind": "elapsed_ms", "value": str(report.elapsed_ms)})
+        summary.append(("elapsed_ms", str(report.elapsed_ms)))
+    rows = [_sparse_row(VERIFY_COLUMNS, kind=kind, value=value) for kind, value in summary]
     for v in report.violations:
         kind = "expected_exception" if v.expected else "violation"
-        shown = _object_row(v.witness, kind) if v.witness else {"witness": "", "label": ""}
+        *_, witness, label = _object_row(v.witness, kind) if v.witness else ("", "")
         rows.append(
-            {
-                "kind": kind,
-                "n": str(v.n),
-                "d": str(v.d),
-                "witness": shown["witness"],
-                "label": shown["label"],
-                "lhs": fmt_exact(v.lhs),
-                "rhs": fmt_exact(v.rhs),
-            }
+            _sparse_row(
+                VERIFY_COLUMNS,
+                kind=kind,
+                n=str(v.n),
+                d=str(v.d),
+                witness=witness,
+                label=label,
+                lhs=fmt_exact(v.lhs),
+                rhs=fmt_exact(v.rhs),
+            )
         )
     n_min, n_max, d_min, d_max = report.grid
     has_n_range = claim.default_n is not None
@@ -296,18 +320,18 @@ ASYMPTOTICS_COLUMNS = [
 ]
 
 
-def _ratio_row(point: RatioPoint) -> dict[str, str]:
-    return {
-        "n": str(point.n),
-        "d": str(point.d),
-        "kind": "exact",
-        "ratio": fmt_exact(point.ratio),
-        "ratio_approx": approx12(point.ratio),
-        "limit": fmt_exact(point.limit),
-        "limit_approx": approx12(point.limit),
-        "gap": fmt_exact(point.gap),
-        "gap_approx": approx12(point.gap),
-    }
+def _ratio_row(point: RatioPoint) -> tuple[str, ...]:
+    return (
+        str(point.n),
+        str(point.d),
+        "exact",
+        fmt_exact(point.ratio),
+        approx12(point.ratio),
+        fmt_exact(point.limit),
+        approx12(point.limit),
+        fmt_exact(point.gap),
+        approx12(point.gap),
+    )
 
 
 # Per mode, the asymptotics flags it does not read; passing one is a usage
@@ -347,6 +371,11 @@ def cmd_asymptotics(args) -> tuple[ReportDocument, int]:
 TABLE_COLUMNS = ["n", "d", "kind", "witness", "label", "value", "generic_rank", "note"]
 
 
+def _table_row(rank_row: tuple[str, ...], generic_rank: str) -> tuple[str, ...]:
+    """A rank row as a table row, with its cell's generic rank."""
+    return _sparse_row(TABLE_COLUMNS, **dict(zip(RANK_COLUMNS, rank_row)), generic_rank=generic_rank)
+
+
 def cmd_table(args) -> tuple[ReportDocument, int]:
     from . import rank_tables as rt
 
@@ -356,25 +385,26 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
         for n, d in ((4, 4), (5, 3)):
             ranked = sorted(mono._ranked_partitions(d, n), key=itemgetter(0), reverse=True)
             gen = str(rt.generic_rank(n, d))
-            rows += [{**row, "generic_rank": gen} for row in _monomial_rows(n, d, "monomial", ranked)]
+            rows += [_table_row(row, gen) for row in _monomial_rows(n, d, "monomial", ranked)]
     elif args.name == "coprime-43":
         # The spanning sums at (4, 3) by rank, lowest first, ties in enumerate order.
         pool = cs._block_pool(4, 3)
         ranked = sorted(cs._block_multisets(pool, 4, spanning=True), key=itemgetter(0))
         gen = str(rt.generic_rank(4, 3))
-        rows += [{**row, "generic_rank": gen} for row in _sum_rows(4, 3, "coprime_sum", pool, ranked)]
+        rows += [_table_row(row, gen) for row in _sum_rows(4, 3, "coprime_sum", pool, ranked)]
     elif args.name == "known-examples":
         for ex in rt.known_examples():
             rows.append(
-                {
-                    "n": str(ex.n),
-                    "d": str(ex.d),
-                    "kind": "known_example",
-                    "label": ex.label,
-                    "value": str(ex.rank),
-                    "generic_rank": str(rt.generic_rank(ex.n, ex.d)),
-                    "note": ex.source_note,
-                }
+                _sparse_row(
+                    TABLE_COLUMNS,
+                    n=str(ex.n),
+                    d=str(ex.d),
+                    kind="known_example",
+                    label=ex.label,
+                    value=str(ex.rank),
+                    generic_rank=str(rt.generic_rank(ex.n, ex.d)),
+                    note=ex.source_note,
+                )
             )
     else:
         raise UsageError(f"unknown table {args.name!r}; expected one of {TABLE_NAMES}")

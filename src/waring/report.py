@@ -4,6 +4,9 @@ Every cell is serialized exactly: integers as plain decimal strings,
 fractions as "p/q" in lowest terms. Columns suffixed _approx carry decimal
 approximations rounded to 12 significant digits and exist only for human
 readers; nothing is ever compared through them.
+
+A document's rows are tuples of strings in its column order, one cell per
+column, so each renderer walks them without looking columns up by name.
 """
 
 from __future__ import annotations
@@ -26,19 +29,25 @@ def approx12(value: int | Fraction) -> str:
 
 
 class ReportDocument:
-    """One command's output: fixed columns, stringified rows, format choice."""
+    """One command's output: fixed columns, stringified rows, format choice.
+
+    Each row is a tuple of strings in column order, with one cell per
+    column; column names are distinct, as JSON row objects need.
+    """
 
     def __init__(
         self,
         command: str,
         parameters: dict[str, str],
         columns: list[str],
-        rows: list[dict[str, str]] | None = None,
+        rows: list[tuple[str, ...]] | None = None,
         fmt: str = "md",
         generated_at: str | None = None,
     ) -> None:
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"duplicate column names in {columns}")
         self.command = command
         self.parameters = parameters
         self.columns = columns
@@ -63,6 +72,7 @@ def _render_json(doc: ReportDocument) -> str:
     with the encoder's own string escaping, byte for byte as indent=2 would.
     """
     import json
+    from operator import add
 
     envelope: dict[str, object] = {
         "command": doc.command,
@@ -76,14 +86,10 @@ def _render_json(doc: ReportDocument) -> str:
     if not doc.rows:
         return head + "\n"
     encode = json.encoder.encode_basestring_ascii
-    # A row dict holds each column once, where it first appears.
-    fields = [(f"      {encode(col)}: ", col) for col in dict.fromkeys(doc.columns)]
-    if fields:
+    keys = [f"      {encode(col)}: " for col in doc.columns]
+    if keys:
         rows = ",\n".join(
-            "    {\n"
-            + ",\n".join([key + encode(row.get(col, "")) for key, col in fields])
-            + "\n    }"
-            for row in doc.rows
+            "    {\n" + ",\n".join(map(add, keys, map(encode, row))) + "\n    }" for row in doc.rows
         )
     else:
         rows = ",\n".join(["    {}"] * len(doc.rows))
@@ -98,7 +104,7 @@ def _render_csv(doc: ReportDocument) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(doc.columns)
-    writer.writerows([row.get(col, "") for col in doc.columns] for row in doc.rows)
+    writer.writerows(doc.rows)
     return out.getvalue()
 
 
@@ -111,16 +117,19 @@ def _render_md(doc: ReportDocument) -> str:
         lines.append(f"generated_at: {doc.generated_at}")
     if doc.parameters or doc.generated_at is not None:
         lines.append("")
-    # Escape each cell once; a literal | would end the table cell.
-    cells = [
-        tuple([row.get(col, "").replace("|", "\\|") for col in doc.columns])
-        for row in doc.rows
-    ]
+    rows = doc.rows
     widths = [len(col) for col in doc.columns]
-    if cells:
-        widths = [max(w, 1, *map(len, column)) for w, column in zip(widths, zip(*cells))]
+    if rows:
+        columns = list(zip(*rows))
+        # A literal | would end the table cell: escape it in the columns that hold one.
+        piped = [j for j, column in enumerate(columns) if "|" in "".join(column)]
+        for j in piped:
+            columns[j] = [cell.replace("|", "\\|") for cell in columns[j]]
+        if piped:
+            rows = list(zip(*columns))
+        widths = [max(w, 1, *map(len, column)) for w, column in zip(widths, columns)]
     lines.append("| " + " | ".join(col.ljust(w) for col, w in zip(doc.columns, widths)) + " |")
     lines.append("| " + " | ".join("-" * w for w in widths) + " |")
     template = "| " + " | ".join(f"%-{w}s" for w in widths) + " |"
-    lines.extend(template % row for row in cells)
+    lines.extend(template % row for row in rows)
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ from waring import cli
 from waring import verify as vf
 from waring.cli import main, parse_exponent_list, parse_range, parse_sum_spec
 from waring import coprime_sums as cs
+from waring import monomials as mono
 from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
 from waring.monomials import Monomial, canonicalize, enumerate_monomials, waring_rank
@@ -161,11 +162,11 @@ def test_enumerate_spanning_without_sums_is_usage_error(capsys):
 
 
 def handler_rows(*argv):
-    """The rows a subcommand's handler builds, before rendering."""
+    """The rows a subcommand's handler builds, before rendering, keyed by column."""
     args = cli.build_parser().parse_args(list(argv))
     doc, code = args.handler(args)
     assert code == 0
-    return doc.rows
+    return [dict(zip(doc.columns, row)) for row in doc.rows]
 
 
 def enumerate_argv(n, d, sums, spanning):
@@ -256,6 +257,35 @@ def test_object_row_labels_each_block_once(monkeypatch, argv, first_vars, n, val
     assert calls == first_vars
     assert (row["n"], row["value"]) == (n, value)
     assert row["label"].endswith(label_end)
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (["enumerate", "--n", "10", "--d", "40"], 10 * 40),
+        (["rank", "--monomial", "1,1000000", "--vars", "1000000"], 2),
+    ],
+    ids=["enumerate", "rank"],
+)
+def test_monomial_rows_label_each_piece_once(monkeypatch, argv, most):
+    # Monomial rows spell labels from pieces made once per variable and
+    # exponent that some row shows: no table sized by n or d is built.
+    calls = []
+    label = mono.monomial_label
+
+    def counting_label(exponents, first_var=1):
+        calls.append((first_var, *exponents))
+        # Stop at the first extra piece, before a sized table can grow.
+        assert len(calls) <= most, "made more label pieces than the bound"
+        return label(exponents, first_var)
+
+    monkeypatch.setattr(mono, "monomial_label", counting_label)
+    rows = handler_rows(*argv)
+    witnesses = [tuple(map(int, row["witness"].split(","))) for row in rows]
+    shown = {(var, e) for exponents in witnesses for var, e in enumerate(exponents, 1)}
+    assert len(set(calls)) == len(calls)
+    assert set(calls) <= shown
+    assert [row["label"] for row in rows] == [label(exponents) for exponents in witnesses]
 
 
 @settings(max_examples=40, deadline=None)
@@ -675,6 +705,13 @@ def test_report_document_rejects_unknown_format():
         ReportDocument("x", {}, ["a"], [], fmt="xml")
 
 
+def test_report_document_rejects_duplicate_columns():
+    # A tuple row cannot hold one cell for two equal names: JSON would
+    # print the key twice.
+    with pytest.raises(ValueError, match="duplicate"):
+        ReportDocument("x", {}, ["a", "b", "a"], [("1", "2", "3")], fmt="json")
+
+
 def test_render_empty_table():
     doc = ReportDocument("x", {"p": "1"}, ["a", "b"], [], fmt="md")
     text = render(doc)
@@ -691,8 +728,8 @@ cell_text = st.text(
 @st.composite
 def documents(draw, fmt):
     columns = draw(st.lists(cell_text, max_size=5, unique=True))
-    keys = st.sampled_from(columns) if columns else st.nothing()
-    rows = draw(st.lists(st.dictionaries(keys, cell_text), max_size=6))
+    row = st.tuples(*[cell_text] * len(columns))
+    rows = draw(st.lists(row, max_size=6))
     generated_at = draw(st.none() | cell_text)
     parameters = draw(st.dictionaries(cell_text, cell_text, max_size=3))
     return ReportDocument(draw(cell_text), parameters, columns, rows, fmt, generated_at)
@@ -702,20 +739,22 @@ def documents(draw, fmt):
 @given(documents("json"))
 @example(ReportDocument("enumerate", {"n": "1"}, ["a", "b"], [], "json"))
 @example(ReportDocument("enumerate", {}, ["a"], [], "json", "2026-01-01T00:00:00Z"))
-@example(ReportDocument("x", {}, [], [{}, {}], "json"))
+@example(ReportDocument("x", {}, [], [(), ()], "json"))
 def test_json_renderer_equals_indented_json_dumps(doc):
     envelope = {"command": doc.command, "parameters": doc.parameters}
     if doc.generated_at is not None:
         envelope["generated_at"] = doc.generated_at
     envelope["columns"] = doc.columns
-    envelope["rows"] = [{col: row.get(col, "") for col in doc.columns} for row in doc.rows]
+    envelope["rows"] = [dict(zip(doc.columns, row)) for row in doc.rows]
     assert render(doc) == json.dumps(envelope, indent=2) + "\n"
 
 
 @settings(max_examples=100, deadline=None)
 @given(documents("md"))
+@example(ReportDocument("x", {}, [], [(), ()], "md"))
 def test_markdown_renderer_pads_escaped_cells(doc):
-    escaped = [[row.get(col, "").replace("|", "\\|") for col in doc.columns] for row in doc.rows]
+    keyed = [dict(zip(doc.columns, row)) for row in doc.rows]
+    escaped = [[row[col].replace("|", "\\|") for col in doc.columns] for row in keyed]
     widths = [
         max([len(col), 1] + [len(cells[j]) for cells in escaped]) if escaped else len(col)
         for j, col in enumerate(doc.columns)

@@ -33,6 +33,7 @@ COMMANDS = (
     "rank --sum 1|1",
     "rank --monomial 0,0",
     "rank --monomial 1,2,3 --vars 2",
+    "rank --monomial 1,1000000 --vars 1000000",
     "generic-rank --help",
     "generic-rank --n 4 --d 4",
     "generic-rank --n 100 --d 3",
@@ -69,6 +70,8 @@ COMMANDS = (
     "enumerate --n 3 --d 0",
     "enumerate --n 0 --d 3 --spanning",
     "enumerate --n 3 --d 1 --sums",
+    "enumerate --n 11 --d 12",
+    "enumerate --n 11 --d 4 --sums",
     "verify --claim theorem-monomial",
     "verify --claim theorem-coprime",
     "verify --claim lemma-slope",
@@ -136,6 +139,19 @@ def test_commands_cover_every_subcommand_table_and_claim():
     assert {argv[0] for argv in words} >= set(subparsers.choices)
     assert named("--name") >= set(TABLE_NAMES)
     assert named("--claim") >= set(CLAIM_IDS)
+
+
+def test_handler_rows_are_tuples_of_strings_in_column_order():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for key, argv in matrix().items():
+        if golden[key]["exit"] != 0 or "--help" in argv:
+            continue
+        args = build_parser().parse_args(argv)
+        doc, _ = args.handler(args)
+        assert type(doc.rows) is list, key
+        shapes = {(type(row), len(row)) for row in doc.rows}
+        assert shapes <= {(tuple, len(doc.columns))}, key
+        assert all(type(cell) is str for row in doc.rows for cell in row), key
 
 
 def test_cli_output_matches_golden(monkeypatch):

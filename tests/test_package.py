@@ -235,5 +235,5 @@ def test_report_document_takes_keywords_and_fresh_default_rows():
     doc = ReportDocument(command="c", parameters={}, columns=["a"])
     other = ReportDocument("c", {}, ["a"])
     assert (doc.rows, doc.fmt, doc.generated_at) == ([], "md", None)
-    doc.rows.append({"a": "1"})
+    doc.rows.append(("1",))
     assert other.rows == []
