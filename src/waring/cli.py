@@ -100,16 +100,15 @@ def _label_pieces(var: int) -> _Cache:
 
 
 def _monomial_rows(
-    n: int, d: int, kind: str, ranked: Iterable[tuple[int, tuple[int, ...]]]
+    n: int, d: int, kind: str, ranked: Iterable[tuple[int, int, tuple[int, ...]]]
 ) -> Iterator[tuple[str, ...]]:
-    """Rank rows of the monomials given as (rank, exponents), exponents ascending."""
+    """Rank rows of the monomials given as (rank, used, exponents), exponents ascending."""
     n_text, d_text = str(n), str(d)
     texts = _Cache(str)
     # pieces[v]: the label pieces of variable v + 1, one list entry per
     # variable that some row uses, each made on first use.
     pieces: list[_Cache] = []
-    for rank, exponents in ranked:
-        used = len(exponents)
+    for rank, used, exponents in ranked:
         if used > len(pieces):
             pieces += map(_label_pieces, range(len(pieces) + 1, used + 1))
         yield (
@@ -156,7 +155,7 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> tuple[str, ...
     if isinstance(obj, cs.CoprimeSum):
         ranked = [(cs.sum_rank(obj), obj.vars_used, range(len(obj.blocks)))]
         return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
-    ranked = [(mono.waring_rank(obj), obj.exponents)]
+    ranked = [(mono.waring_rank(obj), obj.nvars, obj.exponents)]
     return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, ranked))
 
 

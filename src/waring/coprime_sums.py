@@ -111,7 +111,7 @@ def sum_rank(f: CoprimeSum) -> int:
 
 def _block_pool(n: int, d: int) -> list[Monomial]:
     """Every possible block shape for degree d within n variables, canonically ordered."""
-    pool = [Monomial(exponents, len(exponents)) for _, exponents in _ranked_partitions(d, min(n, d))]
+    pool = [Monomial(exponents, used) for _, used, exponents in _ranked_partitions(d, min(n, d))]
     pool.sort(key=_block_key)
     return pool
 
@@ -129,7 +129,9 @@ def _block_multisets(
     base rank of 1. Multisets come depth first: a multiset, then
     every extension of it by blocks at or after its last index, then the
     next choice for its last block. The pool lists blocks by variable count
-    descending, so the blocks that fit a budget form a suffix of it.
+    descending, so the blocks that fit a budget form a suffix of it: the
+    walk over _block_pool(n, d), restricted to used <= k, is the walk over
+    _block_pool(k, d), in the same order and with the same blocks.
     """
     sizes = [block.nvars for block in pool]
     linear = pool[0].degree == 1

@@ -89,14 +89,17 @@ def waring_rank(m: Monomial) -> int:
     return math.prod(e + 1 for e in m.exponents[1:])
 
 
-def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The degree-d monomials in n variables as ranked partitions of d.
 
-    Yields (rank, exponents) for every partition of d into at most n parts:
-    exponents is the partition smallest part first, as Monomial stores it,
-    and rank is its waring_rank. The partitions come in descending
+    Yields (rank, used, exponents) for every partition of d into at most n
+    parts: exponents is the partition smallest part first, as Monomial
+    stores it, used is its number of parts (the variables it uses), and
+    rank is its waring_rank. The partitions come in descending
     lexicographic order of their parts read largest first, e.g. (4),
-    (1,3), (2,2), (1,1,2), (1,1,1,1) for d = n = 4.
+    (1,3), (2,2), (1,1,2), (1,1,1,1) for d = n = 4. That order does not
+    depend on n, so the walk in n variables, restricted to used <= k, is
+    the walk in k variables, in the same order.
 
     Iterative: each step lowers the leftmost part that can drop by one
     and still leave room for the parts before it, then refills those
@@ -106,16 +109,17 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     old first part, and any other step swaps the replaced parts' factors.
     """
     if d == 0:
-        yield 1, ()
+        yield 1, 0, ()
         return
     if n <= 0:
         return
     parts = [d]
     rank = 1
     while True:
-        yield rank, tuple(parts)
+        used = len(parts)
+        yield rank, used, tuple(parts)
         first = parts[0]
-        room = n - len(parts)  # variables left unused
+        room = n - used  # variables left unused
         if first > 1 and room:
             parts[0] = first - 1
             parts.insert(0, 1)
@@ -141,7 +145,7 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 def partitions(d: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """Partitions of d into at most max_parts positive parts, as nonincreasing
     tuples in descending lexicographic order: _ranked_partitions reversed."""
-    return (exponents[::-1] for _, exponents in _ranked_partitions(d, max_parts))
+    return (exponents[::-1] for _, _, exponents in _ranked_partitions(d, max_parts))
 
 
 def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
@@ -151,7 +155,7 @@ def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
     lexicographic partition order.
     """
     check_cell("enumerate_monomials", n, d)
-    for _, exponents in _ranked_partitions(d, n):
+    for _, _, exponents in _ranked_partitions(d, n):
         yield Monomial(exponents, n)
 
 
@@ -167,7 +171,7 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     """
     check_cell("max_rank_monomial", n, d)
     if mode == MODE_ORACLE:
-        _, exponents = max(_ranked_partitions(d, n), key=itemgetter(0))
+        _, _, exponents = max(_ranked_partitions(d, n), key=itemgetter(0))
         return Monomial(exponents, n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")

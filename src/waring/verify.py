@@ -4,9 +4,11 @@ Each claim is checked over an inclusive (n, d) grid by pure enumeration and
 exact integer comparison; divisions are cleared by cross-multiplication
 first, so strict inequalities never depend on rounding. The unit of work
 is one degree column, the grid's cells with one d: the theorem claims walk
-each degree's objects once for all its cells. Columns are independent,
-which allows optional fan-out to worker processes; their cells merge in
-(n, d) order, so the report does not depend on the worker count.
+each degree's objects once for all its cells, in one pass that counts
+every cell's objects and collects every cell's violations. Columns are
+independent, which allows optional fan-out to worker processes; their
+cells merge in (n, d) order, so the report does not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -123,69 +125,49 @@ def _run_columns(fn, columns, workers: int):
         return list(pool.map(fn, columns))
 
 
-def _monomial_walk(n: int, d: int):
-    """The degree-d monomials in n variables, in enumerate_monomials order, as
-    (rank, used, exponents), used being len(exponents); and their builder."""
-    ranked = ((rank, len(exponents), exponents) for rank, exponents in _ranked_partitions(d, n))
-    return ranked, lambda exponents: Monomial(exponents, n)
+def _theorem_column(d: int, ns: range, ranked, build) -> list[tuple[int, list[Violation]]]:
+    """One (checked, violations) pair per cell (n, d) for n in ns, from one walk.
 
-
-def _coprime_walk(n: int, d: int):
-    """The degree-d coprime sums in n variables, in enumerate_coprime_sums
-    order, as (rank, used, picked pool indices); and their builder."""
-    pool = _block_pool(n, d)
-    return _block_multisets(pool, n), lambda picked: CoprimeSum(tuple(pool[i] for i in picked), n)
-
-
-def _theorem_cell(n: int, d: int, walk) -> tuple[int, list[Violation]]:
-    """Count walk(n, d)'s objects; each ranked at or above generic_rank(n, d)
-    is a violation, in walk order, with its object built as the witness.
-
-    Each rank is carried down the walk, so only a violation builds its object.
+    ranked walks the degree-d objects in max(ns) variables as (rank, used,
+    raw); build(raw, n) makes the object raw stands for in n variables. An
+    object using k variables lies in every cell with n >= k, with the same
+    rank in each, and both walks, restricted to used <= n, are cell n's own
+    walk in the same order. So the column counts the objects per k and
+    keeps only those ranked at or above low[k], the smallest generic rank
+    of the cells they lie in: cell n's violations are the kept objects with
+    k <= n ranked at or above its generic rank, in walk order, and only
+    they are built.
     """
-    gen = generic_rank(n, d)
-    ranked, build = walk(n, d)
-    checked = 0
-    bad = []
-    for rank, _, raw in ranked:
-        checked += 1
-        if rank >= gen:
-            bad.append(Violation(n, d, build(raw), rank, gen))
-    return checked, bad
-
-
-def _theorem_column(column, walk) -> list[tuple[int, list[Violation]]]:
-    """_theorem_cell(n, d, walk) for each n of column = (d, ascending ns), from one walk.
-
-    An object using k variables lies in every cell with n >= k, with the
-    same rank in each. So the column walks the objects in max(ns) variables
-    once and keeps, for each k, their count and maximum rank: cell n counts
-    the objects with k <= n and compares their maximum rank with the
-    generic rank. Only a cell whose maximum reaches it is walked again, by
-    _theorem_cell, to list its violations in walk order.
-    """
-    d, ns = column
+    gens = [generic_rank(n, d) for n in ns]
+    low = list(accumulate(reversed(gens), min))[::-1]
+    low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
     counts = [0] * (ns[-1] + 1)
-    best = [0] * (ns[-1] + 1)
-    ranked, _ = walk(ns[-1], d)
-    for rank, used, _ in ranked:
+    kept = []
+    for rank, used, raw in ranked:
         counts[used] += 1
-        if rank > best[used]:
-            best[used] = rank
+        if rank >= low[used]:
+            kept.append((rank, used, raw))
     counts = list(accumulate(counts))
-    best = list(accumulate(best, max))
     return [
-        _theorem_cell(n, d, walk) if best[n] >= generic_rank(n, d) else (counts[n], [])
-        for n in ns
+        (
+            counts[n],
+            [Violation(n, d, build(raw, n), rank, gen) for rank, k, raw in kept if k <= n and rank >= gen],
+        )
+        for n, gen in zip(ns, gens)
     ]
 
 
 def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
-    return _theorem_column(column, _monomial_walk)
+    d, ns = column
+    return _theorem_column(d, ns, _ranked_partitions(d, ns[-1]), Monomial)
 
 
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
-    return _theorem_column(column, _coprime_walk)
+    d, ns = column
+    pool = _block_pool(ns[-1], d)
+    return _theorem_column(
+        d, ns, _block_multisets(pool, ns[-1]), lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n)
+    )
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:

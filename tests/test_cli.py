@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -657,6 +659,108 @@ def test_closed_stdout_pipe_exits_two_with_one_error_line(unbuffered):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+def values(valid, *invalid):
+    return valid | st.sampled_from(invalid)
+
+
+def joined(items, sep, most):
+    return st.lists(items, min_size=1, max_size=most).map(sep.join)
+
+
+# A small argv grammar: every subcommand and flag, with valid and invalid
+# values, n and d at most 6. An invalid value is one that does not parse or
+# lies outside an operation's domain.
+small_int = values(st.integers(1, 6).map(str), "-1", "0", "x", "")
+exponent_list = values(joined(st.integers(0, 6).map(str), ",", 4), "1,x", "", ",")
+ordered_pair = st.lists(st.integers(2, 6), min_size=2, max_size=2).map(lambda pair: "%d:%d" % tuple(sorted(pair)))
+small_range = values(ordered_pair, "6:4", "5", "x", "1:2:3")
+NONE = st.none()  # a flag without a value
+CELL = {"--n": small_int, "--d": small_int}
+# Per command form: its leading words, then its required and its optional flags.
+GRAMMAR = [
+    (["rank"], {"--monomial": exponent_list}, {"--vars": small_int}),
+    (["rank"], {"--sum": joined(exponent_list, "|", 3)}, {"--vars": small_int}),
+    (["generic-rank"], CELL, {}),
+    (["max-rank"], CELL, {"--oracle": NONE}),
+    (["max-rank-sum"], CELL, {"--oracle": NONE}),
+    (["bounds"], CELL, {}),
+    (["enumerate"], CELL, {"--sums": NONE, "--spanning": NONE}),
+    (
+        ["verify"],
+        {"--claim": st.sampled_from([*vf.CLAIM_IDS, "theorem-none"])},
+        {
+            "--threads": values(st.sampled_from(["1", "2"]), "0", "x"),
+            "--n-range": small_range,
+            "--d-range": small_range,
+        },
+    ),
+    (
+        ["asymptotics", "--mode", "d-limit"],
+        {"--n": small_int},
+        {
+            "--d-samples": joined(small_int, ",", 3),
+            "--which": values(st.sampled_from(["monomial", "coprime"]), "other"),
+        },
+    ),
+    (["asymptotics", "--mode", "n-limit"], {"--d": small_int}, {"--n-max": small_int}),
+    (["asymptotics", "--mode", "x-limit"], {}, {"--n": small_int, "--d": small_int}),
+    (["table"], {"--name": st.sampled_from([*cli.TABLE_NAMES, "no-such-table"])}, {}),
+    (["no-such-command"], {}, {}),
+]
+COMMON = {
+    "--format": st.sampled_from(["md", "csv", "json", "xml"]),
+    "--out": st.sampled_from(["file", "directory"]),
+    "--deterministic": NONE,
+}
+RARE = {"--help": NONE, "--no-such-flag": NONE}
+
+
+@st.composite
+def cli_argvs(draw):
+    words, required, optional = draw(st.sampled_from(GRAMMAR))
+    flags = {**required, **optional, **COMMON, **RARE}
+    # Odds in six of drawing each flag, so that most argvs get past the parser.
+    odds = {**dict.fromkeys(flags, 3), **dict.fromkeys(required, 5), **dict.fromkeys(RARE, 1)}
+    chosen = [flag for flag in flags if draw(st.integers(0, 5)) < odds[flag]]
+    argv = list(words)
+    for flag in draw(st.permutations(chosen)):
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def run_in_process(argv, out_dir):
+    """main(argv), its --out value made a path in out_dir: (code, stdout, stderr, text written to --out)."""
+    target = out_dir / "report"
+    paths = {"file": str(target), "directory": str(out_dir)}
+    argv = [paths[arg] if prev == "--out" else arg for prev, arg in zip(["", *argv], argv)]
+    if target.exists():
+        target.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), target.read_text() if target.exists() else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argvs())
+@example(argv=["verify", "--claim", "theorem-coprime", "--n-range", "4:5", "--d-range", "3:4", "--deterministic"])
+@example(argv=["rank", "--monomial", "0,0", "--deterministic"])
+@example(argv=["asymptotics", "--mode", "n-limit", "--d", "3", "--n-max", "2"])
+@example(argv=["enumerate", "--n", "3", "--d", "3", "--out", "directory"])
+def test_cli_contract_on_any_small_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, written = run_in_process(argv, Path(tmp))
+        assert code in (0, 1, 2), argv
+        assert code != 1 or argv[0] == "verify", argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            lines = err.splitlines()
+            assert lines and [line for line in lines if "error:" in line] == lines[-1:], argv
+        if "--deterministic" in argv:
+            assert run_in_process(argv, Path(tmp)) == (code, out, err, written), argv
 
 
 # ---------------------------------------------------------------------------

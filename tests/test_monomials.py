@@ -183,8 +183,9 @@ def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
     assert len(got) == partition_count(d, max_parts)
     ranked = list(_ranked_partitions(d, max_parts))
     # The walk yields the same partitions in the same order, smallest part first.
-    assert [exponents[::-1] for _, exponents in ranked] == got
-    for rank, exponents in ranked:
+    assert [exponents[::-1] for _, _, exponents in ranked] == got
+    for rank, used, exponents in ranked:
+        assert used == len(exponents)
         assert list(exponents) == sorted(exponents)
         if exponents:
             assert rank == waring_rank(Monomial(exponents, max_parts))

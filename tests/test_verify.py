@@ -12,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 import waring
 from waring.coprime_sums import (
     CoprimeSum,
+    _block_multisets,
+    _block_pool,
     enumerate_coprime_sums,
     make_sum,
     max_rank_sum,
@@ -22,6 +24,7 @@ from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
     Monomial,
+    _ranked_partitions,
     enumerate_monomials,
     max_rank_monomial,
     r_max,
@@ -37,11 +40,8 @@ from waring.verify import (
     Violation,
     _agm_column,
     _collect,
-    _coprime_walk,
-    _monomial_walk,
     _pool_size,
     _pure_power_column,
-    _theorem_cell,
     ratio_decay_fixed_d,
     ratio_to_generic,
     verify_claim,
@@ -126,6 +126,27 @@ def object_path_cell(n, d, objects, rank):
     return checked, bad
 
 
+@functools.cache
+def cell_walk(claim_id, n, d):
+    """Reference cell: walk the cell's own ranked objects and build only
+    those that reach the generic rank; kept across tests."""
+    if claim_id == "theorem-monomial":
+        ranked, build = _ranked_partitions(d, n), lambda exponents: Monomial(exponents, n)
+    else:
+        pool = _block_pool(n, d)
+        ranked, build = _block_multisets(pool, n), lambda picked: CoprimeSum(tuple(pool[i] for i in picked), n)
+    gen = generic_rank(n, d)
+    checked, bad = 0, []
+    for rank, _, raw in ranked:
+        checked += 1
+        if rank >= gen:
+            bad.append(Violation(n, d, build(raw), rank, gen))
+    return checked, bad
+
+
+THEOREMS = ("theorem-coprime", "theorem-monomial")
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 9), d=st.integers(1, 24))
 @example(n=2, d=7)
@@ -133,7 +154,7 @@ def object_path_cell(n, d, objects, rank):
 @example(n=4, d=3)
 def test_monomial_cell_matches_object_path(n, d):
     expected = object_path_cell(n, d, enumerate_monomials(n, d), waring_rank)
-    assert _theorem_cell(n, d, _monomial_walk) == expected
+    assert cell_walk("theorem-monomial", n, d) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,23 +164,14 @@ def test_monomial_cell_matches_object_path(n, d):
 @example(n=4, d=3)
 def test_coprime_cell_matches_object_path(n, d):
     expected = object_path_cell(n, d, enumerate_coprime_sums(n, d), sum_rank)
-    assert _theorem_cell(n, d, _coprime_walk) == expected
+    assert cell_walk("theorem-coprime", n, d) == expected
 
 
 def test_theorem_cells_find_violations_below_four_variables():
     for n, d in ((2, 7), (3, 4)):
-        assert _theorem_cell(n, d, _monomial_walk)[1]
-    assert _theorem_cell(3, 3, _coprime_walk)[1]
-    assert len(_theorem_cell(4, 3, _coprime_walk)[1]) == 3
-
-
-WALKS = {"theorem-monomial": _monomial_walk, "theorem-coprime": _coprime_walk}
-
-
-@functools.cache
-def cell_walk(claim_id, n, d):
-    """_theorem_cell of one cell, walked on its own; kept across tests."""
-    return _theorem_cell(n, d, WALKS[claim_id])
+        assert cell_walk("theorem-monomial", n, d)[1]
+    assert cell_walk("theorem-coprime", 3, 3)[1]
+    assert len(cell_walk("theorem-coprime", 4, 3)[1]) == 3
 
 
 def assert_report_equals_cell_walks(report, claim_id, n_range, d_range):
@@ -198,7 +210,7 @@ def test_theorem_columns_equal_the_cell_walks(monkeypatch, claim_id, n_range, d_
 
 @settings(max_examples=30, deadline=None)
 @given(
-    claim_id=st.sampled_from(sorted(WALKS)),
+    claim_id=st.sampled_from(THEOREMS),
     n_range=st.lists(st.integers(4, 12), min_size=2, max_size=2).map(sorted),
     d_range=st.lists(st.integers(2, 14), min_size=2, max_size=2).map(sorted),
 )
@@ -210,15 +222,19 @@ def test_theorem_reports_equal_the_cell_walks_on_any_subgrid(claim_id, n_range, 
     assert_report_equals_cell_walks(report, claim_id, n_range, d_range)
 
 
-@settings(max_examples=60, deadline=None)
-@given(claim_id=st.sampled_from(sorted(WALKS)), n=st.integers(1, 9), d=st.integers(1, 8))
-@example(claim_id="theorem-monomial", n=2, d=1)
-@example(claim_id="theorem-coprime", n=4, d=3)
-def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, n, d):
+@settings(max_examples=80, deadline=None)
+@given(claim_id=st.sampled_from(THEOREMS), k=st.integers(1, 9), n=st.integers(1, 9), d=st.integers(1, 8))
+@example(claim_id="theorem-monomial", k=1, n=2, d=1)
+@example(claim_id="theorem-coprime", k=1, n=4, d=3)
+@example(claim_id="theorem-monomial", k=3, n=4, d=1)
+@example(claim_id="theorem-coprime", k=4, n=5, d=3)
+def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, n, d):
     # Here cells reach the generic rank through objects on fewer than n
-    # variables, e.g. x1 at (2, 1).
-    ns = range(1, n + 1)
-    assert CLAIMS[claim_id].column((d, ns)) == [cell_walk(claim_id, k, d) for k in ns]
+    # variables, e.g. x1 at (2, 1). Objects on fewer than k variables lie
+    # in every cell of the column, so they are kept against the smallest
+    # generic rank of all its cells.
+    ns = range(min(k, n), n + 1)
+    assert CLAIMS[claim_id].column((d, ns)) == [cell_walk(claim_id, m, d) for m in ns]
 
 
 def count_calls(monkeypatch, name):
@@ -235,14 +251,22 @@ def count_calls(monkeypatch, name):
 
 
 def test_each_degree_is_walked_once(monkeypatch):
+    # Only violations are built: none on the monomial grid.
     walks = count_calls(monkeypatch, "_ranked_partitions")
+    built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
     assert walks == [(d, 10) for d in range(40, 1, -1)]
+    assert built == []
 
-    # One walk per degree, in 12 variables, then (4, 3) walked again for its witnesses.
+    # One walk per degree, in 12 variables: (4, 3)'s witnesses come from it
+    # too, and they are the only sums built.
     walks = count_calls(monkeypatch, "_block_multisets")
-    assert verify_claim("theorem-coprime", (4, 12), (3, 12)).status == STATUS_PASS_WITH_EXPECTED
-    assert [(pool[0].degree, n) for pool, n in walks] == [(d, 12) for d in range(12, 2, -1)] + [(3, 4)]
+    built = count_calls(monkeypatch, "CoprimeSum")
+    report = verify_claim("theorem-coprime", (4, 12), (3, 12))
+    assert report.status == STATUS_PASS_WITH_EXPECTED
+    assert [(pool[0].degree, n) for pool, n in walks] == [(d, 12) for d in range(12, 2, -1)]
+    assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
+    assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
 
 
 def test_pool_size_never_exceeds_cells_or_cpus(monkeypatch):
