@@ -6,9 +6,9 @@ first, so strict inequalities never depend on rounding. The unit of work
 is one degree column, the grid's cells with one d: the theorem claims walk
 each degree's objects once for all its cells, in one pass that counts
 every cell's objects and collects every cell's violations. Columns are
-independent, which allows optional fan-out to worker processes; their
-cells merge in (n, d) order, so the report does not depend on the worker
-count.
+independent, and a pool of at most the given workers runs them when their
+predicted walks reach _POOL_BREAK_EVEN objects; cells merge in (n, d)
+order, so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -102,20 +102,24 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-def _pool_size(workers: int, columns: int) -> int:
-    """Worker processes to start: never more than the degree columns or the CPUs."""
-    return min(workers, columns, os.cpu_count() or 1)
+# Predicted walked objects from which two workers beat one: in fresh interpreters
+# on 2 shared vCPUs (Python 3.11) they lost at 200K, tied near 340K, won from 400K.
+_POOL_BREAK_EVEN = 400_000
 
 
 def _run_columns(fn, columns, workers: int):
-    """fn of each degree column, in the order given, on up to _pool_size processes.
+    """fn of each degree column, in the order given, in this process or on a pool.
 
-    A pool hands the columns out one at a time, in order, to whichever
-    worker is free, so listing the costliest columns first keeps the last
-    one from setting the wall time.
+    Processes are capped by workers, the columns and the CPUs this process
+    may use; a pool starts only under a cap above 1 once the columns'
+    _WALK_SIZE, summed in order, reaches _POOL_BREAK_EVEN. It hands the
+    columns out in order to whichever worker is free: costliest first.
     """
-    workers = _pool_size(workers, len(columns))
-    if workers <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(columns), cpus)
+    size = _WALK_SIZE.get(fn)
+    walked = accumulate(size(d, ns[-1]) for d, ns in columns) if size else ()
+    if workers <= 1 or all(total < _POOL_BREAK_EVEN for total in walked):
         return [fn(c) for c in columns]
     # Imported here: it pulls in multiprocessing, logging, subprocess and
     # socket, which every other command would pay for at start-up.
@@ -170,6 +174,24 @@ def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     )
 
 
+def _ways(coins, total: int) -> list[int]:
+    """ways[t]: the multisets of coins (values, repeats allowed) adding up to t, for t <= total."""
+    ways = [1] + [0] * total
+    for coin in coins:
+        for t in range(coin, total + 1):
+            ways[t] += ways[t - coin]
+    return ways
+
+
+# The objects a theorem column walks at degree d in n variables, counted: the
+# partitions of d into parts of at most n (as many as into at most n parts),
+# and the nonempty multisets of pool blocks using at most n variables.
+_WALK_SIZE = {
+    _monomial_column: lambda d, n: _ways(range(1, n + 1), d)[d],
+    _coprime_column: lambda d, n: sum(_ways([k for _, k, _ in _ranked_partitions(d, min(n, d))], n)) - 1,
+}
+
+
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
     """One checked cell: a violation unless holds(lhs, rhs)."""
     return 1, [] if holds(lhs, rhs) else [Violation(n, d, None, lhs, rhs)]
@@ -209,23 +231,16 @@ def _collect(claim_id, grid, columns, fn, workers, expected=()):
     start = time.perf_counter()
     results = _run_columns(fn, columns, workers)
     cells = [((n, d), cell) for (d, ns), column in zip(columns, results) for n, cell in zip(ns, column)]
-    checked = 0
-    found: list[Violation] = []
-    for _, (cell_checked, cell_bad) in sorted(cells, key=itemgetter(0)):
-        checked += cell_checked
-        found.extend(cell_bad)
+    merged = [cell for _, cell in sorted(cells, key=itemgetter(0))]
+    checked = sum(cell_checked for cell_checked, _ in merged)
+    found = [v for _, cell_bad in merged for v in cell_bad]
 
     n_min, n_max, d_min, d_max = grid
     in_grid = {(n, d, w) for n, d, w in expected if n_min <= n <= n_max and d_min <= d <= d_max}
     keys = [(v.n, v.d, v.witness) for v in found]
     found = [Violation(*key, v.lhs, v.rhs, True) if key in in_grid else v for key, v in zip(keys, found)]
     matched = set(keys) == in_grid
-    if not matched:
-        status = STATUS_FAIL
-    elif found:
-        status = STATUS_PASS_WITH_EXPECTED
-    else:
-        status = STATUS_PASS
+    status = STATUS_FAIL if not matched else STATUS_PASS_WITH_EXPECTED if found else STATUS_PASS
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     return VerificationReport(claim_id, grid, checked, found, status, matched, elapsed_ms)
 
@@ -297,7 +312,7 @@ def verify_claim(
 
     A range left as None takes the claim's default; any other range must be
     a (first, last) pair, validated against the claim's minimum n and d, n
-    first. workers must be at least 1.
+    first. workers, at least 1, only caps the processes (see _run_columns).
     """
     claim = get_claim(claim_id)
     if workers < 1:

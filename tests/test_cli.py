@@ -19,7 +19,7 @@ from waring import monomials as mono
 from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
 from waring.monomials import Monomial, canonicalize, enumerate_monomials, waring_rank
-from waring.report import ReportDocument, approx12, fmt_exact, render
+from waring.report import FORMATS, ReportDocument, approx12, fmt_exact, render
 from fractions import Fraction
 
 
@@ -433,8 +433,11 @@ def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("claim_id", vf.CLAIM_IDS)
 def test_verify_prints_the_same_on_one_and_two_threads(capsys, monkeypatch, claim_id):
-    # Two CPUs on any host, so --threads 2 really starts a two-process pool.
+    # Two CPUs on any host and a break-even of 0, so --threads 2 really
+    # starts a two-process pool for the theorem claims.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(vf, "_POOL_BREAK_EVEN", 0)
     claim = vf.CLAIMS[claim_id]
     args = ["verify", "--claim", claim_id, "--d-range", f"{claim.min_d}:{claim.min_d + 2}"]
     if claim.default_n is not None:
@@ -744,6 +747,22 @@ def run_in_process(argv, out_dir):
     return code, out.getvalue(), err.getvalue(), target.read_text() if target.exists() else None
 
 
+def assert_renderings_agree(argv, out_dir):
+    """argv's csv and json outputs parse back to the same rows, and its md table has as many."""
+    argv = [arg for prev, arg in zip(["", *argv], argv) if "--format" not in (prev, arg)]
+    texts = {}
+    for fmt in FORMATS:
+        code, out, err, written = run_in_process([*argv, "--format", fmt, "--deterministic"], out_dir)
+        assert code == 0, (argv, fmt, err)
+        texts[fmt] = out if written is None else written
+    columns, *rows = csv.reader(io.StringIO(texts["csv"]))
+    doc = json.loads(texts["json"])
+    assert doc["columns"] == columns, argv
+    assert [tuple(row[col] for col in columns) for row in doc["rows"]] == list(map(tuple, rows)), argv
+    table = [line for line in texts["md"].splitlines() if line.startswith("|")]
+    assert len(table) == 2 + len(rows), argv  # the header and its rule, then one line per row
+
+
 @settings(max_examples=150, deadline=None)
 @given(argv=cli_argvs())
 @example(argv=["verify", "--claim", "theorem-coprime", "--n-range", "4:5", "--d-range", "3:4", "--deterministic"])
@@ -761,6 +780,8 @@ def test_cli_contract_on_any_small_argv(argv):
             assert lines and [line for line in lines if "error:" in line] == lines[-1:], argv
         if "--deterministic" in argv:
             assert run_in_process(argv, Path(tmp)) == (code, out, err, written), argv
+        if code == 0 and "--help" not in argv:
+            assert_renderings_agree(argv, Path(tmp))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from waring.coprime_sums import (
 from waring.errors import DimensionError, UsageError
 from waring.monomials import Monomial, partitions, r_max, waring_rank
 from waring.rank_tables import generic_rank
-from waring.verify import ratio_decay_fixed_d
+from waring.verify import CLAIMS, _WALK_SIZE, ratio_decay_fixed_d
 
 
 def multiset_count(n, d, spanning):
@@ -200,6 +200,8 @@ def test_block_multiset_counts_match_generating_function(n, d):
     pool = _block_pool(n, d)
     assert sum(1 for _ in _block_multisets(pool, n, spanning=True)) == coeffs[n]
     assert sum(1 for _ in _block_multisets(pool, n)) == sum(coeffs[1:])
+    # The walk size verify predicts for a coprime column, without walking.
+    assert _WALK_SIZE[CLAIMS["theorem-coprime"].column](d, n) == sum(coeffs[1:])
 
 
 def test_enumerate_rejects_bad_args():

@@ -14,6 +14,10 @@ from waring.monomials import (
     r_max,
     waring_rank,
 )
+from waring.verify import CLAIMS, _WALK_SIZE
+
+# The walk size verify predicts for a monomial column, without walking.
+predicted_walk = _WALK_SIZE[CLAIMS["theorem-monomial"].column]
 
 
 def brute_partitions(d, max_parts):
@@ -165,7 +169,7 @@ def test_enumerate_matches_independent_partition_set():
 def test_enumerate_count_matches_recurrence():
     for n in range(1, 9):
         for d in range(1, 21):
-            assert len(list(enumerate_monomials(n, d))) == partition_count(d, n)
+            assert len(list(enumerate_monomials(n, d))) == partition_count(d, n) == predicted_walk(d, n)
 
 
 def test_partitions_descending_lex_order():
@@ -180,7 +184,7 @@ def test_partitions_descending_lex_order():
 def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
     got = list(partitions(d, max_parts))
     assert got == sorted(brute_partitions(d, max_parts), reverse=True)
-    assert len(got) == partition_count(d, max_parts)
+    assert len(got) == partition_count(d, max_parts) == predicted_walk(d, max_parts)
     ranked = list(_ranked_partitions(d, max_parts))
     # The walk yields the same partitions in the same order, smallest part first.
     assert [exponents[::-1] for _, _, exponents in ranked] == got

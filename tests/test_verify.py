@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from concurrent import futures
 from hypothesis import example, given, settings, strategies as st
 
 import waring
@@ -40,7 +42,8 @@ from waring.verify import (
     Violation,
     _agm_column,
     _collect,
-    _pool_size,
+    _monomial_column,
+    _run_columns,
     _pure_power_column,
     ratio_decay_fixed_d,
     ratio_to_generic,
@@ -84,7 +87,21 @@ def test_theorem_monomial_rejects_small_n_or_d():
         verify_theorem_monomial((5, 4), (2, 10))  # empty range
 
 
-def test_theorem_monomial_workers_agree():
+def two_cpus(monkeypatch):
+    """This process may run on two CPUs, whatever the host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def allow_pool(monkeypatch):
+    """Two CPUs and a break-even of 0, so workers=2 starts a real two-process
+    pool for the theorem claims."""
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 0)
+
+
+def test_theorem_monomial_workers_agree(monkeypatch):
+    allow_pool(monkeypatch)
     solo = verify_theorem_monomial((4, 5), (2, 10))
     fanned = verify_theorem_monomial((4, 5), (2, 10), workers=2)
     assert solo.status == fanned.status
@@ -201,8 +218,7 @@ def test_theorem_columns_equal_the_cell_walks(monkeypatch, claim_id, n_range, d_
     column = CLAIMS[claim_id].column
     for d in range(d_range[0], d_range[1] + 1):
         assert column((d, ns)) == [cell_walk(claim_id, n, d) for n in ns], d
-    # Two CPUs on any host, so workers=2 really starts a two-process pool.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    allow_pool(monkeypatch)
     for workers in (1, 2):
         report = verify_claim(claim_id, n_range, d_range, workers)
         assert_report_equals_cell_walks(report, claim_id, n_range, d_range)
@@ -269,14 +285,83 @@ def test_each_degree_is_walked_once(monkeypatch):
     assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
 
 
+class Columns:
+    """count copies of the smallest monomial column, produced only as walked."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        return itertools.repeat((2, range(4, 5)), self.count)
+
+
+def record_pools(monkeypatch):
+    """Replace the process pool by one that runs nothing; returns the max_workers of each pool started."""
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, columns):
+            return []
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
+    return started
+
+
 def test_pool_size_never_exceeds_cells_or_cpus(monkeypatch):
+    started = record_pools(monkeypatch)
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 0)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _pool_size(1, 100) == 1
-    assert _pool_size(2, 100) == 2
-    assert _pool_size(64, 3) == 3
-    assert _pool_size(10**9, 10**9) == 4
+    for workers, count in ((1, 100), (2, 100), (64, 3), (10**9, 10**9)):
+        _run_columns(_monomial_column, Columns(count), workers)
+    assert started == [2, 3, 4]  # workers=1 ran in this process
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(8, 100) == 1
+    _run_columns(_monomial_column, Columns(100), 8)
+    assert started == [2, 3, 4]
+
+
+def test_pool_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    # As under taskset -c 0 on an 8-CPU machine: one process, not two.
+    started = record_pools(monkeypatch)
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _run_columns(_monomial_column, Columns(100), 2)
+    assert started == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    _run_columns(_monomial_column, Columns(100), 64)
+    assert started == [3]
+
+
+def test_pool_starts_only_at_the_break_even(monkeypatch):
+    started = record_pools(monkeypatch)
+    two_cpus(monkeypatch)
+    # 115,303 partitions walked: in this process, whatever workers says.
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 115_304)
+    _run_columns(_monomial_column, [(d, range(4, 11)) for d in range(40, 1, -1)], 2)
+    assert started == []
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 115_303)
+    _run_columns(_monomial_column, [(d, range(4, 11)) for d in range(40, 1, -1)], 2)
+    assert started == [2]
+
+
+def test_acceptance_grid_starts_no_pool_on_two_workers(monkeypatch):
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", lambda **kw: pytest.fail("a pool started"))
+    report = verify_claim("theorem-coprime", (4, 12), (3, 12), workers=2)
+    assert report.status == STATUS_PASS_WITH_EXPECTED
 
 
 @pytest.mark.parametrize("module", ["waring", "waring.cli"])
@@ -351,8 +436,7 @@ def test_verify_handler_loads_verify():
 
 
 def test_every_claim_reports_the_same_on_two_workers(monkeypatch):
-    # Two CPUs on any host, so workers=2 really starts a two-process pool.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    allow_pool(monkeypatch)  # the inequality claims run in-process all the same
     for claim_id, claim in CLAIMS.items():
         n_range = None if claim.default_n is None else (claim.min_n, claim.min_n + 2)
         d_range = (claim.min_d, claim.min_d + 2)
