@@ -1,10 +1,14 @@
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waring.errors import DegenerateInputError, DimensionError, UsageError
 from waring.monomials import (
+    _TAIL,
+    _TAILS,
     Monomial,
     _ranked_partitions,
     canonicalize,
@@ -181,6 +185,15 @@ def test_partitions_descending_lex_order():
 
 @settings(max_examples=150, deadline=None)
 @given(d=st.integers(0, 18), max_parts=st.integers(0, 8))
+# Around _TAIL: read whole from the table, one level above it, and levels
+# two or more deep; max_parts 1 ends every prefix on a remainder of 0.
+@example(d=_TAIL, max_parts=12)
+@example(d=_TAIL + 1, max_parts=1)
+@example(d=_TAIL + 1, max_parts=12)
+@example(d=2 * _TAIL + 1, max_parts=2)
+@example(d=2 * _TAIL + 1, max_parts=3)
+@example(d=3 * _TAIL + 2, max_parts=3)
+@example(d=3 * _TAIL + 2, max_parts=12)
 def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
     got = list(partitions(d, max_parts))
     assert got == sorted(brute_partitions(d, max_parts), reverse=True)
@@ -195,11 +208,29 @@ def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
             assert rank == waring_rank(Monomial(exponents, max_parts))
 
 
+def test_walk_streams_and_its_tail_table_stays_bounded():
+    tracemalloc.start()
+    try:
+        head = list(islice(_ranked_partitions(10**6, 3), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head[0] == (1, 1, (10**6,)) and len(head) == 1000
+    assert peak < 1_000_000
+    for d in range(2, 41):  # the walks of the monomial acceptance grid
+        for _ in _ranked_partitions(d, 10):
+            pass
+    assert all(s <= _TAIL and cap <= s and slots <= s for s, cap, slots in _TAILS)
+
+
 def test_enumerate_rejects_bad_args():
     with pytest.raises(UsageError):
         list(enumerate_monomials(0, 3))
     with pytest.raises(UsageError):
         list(enumerate_monomials(3, 0))
+    for d, max_parts in ((-1, 3), (-5, 2), (0, -2)):
+        with pytest.raises(UsageError, match="partitions"):
+            partitions(d, max_parts)
 
 
 # ---------------------------------------------------------------------------
