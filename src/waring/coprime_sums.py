@@ -9,7 +9,8 @@ one degree d and the blocks' variable counts add up to at most the ambient n.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 from operator import itemgetter
 
 from ._record import Record
@@ -116,47 +117,59 @@ def _block_pool(n: int, d: int) -> list[Monomial]:
     return pool
 
 
+# Budgets up to _TAIL come from each walk's table, which holds only multisets the walk yields too:
+# 6 is the fastest of 4..8 whose table stays under 0.1 MB on the coprime acceptance grid (0.04 MB).
+_TAIL = 6
+
+
 def _block_multisets(
     pool: list[Monomial], n: int, spanning: bool = False
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Ranked multisets of pool blocks using at most n variables (exactly n when spanning).
 
-    Yields (rank, used, picked): picked is a nondecreasing tuple of pool
-    indices, i.e. its blocks in canonical order, used is the number of
-    variables its blocks use, and rank is sum_rank of their sum, both
-    carried down the walk rather than re-summed per multiset. Ranks add
-    across coprime blocks; at d = 1 the one block, x1, adds nothing to a
-    base rank of 1. Multisets come depth first: a multiset, then
-    every extension of it by blocks at or after its last index, then the
-    next choice for its last block. The pool lists blocks by variable count
-    descending, so the blocks that fit a budget form a suffix of it: the
-    walk over _block_pool(n, d), restricted to used <= k, is the walk over
-    _block_pool(k, d), in the same order and with the same blocks.
+    Yields (rank, used, picked): picked, nondecreasing pool indices, lists
+    its blocks in canonical order, used counts their variables and rank is
+    sum_rank of their sum, both carried down the walk; at d = 1 the one
+    block, x1, adds nothing to a base rank of 1. The order is the
+    recursion's: for each pool index j that fits, ascending, (j,) and then
+    (j,) followed by each multiset of blocks from j on in the variables
+    left. Blocks come by variable count descending, so those that fit a
+    budget are a suffix of the pool: the walk over _block_pool(n, d),
+    restricted to used <= k, is the walk over _block_pool(k, d).
+
+    Depth first, a lazy range of pool indices per level. With at most _TAIL
+    variables left, the completions, two adds and a tuple concatenation each,
+    come from a table built by the recursion for the pool: full[b] is the walk
+    in b variables less the base rank, starts[b][j] where its j-on part begins.
     """
+    if spanning:
+        yield from (multiset for multiset in _block_multisets(pool, n) if multiset[1] == n)
+        return
     sizes = [block.nvars for block in pool]
     linear = pool[0].degree == 1
     ranks = [0 if linear else waring_rank(block) for block in pool]
     count = len(sizes)
-    # first_fit[b]: the first pool index whose block fits in b variables.
+    full, starts = [[]], [[0] * count]
+    for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
+        full.append([(ranks[j] + r, size + u, (j,) + p) for j, size in enumerate(sizes) if size <= b
+                     for r, u, p in [(0, 0, ())] + full[b - size][starts[b - size][j]:]])
+        starts.append([bisect_left(full[b], j, key=lambda multiset: multiset[2][0]) for j in range(count)])
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
-    stack = []  # (budget, rank, picked) of each shorter prefix of picked
-    budget, rank, picked = n, int(linear), ()  # budget: variables left
-    i = first_fit[n]
-    while True:
-        if i < count:
-            stack.append((budget, rank, picked))
-            budget -= sizes[i]
-            rank += ranks[i]
-            picked += (i,)
-            if not spanning or not budget:
-                yield rank, n - budget, picked
-            i = max(i, first_fit[budget])
-        elif stack:
-            # The next index fits too: its block is no larger than the last.
-            i = picked[-1] + 1
-            budget, rank, picked = stack.pop()
+    # Per level: indices left to try, from the first that fits, and the prefix's rank, used and picked.
+    stack = [(iter(range(first_fit[n], count)), int(linear), 0, ())]
+    while stack:
+        indices, rank, used, picked = stack[-1]
+        for j in indices:
+            rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
+            yield rank_j, used_j, picked_j
+            rest = n - used_j
+            if rest > _TAIL:
+                stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
+                break
+            for r, u, p in full[rest][starts[rest][j]:]:
+                yield rank_j + r, used_j + u, picked_j + p
         else:
-            return
+            stack.pop()
 
 
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:
@@ -173,27 +186,39 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
         yield CoprimeSum(tuple(pool[i] for i in picked), n)
 
 
-def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], list[int]]:
+def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], Callable[[int], int]]:
     """The best block of each size and the maximum rank for each variable budget.
 
     Returns (blocks, ranks, best): blocks[k] is max_rank_monomial(k, d) on
-    its own k variables and ranks[k] = r_max(k, d) for 1 <= k <= min(n, d)
-    (index 0 unused); best[b] is the maximum rank of a coprime sum in b
-    variables for 0 <= b <= n. Ranks add across coprime blocks and only a
-    rank-maximal block of a size can appear in a maximum, so best is an
-    unbounded knapsack over block sizes, O(n * min(n, d)). At d = 1 every
-    sum is one linear form, so best[b] = 1 for every b >= 1.
+    its own k variables and ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
+    (index 0 unused); best(b) is the maximum rank of a coprime sum in b <= n
+    variables: ranks add across coprime blocks and a maximum uses only
+    rank-maximal blocks, so best is an unbounded knapsack over block sizes.
+    Let k have the most rank per variable (the largest on ties). Among any k
+    other blocks some add up to a multiple of k variables (two of their k + 1
+    prefix sums agree mod k), and copies of the k block there rank no lower.
+    So some maximum has fewer than k other blocks, on at most (k - 1) * m
+    variables: beyond that best(b) = best(b - k) + ranks[k], so the table
+    stops there, O(m^3) time for any n. At d = 1, best(b) = 1 for b >= 1.
     """
-    blocks: list[Monomial | None] = [None]
-    ranks = [0]
-    for k in range(1, min(n, d) + 1):
-        blocks.append(max_rank_monomial(k, d))
-        ranks.append(waring_rank(blocks[k]))
+    m = min(n, d)
+    blocks = [None] + [max_rank_monomial(k, d) for k in range(1, m + 1)]
+    ranks = [0] + [waring_rank(block) for block in blocks[1:]]
     if d == 1:
-        return blocks, ranks, [0] + [1] * n
-    best = [0]
-    for b in range(1, n + 1):
-        best.append(max(ranks[k] + best[b - k] for k in range(1, min(b, d) + 1)))
+        return blocks, ranks, lambda b: min(b, 1)
+    step = 1
+    for k in range(2, m + 1):
+        if ranks[k] * step >= ranks[step] * k:
+            step = k
+    top = min(n, (step - 1) * m)
+    table = [0]
+    for b in range(1, top + 1):
+        table.append(max(ranks[k] + table[b - k] for k in range(1, min(b, d) + 1)))
+
+    def best(b: int) -> int:
+        steps = max(0, -(-(b - top) // step))
+        return table[b - steps * step] + steps * ranks[step]
+
     return blocks, ranks, best
 
 
@@ -202,7 +227,7 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
 
     closed_form reads the maximum from the block-size knapsack, an exact
     algorithm for every (n, d). Its values have closed forms, matched to
-    the table on every 2 <= d <= 40 and n <= d^2 + 2d: n for d = 2;
+    the knapsack on every 2 <= d <= 40 and n <= d^2 + 2d: n for d = 2;
     3n div 2 for d = 3; (n div d) * 2^(d-1) + r_max(n mod d, d) for d >= 4,
     where r_max(0, d) means 0, plus 1 for d = 4, 5 when n = 1 (mod d) and
     n > d. So it equals r_max(n, d) for d >= n. oracle is the rank of
@@ -210,7 +235,7 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """
     check_cell("r_max_star", n, d)
     if mode == MODE_CLOSED_FORM:
-        return _knapsack(n, d)[2][n]
+        return _knapsack(n, d)[2](n)
     return sum_rank(max_rank_sum(n, d, mode))
 
 
@@ -220,7 +245,7 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
 
     oracle ranks every multiset of blocks, in enumerate_coprime_sums order,
     and returns the first maximum; only that witness is built and validated.
-    closed_form backtracks the knapsack table, taking at each step the
+    closed_form backtracks the knapsack, taking at each step the
     largest block size that still leads to a maximum. Every maximum uses
     the best block of each size and the pool lists larger blocks first, so
     this is the same sum. At d = 1 every sum has rank 1, and the first one
@@ -236,10 +261,9 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     blocks, ranks, best = _knapsack(n, d)
     if d == 1:
         return CoprimeSum((blocks[1],), n)
-    picked = []
-    b = n
+    picked, b = [], n
     while b:
-        k = max(k for k in range(1, min(b, d) + 1) if ranks[k] + best[b - k] == best[b])
+        k = max(k for k in range(1, min(b, d) + 1) if ranks[k] + best(b - k) == best(b))
         picked.append(blocks[k])
         b -= k
     return CoprimeSum(tuple(picked), n)

@@ -7,8 +7,8 @@ is one degree column, the grid's cells with one d: the theorem claims walk
 each degree's objects once for all its cells, in one pass that counts
 every cell's objects and collects every cell's violations. Columns are
 independent, and a pool of at most the given workers runs them when their
-predicted walks reach _POOL_BREAK_EVEN objects; cells merge in (n, d)
-order, so the report does not depend on the worker count.
+predicted work reaches _POOL_BREAK_EVEN; cells merge in (n, d) order, so
+the report does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -102,24 +102,24 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-# Predicted walked objects from which two workers beat one: in fresh interpreters
-# on 2 shared vCPUs (Python 3.11) they lost at 200K, tied near 340K, won from 400K.
-_POOL_BREAK_EVEN = 400_000
+# Predicted serial ns (objects walked times their _OBJECT_NS, measured in process) from which two workers beat
+# one in fresh interpreters on 2 shared vCPUs (Python 3.11): monomial grids tied near 340K and won from 400K.
+_POOL_BREAK_EVEN = 400_000 * 350
 
 
 def _run_columns(fn, columns, workers: int):
     """fn of each degree column, in the order given, in this process or on a pool.
 
     Processes are capped by workers, the columns and the CPUs this process
-    may use; a pool starts only under a cap above 1 once the columns'
-    _WALK_SIZE, summed in order, reaches _POOL_BREAK_EVEN. It hands the
-    columns out in order to whichever worker is free: costliest first.
+    may use; a pool starts only under a cap above 1 once the columns' work,
+    _WALK_SIZE times _OBJECT_NS, summed in order, reaches _POOL_BREAK_EVEN.
+    It hands the columns out in order to whichever worker is free: costliest first.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, len(columns), cpus)
-    size = _WALK_SIZE.get(fn)
-    walked = accumulate(size(d, ns[-1]) for d, ns in columns) if size else ()
-    if workers <= 1 or all(total < _POOL_BREAK_EVEN for total in walked):
+    size, cost = _WALK_SIZE.get(fn), _OBJECT_NS.get(fn)
+    work = accumulate(size(d, ns[-1]) * cost for d, ns in columns) if size else ()
+    if workers <= 1 or all(total < _POOL_BREAK_EVEN for total in work):
         return [fn(c) for c in columns]
     # Imported here: it pulls in multiprocessing, logging, subprocess and
     # socket, which every other command would pay for at start-up.
@@ -190,6 +190,7 @@ _WALK_SIZE = {
     _monomial_column: lambda d, n: _ways(range(1, n + 1), d)[d],
     _coprime_column: lambda d, n: sum(_ways([k for _, k, _ in _ranked_partitions(d, min(n, d))], n)) - 1,
 }
+_OBJECT_NS = {_monomial_column: 350, _coprime_column: 180}
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
@@ -393,7 +394,7 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
 
     The limit as n grows is 0: the numerator grows linearly in n (3n/2 at
     d = 3, at most n*2^(d-1)/d for d >= 4) while the generic rank grows
-    like n^(d-1). Every numerator comes from one knapsack table up to n_max.
+    like n^(d-1). Every numerator comes from one knapsack.
     """
     if d < 3:
         raise UsageError(f"ratio_decay_fixed_d needs d >= 3, got {d}")
@@ -403,6 +404,6 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
     zero = Fraction(0)
     points = []
     for n in range(d, n_max + 1):
-        ratio = Fraction(best[n], generic_rank(n, d))
+        ratio = Fraction(best(n), generic_rank(n, d))
         points.append(RatioPoint(n, d, ratio, zero, ratio))
     return points

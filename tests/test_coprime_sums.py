@@ -1,7 +1,12 @@
+import tracemalloc
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from waring import coprime_sums
 from waring.coprime_sums import (
+    _TAIL,
     CoprimeSum,
     _block_multisets,
     _block_pool,
@@ -179,18 +184,41 @@ def recursive_multisets(sizes, n, spanning):
 @example(n=1, d=1, spanning=False)
 @example(n=6, d=1, spanning=False)
 @example(n=4, d=1, spanning=True)
+@example(n=_TAIL + 1, d=1, spanning=False)  # base rank 1, block ranks 0, past the table
+@example(n=_TAIL, d=4, spanning=False)
+@example(n=_TAIL, d=5, spanning=True)
+@example(n=_TAIL + 1, d=4, spanning=True)
+@example(n=_TAIL + 1, d=6, spanning=False)
+@example(n=2 * _TAIL + 2, d=5, spanning=False)
+@example(n=2 * _TAIL + 2, d=5, spanning=True)
 def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
     pool = _block_pool(n, d)
-    ranked = list(_block_multisets(pool, n, spanning))
-    picked = [p for _, _, p in ranked]
-    assert picked == recursive_multisets([b.nvars for b in pool], n, spanning)
-    assert [used for _, used, _ in ranked] == [sum(pool[i].nvars for i in p) for p in picked]
+    reference = recursive_multisets([b.nvars for b in pool], n, spanning)
     # Ranks add across coprime blocks, except that a sum of variables is one
     # linear form, of rank 1.
-    expected = [1 if d == 1 else sum(waring_rank(pool[i]) for i in p) for p in picked]
-    assert [r for r, _, _ in ranked] == expected
+    expected = [
+        (1 if d == 1 else sum(waring_rank(pool[i]) for i in p), sum(pool[i].nvars for i in p), p) for p in reference
+    ]
+    # Every table size: none, budgets of 1, the whole walk and more than it.
+    with pytest.MonkeyPatch.context() as patch:
+        for tail in (0, 1, n, n + 1, _TAIL):
+            patch.setattr(coprime_sums, "_TAIL", tail)
+            assert list(_block_multisets(pool, n, spanning)) == expected, tail
     sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
-    assert [tuple(pool[i] for i in p) for p in picked] == [f.blocks for f in sums]
+    assert [tuple(pool[i] for i in p) for p in reference] == [f.blocks for f in sums]
+
+
+def test_block_walk_streams_and_its_table_stays_bounded():
+    pool = _block_pool(20, 12)
+    assert _WALK_SIZE[CLAIMS["theorem-coprime"].column](12, 20) == 26_776_805
+    tracemalloc.start()
+    try:
+        head = list(islice(_block_multisets(pool, 20), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head[0] == (2 ** 11, 12, (0,)) and len(head) == 1000
+    assert peak < 1_000_000
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,13 +290,40 @@ def closed_form_r_max_star(n, d):
 
 
 def test_r_max_star_matches_its_closed_forms():
-    # best[b] does not depend on the table's length, so one table per d
-    # gives _knapsack(n, d)[2][n] for every n up to d^2 + 2d.
+    # best(b) does not depend on n, so one knapsack per d gives
+    # _knapsack(n, d)[2](n) for every n up to d^2 + 2d.
     for d in range(2, 41):
         top = d * d + 2 * d
         best = _knapsack(top, d)[2]
-        assert [closed_form_r_max_star(n, d) for n in range(1, top + 1)] == best[1:], d
+        assert [closed_form_r_max_star(n, d) for n in range(1, top + 1)] == [best(n) for n in range(1, top + 1)], d
     assert r_max_star(9, 4) == closed_form_r_max_star(9, 4) == 2 * 8 + 1 + 1
+
+
+def full_knapsack(n, d):
+    """The whole knapsack table: best[b] for every b <= n."""
+    ranks = [0] + [r_max(k, d) for k in range(1, min(n, d) + 1)]
+    best = [0]
+    for b in range(1, n + 1):
+        best.append(max(ranks[k] + best[b - k] for k in range(1, min(b, d) + 1)))
+    return ranks, best
+
+
+def test_knapsack_steps_down_to_the_full_table():
+    # The table stops at (k - 1) * min(n, d); beyond it best steps down by k.
+    for d in range(2, 41):
+        top = 3 * d * d
+        best = _knapsack(top, d)[2]
+        assert [best(b) for b in range(top + 1)] == full_knapsack(top, d)[1], d
+    # The witness is the full table's backtrack: the largest size that still leads to a maximum.
+    for d in (2, 3, 4, 5, 6, 9, 16):
+        ranks, best = full_knapsack(300, d)
+        for n in range(1, 301):
+            sizes, b = [], n
+            while b:
+                sizes.append(max(k for k in range(1, min(b, d) + 1) if ranks[k] + best[b - k] == best[b]))
+                b -= sizes[-1]
+            assert [block.nvars for block in max_rank_sum(n, d).blocks] == sizes, (n, d)
+    assert r_max_star(10**9, 40) == closed_form_r_max_star(10**9, 40)
 
 
 def test_r_max_star_oracle_dominates_r_max():

@@ -40,8 +40,10 @@ from waring.verify import (
     STATUS_PASS,
     STATUS_PASS_WITH_EXPECTED,
     Violation,
+    _OBJECT_NS,
     _agm_column,
     _collect,
+    _coprime_column,
     _monomial_column,
     _run_columns,
     _pure_power_column,
@@ -349,11 +351,23 @@ def test_pool_starts_only_at_the_break_even(monkeypatch):
     started = record_pools(monkeypatch)
     two_cpus(monkeypatch)
     # 115,303 partitions walked: in this process, whatever workers says.
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 115_304)
+    work = 115_303 * _OBJECT_NS[_monomial_column]
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", work + 1)
     _run_columns(_monomial_column, [(d, range(4, 11)) for d in range(40, 1, -1)], 2)
     assert started == []
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 115_303)
+    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", work)
     _run_columns(_monomial_column, [(d, range(4, 11)) for d in range(40, 1, -1)], 2)
+    assert started == [2]
+
+
+def test_pool_weighs_each_column_by_its_cost_per_object(monkeypatch):
+    started = record_pools(monkeypatch)
+    two_cpus(monkeypatch)
+    # 407,626 block multisets, more objects than the monomial break-even but
+    # less work: in this process. 1,307,907 of them start the pool.
+    _run_columns(_coprime_column, [(d, range(4, 14)) for d in range(12, 2, -1)], 2)
+    assert started == []
+    _run_columns(_coprime_column, [(d, range(4, 14)) for d in range(14, 2, -1)], 2)
     assert started == [2]
 
 
