@@ -19,7 +19,9 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
+    _Table,
     _ranked_partitions,
+    _summarize,
     canonicalize,
     max_rank_monomial,
     waring_rank,
@@ -122,6 +124,54 @@ def _block_pool(n: int, d: int) -> list[Monomial]:
 _TAIL = 6
 
 
+def _block_groups(
+    pool: list[Monomial], n: int, summarized: bool = False
+) -> Iterator[tuple[int, int, tuple[int, ...], list | tuple]]:
+    """The walk of _block_multisets(pool, n), up to two groups per walked prefix.
+
+    Yields (rank, used, picked, rows) for the prefix alone, with rows
+    [(0, 0, ())], and then, if 1 to _TAIL variables are left, for its
+    completions, with rows full[rest][starts[rest][j]:], j its last pick.
+    The group's multisets are (rank + r, used + u, picked + p) for each
+    (r, u, p) in rows, in that order. full[b] is the walk in b variables
+    less the base rank, built once per call by the recursion for the
+    pool, and starts[b][j] is where its part whose first index is j or
+    more begins. When summarized, each group carries the _summarize of its
+    rows instead, made for all starts of a budget when it is first read.
+
+    Depth first, a lazy range of pool indices per level.
+    """
+    sizes = [block.nvars for block in pool]
+    linear = pool[0].degree == 1
+    ranks = [0 if linear else waring_rank(block) for block in pool]
+    count = len(sizes)
+    full, starts = [[]], [[0] * count]
+    for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
+        full.append([(ranks[j] + r, size + u, (j,) + p) for j, size in enumerate(sizes) if size <= b
+                     for r, u, p in [(0, 0, ())] + full[b - size][starts[b - size][j]:]])
+        starts.append([bisect_left(full[b], j, key=lambda multiset: multiset[2][0]) for j in range(count)])
+    first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
+    alone = [(0, 0, ())]
+    if summarized:
+        alone, summaries = _summarize(alone)[0], _Table(lambda b: _summarize(full[b], starts[b]))
+    # Per level: indices left to try, from the first that fits, and the prefix's rank, used and picked.
+    stack = [(iter(range(first_fit[n], count)), int(linear), 0, ())]
+    while stack:
+        indices, rank, used, picked = stack[-1]
+        for j in indices:
+            rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
+            yield rank_j, used_j, picked_j, alone
+            rest = n - used_j
+            if rest > _TAIL:
+                stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
+                break
+            if rest:
+                start = starts[rest][j]
+                yield rank_j, used_j, picked_j, summaries[rest][start] if summarized else full[rest][start:]
+        else:
+            stack.pop()
+
+
 def _block_multisets(
     pool: list[Monomial], n: int, spanning: bool = False
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -137,39 +187,15 @@ def _block_multisets(
     budget are a suffix of the pool: the walk over _block_pool(n, d),
     restricted to used <= k, is the walk over _block_pool(k, d).
 
-    Depth first, a lazy range of pool indices per level. With at most _TAIL
-    variables left, the completions, two adds and a tuple concatenation each,
-    come from a table built by the recursion for the pool: full[b] is the walk
-    in b variables less the base rank, starts[b][j] where its j-on part begins.
+    The groups of _block_groups, expanded: with at most _TAIL variables
+    left, each completion costs two adds and a tuple concatenation.
     """
     if spanning:
         yield from (multiset for multiset in _block_multisets(pool, n) if multiset[1] == n)
         return
-    sizes = [block.nvars for block in pool]
-    linear = pool[0].degree == 1
-    ranks = [0 if linear else waring_rank(block) for block in pool]
-    count = len(sizes)
-    full, starts = [[]], [[0] * count]
-    for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
-        full.append([(ranks[j] + r, size + u, (j,) + p) for j, size in enumerate(sizes) if size <= b
-                     for r, u, p in [(0, 0, ())] + full[b - size][starts[b - size][j]:]])
-        starts.append([bisect_left(full[b], j, key=lambda multiset: multiset[2][0]) for j in range(count)])
-    first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
-    # Per level: indices left to try, from the first that fits, and the prefix's rank, used and picked.
-    stack = [(iter(range(first_fit[n], count)), int(linear), 0, ())]
-    while stack:
-        indices, rank, used, picked = stack[-1]
-        for j in indices:
-            rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
-            yield rank_j, used_j, picked_j
-            rest = n - used_j
-            if rest > _TAIL:
-                stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
-                break
-            for r, u, p in full[rest][starts[rest][j]:]:
-                yield rank_j + r, used_j + u, picked_j + p
-        else:
-            stack.pop()
+    for rank, used, picked, rows in _block_groups(pool, n):
+        for r, u, p in rows:
+            yield rank + r, used + u, picked + p
 
 
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:

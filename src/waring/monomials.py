@@ -89,23 +89,90 @@ def waring_rank(m: Monomial) -> int:
     return math.prod(e + 1 for e in m.exponents[1:])
 
 
-# Remainders up to _TAIL are read from _tails. Best-of-5 walks of n 10, d 2..40 took
-# 72, 54 and 40 ms at 8, 10 and 12, for full tables of 0.18, 0.44 and 1.43 MB.
+class _Table(dict):
+    """table[key] is fill(key), made on first use and kept."""
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)  # stored once made, so a reader never sees part of it
+        return value
+
+
+def _tail_rows(key: tuple[int, int, int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """_ranked_partitions(s, slots) with parts of at most cap, for key = (s, cap, slots): by its recursion."""
+    s, cap, slots = key
+    rows = [(1, 0, ())] if s == 0 else []
+    for part in range(cap, -(-s // slots) - 1, -1) if slots > 0 else ():  # an empty rest: part is smallest, rank 1
+        rest = s - part
+        tails = _TAILS[rest, min(part, rest), min(slots - 1, rest)]
+        rows += [(r * (part + 1) if k else 1, k + 1, t + (part,)) for r, k, t in tails]
+    return rows
+
+
+def _summarize(rows: list, starts=(0,)) -> dict[int, tuple]:
+    """{start: (tops, rows, start)} for each of starts: tops lists (used, count, top) for each used
+    among rows[start:], ascending, with count the rows that use it and top their highest rank.
+
+    One pass over rows from the end, so each row is read once whatever the starts.
+    """
+    tops, summaries, end = {}, {}, len(rows)
+    for start in sorted(set(starts), reverse=True):
+        for rank, used, _ in rows[start:end]:
+            count, top = tops.get(used, (0, rank))
+            tops[used] = count + 1, max(top, rank)
+        summaries[start] = tuple((used, *tops[used]) for used in sorted(tops)), rows, start
+        end = start
+    return summaries
+
+
+# Remainders up to _TAIL are read from _TAILS, keyed (s, cap, slots) with cap, slots <= s: best-of-5
+# walks of n 10, d 2..40 took 72, 54 and 40 ms at 8, 10 and 12, for full tables of 0.18, 0.44 and
+# 1.43 MB. _SUMMARIES holds the _summarize of each entry, for verify only.
 _TAIL = 10
-_TAILS: dict[tuple[int, int, int], list[tuple[int, int, tuple[int, ...]]]] = {}
+_TAILS = _Table(_tail_rows)
+_SUMMARIES = _Table(lambda key: _summarize(_TAILS[key])[0])
 
 
-def _tails(s: int, cap: int, slots: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """_ranked_partitions(s, slots) with parts of at most cap: filled on first use, by its recursion."""
-    key = s, min(cap, s), min(slots, s)
-    table = _TAILS.get(key)
-    if table is None:
-        s, cap, slots = key
-        table = [(1, 0, ())] if s == 0 else []
-        for part in range(cap, -(-s // slots) - 1, -1) if slots > 0 else ():  # an empty rest: part is smallest, rank 1
-            table += [(r * (part + 1) if k else 1, k + 1, t + (part,)) for r, k, t in _tails(s - part, part, slots - 1)]
-        _TAILS[key] = table  # stored once filled, so a reader never sees part of it
-    return table
+def _partition_groups(
+    d: int, n: int, summarized: bool = False
+) -> Iterator[tuple[int, int, tuple[int, ...], list | tuple]]:
+    """The walk of _ranked_partitions(d, n), one group per walked prefix.
+
+    Yields (factor, depth, parts, rows): parts are the prefix's parts,
+    smallest first (none when d <= _TAIL), and depth their count; they
+    leave a rest of at most _TAIL, and rows is _TAILS[rest, cap, slots],
+    its completions, with parts of at most cap (the smallest of parts)
+    and at most slots of them. The group's partitions are (r * factor,
+    depth + u, t + parts) for each (r, u, t) in rows, in that order:
+    factor is the product of the parts' (part + 1), all but the
+    smallest's when rest is 0. When summarized, each group carries
+    _SUMMARIES[rest, cap, slots] instead.
+
+    Depth first, one lazy range of candidate parts per level, so at most
+    n levels whatever d is.
+    """
+    table = _SUMMARIES if summarized else _TAILS
+    if d <= _TAIL:
+        yield 1, 0, (), table[d, d, min(n, d)]
+        return
+    # Per level: parts left to try, the remainder, slots after it, parts above (smallest first), their factors.
+    stack = [(iter(range(d, -(-d // n) - 1, -1)), d, n - 1, (), 1)] if n > 0 else []
+    while stack:
+        parts, s, slots, above, prod = stack[-1]
+        for part in parts:
+            rest = s - part
+            chosen = (part,) + above
+            if rest > _TAIL:
+                lowest = -(-rest // slots)
+                stack.append((iter(range(min(part, rest), lowest - 1, -1)), rest, slots - 1, chosen, prod * (part + 1)))
+                break
+            key = rest, part if part < rest else rest, slots if slots < rest else rest  # as _TAILS keys it
+            yield prod * (part + 1) if rest else prod, len(chosen), chosen, table[key]
+        else:
+            stack.pop()
 
 
 def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
@@ -122,33 +189,13 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ..
     (2,2), (1,1,2), (1,1,1,1) for d = n = 4. The order does not depend on
     n: the walk in n variables, restricted to used <= k, is the walk in k.
 
-    Depth first, one lazy range of candidate parts per level, so at most
-    n levels whatever d is. A remainder of at most _TAIL is read from
-    _tails, one multiply, add and tuple concatenation per completion:
-    10 was the fastest _TAIL measured whose whole table stays under 0.5 MB.
+    The groups of _partition_groups, expanded: each completion of a
+    prefix costs one multiply, add and tuple concatenation. 10 was the
+    fastest _TAIL measured whose whole table stays under 0.5 MB.
     """
-    if d <= _TAIL:
-        yield from _tails(d, d, n)
-        return
-    # Per level: parts left to try, the remainder, slots after it, parts above (smallest first), their factors.
-    stack = [(iter(range(d, -(-d // n) - 1, -1)), d, n - 1, (), 1)] if n > 0 else []
-    while stack:
-        parts, s, slots, above, prod = stack[-1]
-        for part in parts:
-            rest = s - part
-            chosen = (part,) + above
-            if rest > _TAIL:
-                lowest = -(-rest // slots)
-                stack.append((iter(range(min(part, rest), lowest - 1, -1)), rest, slots - 1, chosen, prod * (part + 1)))
-                break
-            if rest:
-                factor, depth = prod * (part + 1), len(chosen)
-                for rank, used, tail in _tails(rest, part, slots):
-                    yield rank * factor, used + depth, tail + chosen
-            else:
-                yield prod, len(chosen), chosen  # part is the smallest: no factor
-        else:
-            stack.pop()
+    for factor, depth, parts, rows in _partition_groups(d, n):
+        for rank, used, tail in rows:
+            yield rank * factor, depth + used, tail + parts
 
 
 def partitions(d: int, max_parts: int) -> Iterator[tuple[int, ...]]:

@@ -1,14 +1,18 @@
 """Exhaustive verification of the rank theorems, lemmas, and inequalities.
 
-Each claim is checked over an inclusive (n, d) grid by pure enumeration and
-exact integer comparison; divisions are cleared by cross-multiplication
-first, so strict inequalities never depend on rounding. The unit of work
-is one degree column, the grid's cells with one d: the theorem claims walk
-each degree's objects once for all its cells, in one pass that counts
-every cell's objects and collects every cell's violations. Columns are
-independent, and a pool of at most the given workers runs them when their
-predicted work reaches _POOL_BREAK_EVEN; cells merge in (n, d) order, so
-the report does not depend on the worker count.
+Each claim is checked over an inclusive (n, d) grid by exhaustive, exact
+integer comparison; divisions are cleared by cross-multiplication first, so
+strict inequalities never depend on rounding. The unit of work is one
+degree column, the grid's cells with one d. The theorem claims walk each
+degree's objects once for all its cells, as prefix groups over tables of
+small completions, in which every object is enumerated once and ranked
+exactly; a group is compared by the exact count and top rank of its rows
+for each variable count, and its objects are read only when that top
+reaches a generic rank. One pass counts every cell's objects and collects
+every cell's violations. Columns are independent, and a pool of at most
+the given workers runs them when their predicted work reaches
+_POOL_BREAK_EVEN; cells merge in (n, d) order, so the report does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ import os
 import time
 from fractions import Fraction
 from itertools import accumulate
-from operator import ge, gt, itemgetter, lt
+from operator import add, ge, gt, itemgetter, lt, mul
 
 from ._record import Record
-from .coprime_sums import CoprimeSum, _block_multisets, _block_pool, _knapsack, make_sum, r_max_star
+from .coprime_sums import CoprimeSum, _block_groups, _block_pool, _knapsack, make_sum, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
-from .monomials import Monomial, _ranked_partitions, r_max
+from .monomials import Monomial, _partition_groups, _ranked_partitions, r_max
 from .rank_tables import generic_rank
 
 STATUS_PASS = "pass"
@@ -103,8 +107,9 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
 
 
 # Predicted serial ns (objects walked times their _OBJECT_NS, measured in process) from which two workers beat
-# one in fresh interpreters on 2 shared vCPUs (Python 3.11): monomial grids tied near 340K and won from 400K.
-_POOL_BREAK_EVEN = 400_000 * 350
+# one in fresh interpreters on 2 shared vCPUs (Python 3.11): timed when a partition cost 350 ns, monomial grids
+# tied near 340K partitions and won from 400K.
+_POOL_BREAK_EVEN = 140_000_000
 
 
 def _run_columns(fn, columns, workers: int):
@@ -129,28 +134,39 @@ def _run_columns(fn, columns, workers: int):
         return list(pool.map(fn, columns))
 
 
-def _theorem_column(d: int, ns: range, ranked, build) -> list[tuple[int, list[Violation]]]:
+def _theorem_column(d: int, ns: range, groups, combine, join, build) -> list[tuple[int, list[Violation]]]:
     """One (checked, violations) pair per cell (n, d) for n in ns, from one walk.
 
-    ranked walks the degree-d objects in max(ns) variables as (rank, used,
-    raw); build(raw, n) makes the object raw stands for in n variables. An
-    object using k variables lies in every cell with n >= k, with the same
-    rank in each, and both walks, restricted to used <= n, are cell n's own
-    walk in the same order. So the column counts the objects per k and
-    keeps only those ranked at or above low[k], the smallest generic rank
-    of the cells they lie in: cell n's violations are the kept objects with
-    k <= n ranked at or above its generic rank, in walk order, and only
-    they are built.
+    groups walks the degree-d objects in max(ns) variables as prefix groups
+    (base, depth, raw, (tops, rows, start)): the group's objects are
+    (combine(base, r), depth + u, join(raw, t)) for (r, u, t) in
+    rows[start:], in walk order, and tops lists each u's count and top r
+    among them. build(raw, n) makes the object raw stands for in n
+    variables. An object using k variables lies in every cell with n >= k,
+    with the same rank in each, and the walk, restricted to k <= n, is
+    cell n's own walk in the same order. So the column counts the objects
+    per k and keeps only those ranked at or above low[k], the smallest
+    generic rank of the cells they lie in: cell n's violations are the
+    kept objects with k <= n ranked at or above its generic rank, in walk
+    order, and only they are built. combine grows with r, so a group holds
+    an object to keep exactly when some u's combine(base, top) reaches
+    low[depth + u], and only such a group's rows are read.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
     low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
     counts = [0] * (ns[-1] + 1)
     kept = []
-    for rank, used, raw in ranked:
-        counts[used] += 1
-        if rank >= low[used]:
-            kept.append((rank, used, raw))
+    for base, depth, raw, (tops, rows, start) in groups:
+        reach = False
+        for used, count, top in tops:
+            counts[depth + used] += count
+            reach = reach or combine(base, top) >= low[depth + used]
+        if reach:
+            for rank, used, tail in rows[start:]:
+                rank, used = combine(base, rank), depth + used
+                if rank >= low[used]:
+                    kept.append((rank, used, join(raw, tail)))
     counts = list(accumulate(counts))
     return [
         (
@@ -163,14 +179,16 @@ def _theorem_column(d: int, ns: range, ranked, build) -> list[tuple[int, list[Vi
 
 def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
-    return _theorem_column(d, ns, _ranked_partitions(d, ns[-1]), Monomial)
+    groups = _partition_groups(d, ns[-1], True)
+    return _theorem_column(d, ns, groups, mul, lambda parts, tail: tail + parts, Monomial)
 
 
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
     pool = _block_pool(ns[-1], d)
+    groups = _block_groups(pool, ns[-1], True)
     return _theorem_column(
-        d, ns, _block_multisets(pool, ns[-1]), lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n)
+        d, ns, groups, add, add, lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n)
     )
 
 
@@ -190,7 +208,8 @@ _WALK_SIZE = {
     _monomial_column: lambda d, n: _ways(range(1, n + 1), d)[d],
     _coprime_column: lambda d, n: sum(_ways([k for _, k, _ in _ranked_partitions(d, min(n, d))], n)) - 1,
 }
-_OBJECT_NS = {_monomial_column: 350, _coprime_column: 180}
+# Interleaved in-process medians of 21 runs of each acceptance grid's columns, over the objects they walk.
+_OBJECT_NS = {_monomial_column: 160, _coprime_column: 55}
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:

@@ -12,8 +12,10 @@ from concurrent import futures
 from hypothesis import example, given, settings, strategies as st
 
 import waring
+from waring import coprime_sums, monomials
 from waring.coprime_sums import (
     CoprimeSum,
+    _block_groups,
     _block_multisets,
     _block_pool,
     enumerate_coprime_sums,
@@ -25,7 +27,10 @@ from waring.coprime_sums import (
 from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
+    _SUMMARIES,
+    _TAILS,
     Monomial,
+    _partition_groups,
     _ranked_partitions,
     enumerate_monomials,
     max_rank_monomial,
@@ -41,6 +46,7 @@ from waring.verify import (
     STATUS_PASS_WITH_EXPECTED,
     Violation,
     _OBJECT_NS,
+    _POOL_BREAK_EVEN,
     _agm_column,
     _collect,
     _coprime_column,
@@ -146,15 +152,15 @@ def object_path_cell(n, d, objects, rank):
 
 
 @functools.cache
-def cell_walk(claim_id, n, d):
+def cell_walk(claim_id, n, d, cut=0):
     """Reference cell: walk the cell's own ranked objects and build only
-    those that reach the generic rank; kept across tests."""
+    those that reach the generic rank less cut; kept across tests."""
     if claim_id == "theorem-monomial":
         ranked, build = _ranked_partitions(d, n), lambda exponents: Monomial(exponents, n)
     else:
         pool = _block_pool(n, d)
         ranked, build = _block_multisets(pool, n), lambda picked: CoprimeSum(tuple(pool[i] for i in picked), n)
-    gen = generic_rank(n, d)
+    gen = generic_rank(n, d) - cut
     checked, bad = 0, []
     for rank, _, raw in ranked:
         checked += 1
@@ -241,18 +247,34 @@ def test_theorem_reports_equal_the_cell_walks_on_any_subgrid(claim_id, n_range, 
 
 
 @settings(max_examples=80, deadline=None)
-@given(claim_id=st.sampled_from(THEOREMS), k=st.integers(1, 9), n=st.integers(1, 9), d=st.integers(1, 8))
-@example(claim_id="theorem-monomial", k=1, n=2, d=1)
-@example(claim_id="theorem-coprime", k=1, n=4, d=3)
-@example(claim_id="theorem-monomial", k=3, n=4, d=1)
-@example(claim_id="theorem-coprime", k=4, n=5, d=3)
-def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, n, d):
+@given(
+    claim_id=st.sampled_from(THEOREMS),
+    k=st.integers(1, 9),
+    n=st.integers(1, 9),
+    d=st.integers(1, 8),
+    cut=st.sampled_from([0, 0, 1, 2, 6, 40]),
+)
+@example(claim_id="theorem-monomial", k=1, n=2, d=1, cut=0)
+@example(claim_id="theorem-coprime", k=1, n=4, d=3, cut=0)
+@example(claim_id="theorem-monomial", k=3, n=4, d=1, cut=0)
+@example(claim_id="theorem-coprime", k=4, n=5, d=3, cut=0)
+# One prefix group holds violators on two variable counts, the larger
+# first in walk order: x1*x2*x3^4 (rank 10) before x1^3*x2^3 (rank 4), and
+# x1*x2^2 + x3*x4^2 (rank 6) before x1*x2^2 + x3^3 (rank 4).
+@example(claim_id="theorem-monomial", k=3, n=3, d=6, cut=6)
+@example(claim_id="theorem-coprime", k=4, n=4, d=3, cut=1)
+def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, n, d, cut):
     # Here cells reach the generic rank through objects on fewer than n
     # variables, e.g. x1 at (2, 1). Objects on fewer than k variables lie
     # in every cell of the column, so they are kept against the smallest
-    # generic rank of all its cells.
+    # generic rank of all its cells. Generic ranks lowered by cut make
+    # violators on several variable counts at once, which the true ranks
+    # never do within one cell.
     ns = range(min(k, n), n + 1)
-    assert CLAIMS[claim_id].column((d, ns)) == [cell_walk(claim_id, m, d) for m in ns]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waring.verify, "generic_rank", lambda m, e: generic_rank(m, e) - cut)
+        column = CLAIMS[claim_id].column((d, ns))
+    assert column == [cell_walk(claim_id, m, d, cut) for m in ns]
 
 
 def count_calls(monkeypatch, name):
@@ -269,22 +291,72 @@ def count_calls(monkeypatch, name):
 
 
 def test_each_degree_is_walked_once(monkeypatch):
-    # Only violations are built: none on the monomial grid.
-    walks = count_calls(monkeypatch, "_ranked_partitions")
+    # One group walk per degree, and only violations are built: none on the
+    # monomial grid.
+    walks = count_calls(monkeypatch, "_partition_groups")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
-    assert walks == [(d, 10) for d in range(40, 1, -1)]
+    assert [(d, n) for d, n, _ in walks] == [(d, 10) for d in range(40, 1, -1)]
     assert built == []
 
-    # One walk per degree, in 12 variables: (4, 3)'s witnesses come from it
-    # too, and they are the only sums built.
-    walks = count_calls(monkeypatch, "_block_multisets")
+    # One group walk per degree, in 12 variables: (4, 3)'s witnesses come
+    # from it too, and they are the only sums built.
+    walks = count_calls(monkeypatch, "_block_groups")
     built = count_calls(monkeypatch, "CoprimeSum")
     report = verify_claim("theorem-coprime", (4, 12), (3, 12))
     assert report.status == STATUS_PASS_WITH_EXPECTED
-    assert [(pool[0].degree, n) for pool, n in walks] == [(d, 12) for d in range(12, 2, -1)]
+    assert [(pool[0].degree, n) for pool, n, _ in walks] == [(d, 12) for d in range(12, 2, -1)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
     assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
+
+
+def used_tops(rows):
+    """(used, count, top rank) for each used among rows, ascending: a summary, recounted."""
+    return tuple(
+        (used, len(ranks), max(ranks))
+        for used in sorted({u for _, u, _ in rows})
+        for ranks in [[r for r, u, _ in rows if u == used]]
+    )
+
+
+def test_tail_summaries_count_and_top_each_used():
+    # The walks of the monomial acceptance grid, grouped with and without summaries.
+    for d in range(2, 41):
+        for plain, summed in zip(_partition_groups(d, 10), _partition_groups(d, 10, True), strict=True):
+            assert summed[:3] == plain[:3]
+            assert summed[3] == (used_tops(plain[3]), plain[3], 0)
+    assert _SUMMARIES
+    for key in list(_TAILS):  # every entry those walks filled, and any other test's
+        assert _SUMMARIES[key] == (used_tops(_TAILS[key]), _TAILS[key], 0), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 8))
+@example(n=2 * coprime_sums._TAIL + 2, d=5)
+@example(n=2 * coprime_sums._TAIL + 1, d=6)
+def test_block_group_summaries_count_and_top_each_used(n, d):
+    pool = _block_pool(n, d)
+    # Every table size: none, budgets of 1, the whole walk and more than it.
+    with pytest.MonkeyPatch.context() as patch:
+        for tail in (0, 1, n, n + 1, coprime_sums._TAIL):
+            patch.setattr(coprime_sums, "_TAIL", tail)
+            for plain, summed in zip(_block_groups(pool, n), _block_groups(pool, n, True), strict=True):
+                assert summed[:3] == plain[:3], tail
+                tops, rows, start = summed[3]
+                assert rows[start:] == plain[3] and tops == used_tops(plain[3]), tail
+
+
+def test_enumerate_walks_build_no_summary(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a summary was built")
+
+    monkeypatch.setattr(monomials, "_summarize", refuse)
+    monkeypatch.setattr(coprime_sums, "_summarize", refuse)
+    pool = _block_pool(10, 12)
+    assert len(list(_block_multisets(pool, 10))) == 19_614
+    assert len(list(_ranked_partitions(40, 10))) == 16_928
+    with pytest.raises(AssertionError, match="a summary was built"):
+        next(_block_groups(pool, 10, True))
 
 
 class Columns:
@@ -363,11 +435,12 @@ def test_pool_starts_only_at_the_break_even(monkeypatch):
 def test_pool_weighs_each_column_by_its_cost_per_object(monkeypatch):
     started = record_pools(monkeypatch)
     two_cpus(monkeypatch)
-    # 407,626 block multisets, more objects than the monomial break-even but
-    # less work: in this process. 1,307,907 of them start the pool.
-    _run_columns(_coprime_column, [(d, range(4, 14)) for d in range(12, 2, -1)], 2)
-    assert started == []
+    # 1,307,907 block multisets, more objects than the monomial break-even
+    # but less work: in this process. 2,845,719 of them start the pool.
+    assert _POOL_BREAK_EVEN // _OBJECT_NS[_monomial_column] < 1_307_907
     _run_columns(_coprime_column, [(d, range(4, 14)) for d in range(14, 2, -1)], 2)
+    assert started == []
+    _run_columns(_coprime_column, [(d, range(4, 15)) for d in range(14, 2, -1)], 2)
     assert started == [2]
 
 
