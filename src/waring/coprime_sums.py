@@ -19,9 +19,7 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
-    _Table,
     _ranked_partitions,
-    _summarize,
     canonicalize,
     max_rank_monomial,
     waring_rank,
@@ -119,14 +117,22 @@ def _block_pool(n: int, d: int) -> list[Monomial]:
     return pool
 
 
+def _block_ranks(pool: list[Monomial]) -> tuple[list[int], list[int], int]:
+    """(sizes, ranks, base): each pool block's variable count and rank, and the rank of a sum of none.
+
+    A sum ranks base plus its blocks' ranks: at d = 1, where a sum of
+    variables is one linear form, base is 1 and every block adds 0.
+    """
+    linear = pool[0].degree == 1
+    return [block.nvars for block in pool], [0 if linear else waring_rank(block) for block in pool], int(linear)
+
+
 # Budgets up to _TAIL come from each walk's table, which holds only multisets the walk yields too:
 # 6 is the fastest of 4..8 whose table stays under 0.1 MB on the coprime acceptance grid (0.04 MB).
 _TAIL = 6
 
 
-def _block_groups(
-    pool: list[Monomial], n: int, summarized: bool = False
-) -> Iterator[tuple[int, int, tuple[int, ...], list | tuple]]:
+def _block_groups(pool: list[Monomial], n: int) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
     """The walk of _block_multisets(pool, n), up to two groups per walked prefix.
 
     Yields (rank, used, picked, rows) for the prefix alone, with rows
@@ -136,14 +142,11 @@ def _block_groups(
     (r, u, p) in rows, in that order. full[b] is the walk in b variables
     less the base rank, built once per call by the recursion for the
     pool, and starts[b][j] is where its part whose first index is j or
-    more begins. When summarized, each group carries the _summarize of its
-    rows instead, made for all starts of a budget when it is first read.
+    more begins.
 
     Depth first, a lazy range of pool indices per level.
     """
-    sizes = [block.nvars for block in pool]
-    linear = pool[0].degree == 1
-    ranks = [0 if linear else waring_rank(block) for block in pool]
+    sizes, ranks, base = _block_ranks(pool)
     count = len(sizes)
     full, starts = [[]], [[0] * count]
     for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
@@ -152,10 +155,8 @@ def _block_groups(
         starts.append([bisect_left(full[b], j, key=lambda multiset: multiset[2][0]) for j in range(count)])
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
     alone = [(0, 0, ())]
-    if summarized:
-        alone, summaries = _summarize(alone)[0], _Table(lambda b: _summarize(full[b], starts[b]))
     # Per level: indices left to try, from the first that fits, and the prefix's rank, used and picked.
-    stack = [(iter(range(first_fit[n], count)), int(linear), 0, ())]
+    stack = [(iter(range(first_fit[n], count)), base, 0, ())]
     while stack:
         indices, rank, used, picked = stack[-1]
         for j in indices:
@@ -166,8 +167,7 @@ def _block_groups(
                 stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
                 break
             if rest:
-                start = starts[rest][j]
-                yield rank_j, used_j, picked_j, summaries[rest][start] if summarized else full[rest][start:]
+                yield rank_j, used_j, picked_j, full[rest][starts[rest][j]:]
         else:
             stack.pop()
 
@@ -196,6 +196,69 @@ def _block_multisets(
     for rank, used, picked, rows in _block_groups(pool, n):
         for r, u, p in rows:
             yield rank + r, used + u, picked + p
+
+
+def _block_summaries(pool: list[Monomial], n: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """(counts, tops) for the multisets of pool[j:] within b variables, the empty one included, as
+    table[b][j] for b <= n and j <= len(pool): by recurrence instead of walking them.
+
+    counts[u] of them use u variables, and tops[u] is their highest sum of
+    block ranks (of _block_ranks, so the base is left out). The pool ends
+    with the one-variable block, so below j = len(pool), where only the
+    empty multiset is left and the other tops read 0, every u <= b is
+    reached. Bottom-up, b ascending and j descending: (b, j) is (b, j + 1)
+    with block j joined to each of (b - size_j, j). Blocks come by
+    variable count descending, so for j before the first block that fits
+    b, (b, j) is the same as at that block.
+    """
+    sizes, ranks, _ = _block_ranks(pool)
+    table = []
+    for b in range(n + 1):
+        counts, tops = [1] + [0] * b, [0] * (b + 1)
+        row = [(tuple(counts), tuple(tops))]
+        for j in range(len(pool) - 1, -1, -1):
+            size, rank = sizes[j], ranks[j]
+            if size <= b:
+                rest_counts, rest_tops = table[b - size][j]
+                for used, count, top in zip(range(size, b + 1), rest_counts, rest_tops):
+                    counts[used] += count
+                    top += rank
+                    if top > tops[used]:
+                        tops[used] = top
+                row.append((tuple(counts), tuple(tops)))
+            else:
+                row.append(row[-1])
+        table.append(row[::-1])
+    return table
+
+
+def _multisets_reaching(
+    pool: list[Monomial], table: list, low: list[int]
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The walk of _block_multisets(pool, n), n = len(table) - 1, restricted to the multisets ranked at
+    least low[used], from the _block_summaries table.
+
+    A subtree of the walk, the nonempty multisets of pool[j:] within b
+    variables that follow a prefix, is table[b][j] with the prefix's rank
+    and used. It is opened only when some rank + tops[u], u >= 1, reaches
+    low[used + u]. Opened, it splits as the walk does: the first block i
+    from j on that fits, alone; i joined to the subtree (b - size_i, i);
+    then (b, i + 1). An explicit stack holds what is left to read.
+    """
+    sizes, ranks, base = _block_ranks(pool)
+    stack = [(len(table) - 1, 0, base, 0, ())]
+    while stack:
+        b, j, rank, used, picked = stack.pop()
+        counts, tops = table[b][j]
+        if not any(counts[u] and rank + tops[u] >= low[used + u] for u in range(1, b + 1)):
+            continue
+        while sizes[j] > b:
+            j += 1
+        stack.append((b, j + 1, rank, used, picked))
+        rank, used, picked = rank + ranks[j], used + sizes[j], picked + (j,)
+        stack.append((b - sizes[j], j, rank, used, picked))
+        if rank >= low[used]:
+            yield rank, used, picked
 
 
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:

@@ -112,33 +112,14 @@ def _tail_rows(key: tuple[int, int, int]) -> list[tuple[int, int, tuple[int, ...
     return rows
 
 
-def _summarize(rows: list, starts=(0,)) -> dict[int, tuple]:
-    """{start: (tops, rows, start)} for each of starts: tops lists (used, count, top) for each used
-    among rows[start:], ascending, with count the rows that use it and top their highest rank.
-
-    One pass over rows from the end, so each row is read once whatever the starts.
-    """
-    tops, summaries, end = {}, {}, len(rows)
-    for start in sorted(set(starts), reverse=True):
-        for rank, used, _ in rows[start:end]:
-            count, top = tops.get(used, (0, rank))
-            tops[used] = count + 1, max(top, rank)
-        summaries[start] = tuple((used, *tops[used]) for used in sorted(tops)), rows, start
-        end = start
-    return summaries
-
-
 # Remainders up to _TAIL are read from _TAILS, keyed (s, cap, slots) with cap, slots <= s: best-of-5
 # walks of n 10, d 2..40 took 72, 54 and 40 ms at 8, 10 and 12, for full tables of 0.18, 0.44 and
-# 1.43 MB. _SUMMARIES holds the _summarize of each entry, for verify only.
+# 1.43 MB.
 _TAIL = 10
 _TAILS = _Table(_tail_rows)
-_SUMMARIES = _Table(lambda key: _summarize(_TAILS[key])[0])
 
 
-def _partition_groups(
-    d: int, n: int, summarized: bool = False
-) -> Iterator[tuple[int, int, tuple[int, ...], list | tuple]]:
+def _partition_groups(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
     """The walk of _ranked_partitions(d, n), one group per walked prefix.
 
     Yields (factor, depth, parts, rows): parts are the prefix's parts,
@@ -148,15 +129,13 @@ def _partition_groups(
     and at most slots of them. The group's partitions are (r * factor,
     depth + u, t + parts) for each (r, u, t) in rows, in that order:
     factor is the product of the parts' (part + 1), all but the
-    smallest's when rest is 0. When summarized, each group carries
-    _SUMMARIES[rest, cap, slots] instead.
+    smallest's when rest is 0.
 
     Depth first, one lazy range of candidate parts per level, so at most
     n levels whatever d is.
     """
-    table = _SUMMARIES if summarized else _TAILS
     if d <= _TAIL:
-        yield 1, 0, (), table[d, d, min(n, d)]
+        yield 1, 0, (), _TAILS[d, d, min(n, d)]
         return
     # Per level: parts left to try, the remainder, slots after it, parts above (smallest first), their factors.
     stack = [(iter(range(d, -(-d // n) - 1, -1)), d, n - 1, (), 1)] if n > 0 else []
@@ -170,7 +149,7 @@ def _partition_groups(
                 stack.append((iter(range(min(part, rest), lowest - 1, -1)), rest, slots - 1, chosen, prod * (part + 1)))
                 break
             key = rest, part if part < rest else rest, slots if slots < rest else rest  # as _TAILS keys it
-            yield prod * (part + 1) if rest else prod, len(chosen), chosen, table[key]
+            yield prod * (part + 1) if rest else prod, len(chosen), chosen, _TAILS[key]
         else:
             stack.pop()
 
@@ -196,6 +175,84 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ..
     for factor, depth, parts, rows in _partition_groups(d, n):
         for rank, used, tail in rows:
             yield rank * factor, depth + used, tail + parts
+
+
+def _partition_summary(key: tuple[int, int, int], memo: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(counts, tops) for the rows _TAILS[key] would hold, by recurrence instead of walking them.
+
+    For key = (s, cap, slots), keyed as _TAILS keys it with s > 0 and
+    cap * slots >= s (so some partition fits), counts[u] is the
+    number of partitions of s into u <= slots parts of at most cap, and
+    tops[u] their highest rank (0 when there are none). As the walk, the
+    recurrence is on the largest part: (s, cap, slots) is (s, cap - 1,
+    slots) with the partitions whose largest part is cap, which are those
+    of (rest, min(cap, rest), min(slots - 1, rest)), rest = s - cap, with
+    one part more and ranks times (cap + 1), or cap alone, of rank 1, when
+    rest is 0. There are none once cap < ceil(s / slots).
+
+    memo holds every summary made, (s, c, slots) for each c it passed on
+    the way to cap, and serves every later call. The caps run in a loop
+    and missing rests wait on an explicit stack, so there is no depth
+    limit on s.
+    """
+    stack = [key]
+    while stack:
+        s, cap, slots = stack[-1]
+        lowest = -(-s // slots)
+        done = cap
+        while done >= lowest and (s, done, slots) not in memo:
+            done -= 1
+        parts = range(done + 1, cap + 1)
+        rests = [(s - part, min(part, s - part), min(slots - 1, s - part)) for part in parts]
+        missing = [rest for rest in rests if rest[0] and rest not in memo]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if done >= lowest:
+            counts, tops = map(list, memo[s, done, slots])
+        else:
+            counts, tops = [0] * (slots + 1), [0] * (slots + 1)
+        for part, rest in zip(parts, rests):
+            if rest[0]:
+                rest_counts, rest_tops = memo[rest]
+                for used, count, top in zip(range(1, slots + 1), rest_counts, rest_tops):
+                    counts[used] += count
+                    top *= part + 1
+                    if top > tops[used]:
+                        tops[used] = top
+            else:
+                counts[1] += 1
+                tops[1] = max(tops[1], 1)
+            memo[s, part, slots] = tuple(counts), tuple(tops)
+    return memo[key]
+
+
+def _partitions_reaching(
+    key: tuple[int, int, int], low: list[int], memo: dict
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The rows of _TAILS[key] ranked at least low[used], in walk order, from the summaries in memo.
+
+    A subtree of the walk, the partitions of s with a given prefix of
+    larger parts, is the summary (s, cap, slots) with the prefix's factor
+    (the product of its parts' part + 1) and depth (its number of parts).
+    It is opened only when some factor * tops[u] reaches low[depth + u].
+    Opened, it splits as the walk does: largest part cap first, then (s,
+    cap - 1, slots). An explicit stack holds what is left to read.
+    """
+    stack = [(key, 1, 0, ())]
+    while stack:
+        (s, cap, slots), factor, depth, above = stack.pop()
+        counts, tops = memo[s, cap, slots]
+        if not any(counts[u] and factor * tops[u] >= low[depth + u] for u in range(1, len(counts))):
+            continue
+        if (cap - 1) * slots >= s:  # some partition has largest part cap - 1 or less
+            stack.append(((s, cap - 1, slots), factor, depth, above))
+        rest, parts = s - cap, (cap,) + above
+        if rest:
+            stack.append(((rest, min(cap, rest), min(slots - 1, rest)), factor * (cap + 1), depth + 1, parts))
+        elif factor >= low[depth + 1]:
+            yield factor, depth + 1, parts
 
 
 def partitions(d: int, max_parts: int) -> Iterator[tuple[int, ...]]:

@@ -3,32 +3,32 @@
 Each claim is checked over an inclusive (n, d) grid by exhaustive, exact
 integer comparison; divisions are cleared by cross-multiplication first, so
 strict inequalities never depend on rounding. The unit of work is one
-degree column, the grid's cells with one d. The theorem claims walk each
-degree's objects once for all its cells, as prefix groups over tables of
-small completions, in which every object is enumerated once and ranked
-exactly; a group is compared by the exact count and top rank of its rows
-for each variable count, and its objects are read only when that top
-reaches a generic rank. One pass counts every cell's objects and collects
-every cell's violations. Columns are independent, and a pool of at most
-the given workers runs them when their predicted work reaches
-_POOL_BREAK_EVEN; cells merge in (n, d) order, so the report does not
-depend on the worker count.
+degree column, the grid's cells with one d, and columns run in this
+process, in order; cells merge in (n, d) order. The theorem claims count
+and bound each degree's objects for all its cells at once, by recurrence:
+an exact summary per subtree of the walk, memoized, gives the count and
+top rank of its objects for each variable count. Only the subtrees whose
+top reaches a generic rank are walked, in walk order, and only the objects
+that reach it are built. So every object is counted and compared exactly,
+without being enumerated.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
-from operator import add, ge, gt, itemgetter, lt, mul
+from operator import ge, gt, itemgetter, lt
 
 from ._record import Record
-from .coprime_sums import CoprimeSum, _block_groups, _block_pool, _knapsack, make_sum, r_max_star
+from .coprime_sums import (
+    CoprimeSum, _block_pool, _block_summaries, _knapsack, _multisets_reaching, make_sum, r_max_star,
+)
 from .errors import UsageError, check_cell
 from .exact_math import binomial
-from .monomials import Monomial, _partition_groups, _ranked_partitions, r_max
+from .monomials import Monomial, _partition_summary, _partitions_reaching, r_max
 from .rank_tables import generic_rank
 
 STATUS_PASS = "pass"
@@ -106,110 +106,53 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-# Predicted serial ns (objects walked times their _OBJECT_NS, measured in process) from which two workers beat
-# one in fresh interpreters on 2 shared vCPUs (Python 3.11): timed when a partition cost 350 ns, monomial grids
-# tied near 340K partitions and won from 400K.
-_POOL_BREAK_EVEN = 140_000_000
+def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[int, list[Violation]]]:
+    """One (checked, violations) pair per cell (n, d) for n in ns, from one summary.
 
-
-def _run_columns(fn, columns, workers: int):
-    """fn of each degree column, in the order given, in this process or on a pool.
-
-    Processes are capped by workers, the columns and the CPUs this process
-    may use; a pool starts only under a cap above 1 once the columns' work,
-    _WALK_SIZE times _OBJECT_NS, summed in order, reaches _POOL_BREAK_EVEN.
-    It hands the columns out in order to whichever worker is free: costliest first.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, len(columns), cpus)
-    size, cost = _WALK_SIZE.get(fn), _OBJECT_NS.get(fn)
-    work = accumulate(size(d, ns[-1]) * cost for d, ns in columns) if size else ()
-    if workers <= 1 or all(total < _POOL_BREAK_EVEN for total in work):
-        return [fn(c) for c in columns]
-    # Imported here: it pulls in multiprocessing, logging, subprocess and
-    # socket, which every other command would pay for at start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, columns))
-
-
-def _theorem_column(d: int, ns: range, groups, combine, join, build) -> list[tuple[int, list[Violation]]]:
-    """One (checked, violations) pair per cell (n, d) for n in ns, from one walk.
-
-    groups walks the degree-d objects in max(ns) variables as prefix groups
-    (base, depth, raw, (tops, rows, start)): the group's objects are
-    (combine(base, r), depth + u, join(raw, t)) for (r, u, t) in
-    rows[start:], in walk order, and tops lists each u's count and top r
-    among them. build(raw, n) makes the object raw stands for in n
-    variables. An object using k variables lies in every cell with n >= k,
-    with the same rank in each, and the walk, restricted to k <= n, is
-    cell n's own walk in the same order. So the column counts the objects
-    per k and keeps only those ranked at or above low[k], the smallest
-    generic rank of the cells they lie in: cell n's violations are the
-    kept objects with k <= n ranked at or above its generic rank, in walk
-    order, and only they are built. combine grows with r, so a group holds
-    an object to keep exactly when some u's combine(base, top) reaches
-    low[depth + u], and only such a group's rows are read.
+    counts[k], k >= 1, is the number of degree-d objects in max(ns)
+    variables that use k of them, and reaching(low) yields (rank, used,
+    raw) for those among them ranked at least low[used], in walk order.
+    build(raw, n) makes the object raw stands for in n variables. An
+    object using k variables lies in every cell with n >= k, with the same
+    rank in each, and the walk, restricted to k <= n, is cell n's own walk
+    in the same order. So the column counts the objects per k and keeps
+    only those ranked at or above low[k], the smallest generic rank of the
+    cells they lie in: cell n's violations are the kept objects with k <=
+    n ranked at or above its generic rank, in walk order, and only they
+    are built.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
     low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
-    counts = [0] * (ns[-1] + 1)
-    kept = []
-    for base, depth, raw, (tops, rows, start) in groups:
-        reach = False
-        for used, count, top in tops:
-            counts[depth + used] += count
-            reach = reach or combine(base, top) >= low[depth + used]
-        if reach:
-            for rank, used, tail in rows[start:]:
-                rank, used = combine(base, rank), depth + used
-                if rank >= low[used]:
-                    kept.append((rank, used, join(raw, tail)))
-    counts = list(accumulate(counts))
+    kept = list(reaching(low))
+    per_k = list(counts[1:]) + [0] * (ns[-1] + 1 - len(counts))
+    checked = list(accumulate(per_k, initial=0))  # checked[n]: the objects on at most n variables
     return [
         (
-            counts[n],
+            checked[n],
             [Violation(n, d, build(raw, n), rank, gen) for rank, k, raw in kept if k <= n and rank >= gen],
         )
         for n, gen in zip(ns, gens)
     ]
 
 
-def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
+def _monomial_column(column, memo: dict | None = None) -> list[tuple[int, list[Violation]]]:
+    """The column's partitions, summarized through memo: one dict may serve every degree of a grid."""
     d, ns = column
-    groups = _partition_groups(d, ns[-1], True)
-    return _theorem_column(d, ns, groups, mul, lambda parts, tail: tail + parts, Monomial)
+    memo = {} if memo is None else memo
+    key = d, d, min(ns[-1], d)
+    counts = _partition_summary(key, memo)[0]
+    return _theorem_column(d, ns, counts, lambda low: _partitions_reaching(key, low, memo), Monomial)
 
 
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
     pool = _block_pool(ns[-1], d)
-    groups = _block_groups(pool, ns[-1], True)
+    table = _block_summaries(pool, ns[-1])
     return _theorem_column(
-        d, ns, groups, add, add, lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n)
+        d, ns, table[-1][0][0], lambda low: _multisets_reaching(pool, table, low),
+        lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n),
     )
-
-
-def _ways(coins, total: int) -> list[int]:
-    """ways[t]: the multisets of coins (values, repeats allowed) adding up to t, for t <= total."""
-    ways = [1] + [0] * total
-    for coin in coins:
-        for t in range(coin, total + 1):
-            ways[t] += ways[t - coin]
-    return ways
-
-
-# The objects a theorem column walks at degree d in n variables, counted: the
-# partitions of d into parts of at most n (as many as into at most n parts),
-# and the nonempty multisets of pool blocks using at most n variables.
-_WALK_SIZE = {
-    _monomial_column: lambda d, n: _ways(range(1, n + 1), d)[d],
-    _coprime_column: lambda d, n: sum(_ways([k for _, k, _ in _ranked_partitions(d, min(n, d))], n)) - 1,
-}
-# Interleaved in-process medians of 21 runs of each acceptance grid's columns, over the objects they walk.
-_OBJECT_NS = {_monomial_column: 160, _coprime_column: 55}
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
@@ -238,7 +181,7 @@ def _pure_power_column(column) -> list[tuple[int, list[Violation]]]:
     return [_inequality(n, d, d * binomial(d + n - 1, n - 1), n * n * 2 ** (d - 1), gt) for n in ns]
 
 
-def _collect(claim_id, grid, columns, fn, workers, expected=()):
+def _collect(claim_id, grid, columns, fn, expected=()):
     """Run the column checks, merge their cells in (n, d) order, and classify the outcome.
 
     columns lists (d, ns) pairs; fn(column) returns one (checked,
@@ -249,8 +192,7 @@ def _collect(claim_id, grid, columns, fn, workers, expected=()):
     Anything else found is an unexpected violation.
     """
     start = time.perf_counter()
-    results = _run_columns(fn, columns, workers)
-    cells = [((n, d), cell) for (d, ns), column in zip(columns, results) for n, cell in zip(ns, column)]
+    cells = [((n, d), cell) for d, ns in columns for n, cell in zip(ns, fn((d, ns)))]
     merged = [cell for _, cell in sorted(cells, key=itemgetter(0))]
     checked = sum(cell_checked for cell_checked, _ in merged)
     found = [v for _, cell_bad in merged for v in cell_bad]
@@ -332,7 +274,7 @@ def verify_claim(
 
     A range left as None takes the claim's default; any other range must be
     a (first, last) pair, validated against the claim's minimum n and d, n
-    first. workers, at least 1, only caps the processes (see _run_columns).
+    first. workers must be at least 1; every column runs in this process.
     """
     claim = get_claim(claim_id)
     if workers < 1:
@@ -346,15 +288,18 @@ def verify_claim(
     else:
         n_lo, n_hi = _check_range("n", claim.default_n if n_range is None else n_range, claim.min_n)
         d_lo, d_hi = _check_range("d", d_range, claim.min_d)
+    column = claim.column
+    if column is _monomial_column:  # one memo of partition summaries for every degree of the grid
+        column = partial(column, memo={})
     columns = []
-    for d in range(d_hi, d_lo - 1, -1):  # largest, and costliest, first
+    for d in range(d_hi, d_lo - 1, -1):  # largest first
         first = max(n_lo, d) if claim.n_at_least_d else n_lo
         last = d if claim.default_n is None else n_hi
         if first <= last:
             columns.append((d, range(first, last + 1)))
     if not columns:
         raise UsageError(f"no grid cell satisfies n >= d >= {claim.min_d}")
-    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, claim.column, workers, claim.expected)
+    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, column, claim.expected)
 
 
 def verify_theorem_monomial(

@@ -433,11 +433,9 @@ def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("claim_id", vf.CLAIM_IDS)
 def test_verify_prints_the_same_on_one_and_two_threads(capsys, monkeypatch, claim_id):
-    # Two CPUs on any host and a break-even of 0, so --threads 2 really
-    # starts a two-process pool for the theorem claims.
+    # Two CPUs on any host: --threads 2 starts no process and changes no output.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(vf, "_POOL_BREAK_EVEN", 0)
     claim = vf.CLAIMS[claim_id]
     args = ["verify", "--claim", claim_id, "--d-range", f"{claim.min_d}:{claim.min_d + 2}"]
     if claim.default_n is not None:

@@ -10,6 +10,7 @@ from waring.coprime_sums import (
     CoprimeSum,
     _block_multisets,
     _block_pool,
+    _block_summaries,
     _knapsack,
     enumerate_coprime_sums,
     greedy_construction,
@@ -21,7 +22,12 @@ from waring.coprime_sums import (
 from waring.errors import DimensionError, UsageError
 from waring.monomials import Monomial, partitions, r_max, waring_rank
 from waring.rank_tables import generic_rank
-from waring.verify import CLAIMS, _WALK_SIZE, ratio_decay_fixed_d
+from waring.verify import ratio_decay_fixed_d
+
+
+def predicted_walk(d, n):
+    """The nonempty multisets _block_multisets walks over _block_pool(n, d), counted by their root summary."""
+    return sum(_block_summaries(_block_pool(n, d), n)[n][0][0]) - 1
 
 
 def multiset_count(n, d, spanning):
@@ -210,7 +216,7 @@ def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
 
 def test_block_walk_streams_and_its_table_stays_bounded():
     pool = _block_pool(20, 12)
-    assert _WALK_SIZE[CLAIMS["theorem-coprime"].column](12, 20) == 26_776_805
+    assert predicted_walk(12, 20) == 26_776_805
     tracemalloc.start()
     try:
         head = list(islice(_block_multisets(pool, 20), 1000))
@@ -228,8 +234,7 @@ def test_block_multiset_counts_match_generating_function(n, d):
     pool = _block_pool(n, d)
     assert sum(1 for _ in _block_multisets(pool, n, spanning=True)) == coeffs[n]
     assert sum(1 for _ in _block_multisets(pool, n)) == sum(coeffs[1:])
-    # The walk size verify predicts for a coprime column, without walking.
-    assert _WALK_SIZE[CLAIMS["theorem-coprime"].column](d, n) == sum(coeffs[1:])
+    assert predicted_walk(d, n) == sum(coeffs[1:])
 
 
 def test_enumerate_rejects_bad_args():

@@ -10,6 +10,7 @@ from waring.monomials import (
     _TAIL,
     _TAILS,
     Monomial,
+    _partition_summary,
     _ranked_partitions,
     canonicalize,
     enumerate_monomials,
@@ -18,10 +19,13 @@ from waring.monomials import (
     r_max,
     waring_rank,
 )
-from waring.verify import CLAIMS, _WALK_SIZE
 
-# The walk size verify predicts for a monomial column, without walking.
-predicted_walk = _WALK_SIZE[CLAIMS["theorem-monomial"].column]
+
+def predicted_walk(d, n):
+    """The partitions _ranked_partitions(d, n) walks, counted by their root summary, without walking."""
+    if d == 0 or n == 0:
+        return int(d == 0)  # the empty partition alone, or none: no summary
+    return sum(_partition_summary((d, d, min(n, d)), {})[0])
 
 
 def brute_partitions(d, max_parts):

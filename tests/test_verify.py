@@ -1,5 +1,4 @@
 import functools
-import itertools
 import os
 import subprocess
 import sys
@@ -12,12 +11,11 @@ from concurrent import futures
 from hypothesis import example, given, settings, strategies as st
 
 import waring
-from waring import coprime_sums, monomials
 from waring.coprime_sums import (
     CoprimeSum,
-    _block_groups,
     _block_multisets,
     _block_pool,
+    _block_summaries,
     enumerate_coprime_sums,
     make_sum,
     max_rank_sum,
@@ -27,10 +25,8 @@ from waring.coprime_sums import (
 from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
-    _SUMMARIES,
-    _TAILS,
     Monomial,
-    _partition_groups,
+    _partition_summary,
     _ranked_partitions,
     enumerate_monomials,
     max_rank_monomial,
@@ -45,13 +41,10 @@ from waring.verify import (
     STATUS_PASS,
     STATUS_PASS_WITH_EXPECTED,
     Violation,
-    _OBJECT_NS,
-    _POOL_BREAK_EVEN,
     _agm_column,
     _collect,
     _coprime_column,
     _monomial_column,
-    _run_columns,
     _pure_power_column,
     ratio_decay_fixed_d,
     ratio_to_generic,
@@ -101,15 +94,8 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
-def allow_pool(monkeypatch):
-    """Two CPUs and a break-even of 0, so workers=2 starts a real two-process
-    pool for the theorem claims."""
-    two_cpus(monkeypatch)
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 0)
-
-
 def test_theorem_monomial_workers_agree(monkeypatch):
-    allow_pool(monkeypatch)
+    two_cpus(monkeypatch)
     solo = verify_theorem_monomial((4, 5), (2, 10))
     fanned = verify_theorem_monomial((4, 5), (2, 10), workers=2)
     assert solo.status == fanned.status
@@ -131,7 +117,7 @@ def test_verify_claim_rejects_fewer_than_one_worker(workers):
 @pytest.mark.parametrize("bad", [(), (4,), (4, 5, 6), 4, "4:5"], ids=["empty", "one", "three", "int", "str"])
 def test_verify_claim_rejects_a_range_that_is_not_a_pair(monkeypatch, bad):
     # Only None takes the default grid; nothing may be checked at all.
-    monkeypatch.setattr("waring.verify._run_columns", lambda *args: pytest.fail("a grid was checked"))
+    monkeypatch.setattr("waring.verify._collect", lambda *args: pytest.fail("a grid was checked"))
     for n_range, d_range in ((bad, (2, 3)), ((4, 5), bad), (bad, bad)):
         with pytest.raises(UsageError, match="range must be a pair"):
             verify_claim("ineq-agm", n_range, d_range)
@@ -226,7 +212,7 @@ def test_theorem_columns_equal_the_cell_walks(monkeypatch, claim_id, n_range, d_
     column = CLAIMS[claim_id].column
     for d in range(d_range[0], d_range[1] + 1):
         assert column((d, ns)) == [cell_walk(claim_id, n, d) for n in ns], d
-    allow_pool(monkeypatch)
+    two_cpus(monkeypatch)
     for workers in (1, 2):
         report = verify_claim(claim_id, n_range, d_range, workers)
         assert_report_equals_cell_walks(report, claim_id, n_range, d_range)
@@ -291,157 +277,139 @@ def count_calls(monkeypatch, name):
 
 
 def test_each_degree_is_walked_once(monkeypatch):
-    # One group walk per degree, and only violations are built: none on the
-    # monomial grid.
-    walks = count_calls(monkeypatch, "_partition_groups")
+    # One root summary per degree, through one memo for the whole grid, and
+    # only violations are built: none on the monomial grid.
+    builds = count_calls(monkeypatch, "_partition_summary")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
-    assert [(d, n) for d, n, _ in walks] == [(d, 10) for d in range(40, 1, -1)]
+    assert [key for key, _ in builds] == [(d, d, min(d, 10)) for d in range(40, 1, -1)]
+    assert len({id(memo) for _, memo in builds}) == 1
     assert built == []
 
-    # One group walk per degree, in 12 variables: (4, 3)'s witnesses come
+    # One summary table per degree, in 12 variables: (4, 3)'s witnesses come
     # from it too, and they are the only sums built.
-    walks = count_calls(monkeypatch, "_block_groups")
+    builds = count_calls(monkeypatch, "_block_summaries")
     built = count_calls(monkeypatch, "CoprimeSum")
     report = verify_claim("theorem-coprime", (4, 12), (3, 12))
     assert report.status == STATUS_PASS_WITH_EXPECTED
-    assert [(pool[0].degree, n) for pool, n, _ in walks] == [(d, 12) for d in range(12, 2, -1)]
+    assert [(pool[0].degree, n) for pool, n in builds] == [(d, 12) for d in range(12, 2, -1)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
     assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
 
 
-def used_tops(rows):
-    """(used, count, top rank) for each used among rows, ascending: a summary, recounted."""
-    return tuple(
-        (used, len(ranks), max(ranks))
-        for used in sorted({u for _, u, _ in rows})
-        for ranks in [[r for r, u, _ in rows if u == used]]
-    )
+@functools.cache
+def walked_partition_summaries(s, slots):
+    """summaries[cap] = (counts, tops) per used, taken from the walk of
+    _ranked_partitions(s, slots) restricted to parts of at most cap."""
+    by_largest = [[] for _ in range(s + 1)]
+    for rank, used, parts in _ranked_partitions(s, slots):
+        by_largest[parts[-1]].append((rank, used))
+    counts, tops, summaries = [0] * (slots + 1), [0] * (slots + 1), [None]
+    for largest in by_largest[1:]:
+        for rank, used in largest:
+            counts[used] += 1
+            tops[used] = max(tops[used], rank)
+        summaries.append((tuple(counts), tuple(tops)))
+    return summaries
+
+
+def assert_partition_summaries_equal_the_walk(memo):
+    assert memo
+    for (s, cap, slots), summary in memo.items():
+        assert summary == walked_partition_summaries(s, slots)[cap], (s, cap, slots)
 
 
 def test_tail_summaries_count_and_top_each_used():
-    # The walks of the monomial acceptance grid, grouped with and without summaries.
-    for d in range(2, 41):
-        for plain, summed in zip(_partition_groups(d, 10), _partition_groups(d, 10, True), strict=True):
-            assert summed[:3] == plain[:3]
-            assert summed[3] == (used_tops(plain[3]), plain[3], 0)
-    assert _SUMMARIES
-    for key in list(_TAILS):  # every entry those walks filled, and any other test's
-        assert _SUMMARIES[key] == (used_tops(_TAILS[key]), _TAILS[key], 0), key
+    # Every summary the monomial acceptance grid reaches: each is that of the
+    # rows _TAILS would hold for its key.
+    memo = {}
+    for d in range(40, 1, -1):
+        _monomial_column((d, range(4, 11)), memo)
+    assert_partition_summaries_equal_the_walk(memo)
+
+
+@st.composite
+def tail_keys(draw):
+    """A summary key (s, cap, slots), s <= 30, with some partition: cap >= ceil(s / slots)."""
+    s = draw(st.integers(1, 30))
+    slots = draw(st.integers(1, s))
+    return s, draw(st.integers(-(-s // slots), s)), slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=tail_keys())
+@example(key=(1, 1, 1))
+@example(key=(30, 30, 30))
+@example(key=(30, 1, 30))
+def test_summaries_of_any_tail_key_equal_the_walk(key):
+    # With every summary the key needs, from ceil(s / slots) up to cap.
+    memo = {}
+    _partition_summary(key, memo)
+    assert key in memo
+    assert_partition_summaries_equal_the_walk(memo)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 8))
-@example(n=2 * coprime_sums._TAIL + 2, d=5)
-@example(n=2 * coprime_sums._TAIL + 1, d=6)
+@example(n=12, d=8)
+@example(n=5, d=1)
 def test_block_group_summaries_count_and_top_each_used(n, d):
     pool = _block_pool(n, d)
-    # Every table size: none, budgets of 1, the whole walk and more than it.
-    with pytest.MonkeyPatch.context() as patch:
-        for tail in (0, 1, n, n + 1, coprime_sums._TAIL):
-            patch.setattr(coprime_sums, "_TAIL", tail)
-            for plain, summed in zip(_block_groups(pool, n), _block_groups(pool, n, True), strict=True):
-                assert summed[:3] == plain[:3], tail
-                tops, rows, start = summed[3]
-                assert rows[start:] == plain[3] and tops == used_tops(plain[3]), tail
+    table = _block_summaries(pool, n)
+    base = 1 if d == 1 else 0
+    assert len(table) == n + 1
+    for b, row in enumerate(table):
+        # The walk within b variables, less its base rank, by first pick; then
+        # each j's multisets, those picking from j on, the empty one included.
+        by_first = [[] for _ in pool]
+        for rank, used, picked in _block_multisets(pool, b):
+            by_first[picked[0]].append((rank - base, used))
+        counts, tops = [1] + [0] * b, [0] * (b + 1)
+        assert len(row) == len(pool) + 1
+        assert row[-1] == (tuple(counts), tuple(tops))
+        for j in range(len(pool) - 1, -1, -1):
+            for rank, used in by_first[j]:
+                counts[used] += 1
+                tops[used] = max(tops[used], rank)
+            assert row[j] == (tuple(counts), tuple(tops)), (b, j)
+
+
+def test_root_summaries_top_out_at_the_closed_forms():
+    memo = {}
+    for n in range(1, 17):
+        for d in range(1, 61):
+            assert max(_partition_summary((d, d, min(n, d)), memo)[1]) == r_max(n, d), (n, d)
+    for n in range(1, 15):
+        for d in range(1, 15):
+            tops = _block_summaries(_block_pool(n, d), n)[n][0][1]
+            assert max(tops[1:]) + (d == 1) == r_max_star(n, d), (n, d)
 
 
 def test_enumerate_walks_build_no_summary(monkeypatch):
     def refuse(*args):
         raise AssertionError("a summary was built")
 
-    monkeypatch.setattr(monomials, "_summarize", refuse)
-    monkeypatch.setattr(coprime_sums, "_summarize", refuse)
+    monkeypatch.setattr(waring.verify, "_partition_summary", refuse)
+    monkeypatch.setattr(waring.verify, "_block_summaries", refuse)
     pool = _block_pool(10, 12)
     assert len(list(_block_multisets(pool, 10))) == 19_614
     assert len(list(_ranked_partitions(40, 10))) == 16_928
-    with pytest.raises(AssertionError, match="a summary was built"):
-        next(_block_groups(pool, 10, True))
+    for column in (_monomial_column, _coprime_column):
+        with pytest.raises(AssertionError, match="a summary was built"):
+            column((12, range(4, 11)))
 
 
-class Columns:
-    """count copies of the smallest monomial column, produced only as walked."""
-
-    def __init__(self, count):
-        self.count = count
-
-    def __len__(self):
-        return self.count
-
-    def __iter__(self):
-        return itertools.repeat((2, range(4, 5)), self.count)
-
-
-def record_pools(monkeypatch):
-    """Replace the process pool by one that runs nothing; returns the max_workers of each pool started."""
-    started = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, columns):
-            return []
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
-    return started
-
-
-def test_pool_size_never_exceeds_cells_or_cpus(monkeypatch):
-    started = record_pools(monkeypatch)
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 0)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for workers, count in ((1, 100), (2, 100), (64, 3), (10**9, 10**9)):
-        _run_columns(_monomial_column, Columns(count), workers)
-    assert started == [2, 3, 4]  # workers=1 ran in this process
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    _run_columns(_monomial_column, Columns(100), 8)
-    assert started == [2, 3, 4]
-
-
-def test_pool_counts_only_the_cpus_this_process_may_use(monkeypatch):
-    # As under taskset -c 0 on an 8-CPU machine: one process, not two.
-    started = record_pools(monkeypatch)
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    _run_columns(_monomial_column, Columns(100), 2)
-    assert started == []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    _run_columns(_monomial_column, Columns(100), 64)
-    assert started == [3]
-
-
-def test_pool_starts_only_at_the_break_even(monkeypatch):
-    started = record_pools(monkeypatch)
-    two_cpus(monkeypatch)
-    # 115,303 partitions walked: in this process, whatever workers says.
-    work = 115_303 * _OBJECT_NS[_monomial_column]
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", work + 1)
-    _run_columns(_monomial_column, [(d, range(4, 11)) for d in range(40, 1, -1)], 2)
-    assert started == []
-    monkeypatch.setattr(waring.verify, "_POOL_BREAK_EVEN", work)
-    _run_columns(_monomial_column, [(d, range(4, 11)) for d in range(40, 1, -1)], 2)
-    assert started == [2]
-
-
-def test_pool_weighs_each_column_by_its_cost_per_object(monkeypatch):
-    started = record_pools(monkeypatch)
-    two_cpus(monkeypatch)
-    # 1,307,907 block multisets, more objects than the monomial break-even
-    # but less work: in this process. 2,845,719 of them start the pool.
-    assert _POOL_BREAK_EVEN // _OBJECT_NS[_monomial_column] < 1_307_907
-    _run_columns(_coprime_column, [(d, range(4, 14)) for d in range(14, 2, -1)], 2)
-    assert started == []
-    _run_columns(_coprime_column, [(d, range(4, 15)) for d in range(14, 2, -1)], 2)
-    assert started == [2]
+def test_theorem_columns_have_no_depth_limit_on_d():
+    # Summaries made by recursion on the cap, or on the pool index, would pass
+    # the interpreter's recursion limit here. The figures are those of the walks.
+    monomials = _monomial_column((1500, range(1, 3)))
+    assert [(checked, len(bad)) for checked, bad in monomials] == [(1, 1), (751, 750)]
+    assert [v.witness.exponents for v in monomials[1][1][::749]] == [(1, 1499), (750, 750)]
+    assert sum(v.lhs for v in monomials[1][1]) == 844_125
+    sums = _coprime_column((2000, range(1, 3)))
+    assert [(checked, len(bad)) for checked, bad in sums] == [(1, 1), (1002, 1000)]
+    assert [v.witness.block_shapes() for v in sums[1][1][::999]] == [((1000, 1000),), ((1, 1999),)]
+    assert sum(v.lhs for v in sums[1][1]) == 1_500_500
 
 
 def test_acceptance_grid_starts_no_pool_on_two_workers(monkeypatch):
@@ -523,7 +491,7 @@ def test_verify_handler_loads_verify():
 
 
 def test_every_claim_reports_the_same_on_two_workers(monkeypatch):
-    allow_pool(monkeypatch)  # the inequality claims run in-process all the same
+    two_cpus(monkeypatch)
     for claim_id, claim in CLAIMS.items():
         n_range = None if claim.default_n is None else (claim.min_n, claim.min_n + 2)
         d_range = (claim.min_d, claim.min_d + 2)
@@ -589,9 +557,7 @@ def _fake_column_factory(violations_by_cell):
 
 def test_collect_status_fail_on_unexpected_violation():
     bad = Violation(4, 4, None, 10, 10)
-    report = _collect(
-        "stub", (4, 4, 4, 4), [(4, (4,))], _fake_column_factory({(4, 4): [bad]}), 1
-    )
+    report = _collect("stub", (4, 4, 4, 4), [(4, (4,))], _fake_column_factory({(4, 4): [bad]}))
     assert report.status == STATUS_FAIL
     assert not report.expected_exceptions_matched
     assert not report.passed
@@ -601,24 +567,20 @@ def test_collect_merges_cells_in_n_then_d_order():
     # Columns come largest d first; the report lists cells n first, then d.
     cells = {(n, d): [Violation(n, d, None, 1, 1)] for n in (4, 5) for d in (4, 5)}
     columns = [(5, (4, 5)), (4, (4, 5))]
-    report = _collect("stub", (4, 5, 4, 5), columns, _fake_column_factory(cells), 1)
+    report = _collect("stub", (4, 5, 4, 5), columns, _fake_column_factory(cells))
     assert report.checked_count == 4
     assert [(v.n, v.d) for v in report.violations] == [(4, 4), (4, 5), (5, 4), (5, 5)]
 
 
 def test_collect_status_fail_when_expected_exception_missing():
     expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
-    report = _collect(
-        "stub", (4, 4, 3, 3), [(3, (4,))], _fake_column_factory({}), 1, expected
-    )
+    report = _collect("stub", (4, 4, 3, 3), [(3, (4,))], _fake_column_factory({}), expected)
     assert report.status == STATUS_FAIL
 
 
 def test_collect_status_pass_when_expected_cell_outside_grid():
     expected = [(4, 3, make_sum([[1, 2], [1, 2]], 4))]
-    report = _collect(
-        "stub", (5, 6, 3, 3), [(3, (5, 6))], _fake_column_factory({}), 1, expected
-    )
+    report = _collect("stub", (5, 6, 3, 3), [(3, (5, 6))], _fake_column_factory({}), expected)
     assert report.status == STATUS_PASS
     assert report.expected_exceptions_matched
 
@@ -634,7 +596,7 @@ def test_violation_expected_flags_exactly_the_three_exceptions():
     other = Violation(4, 3, make_sum([[1, 1, 1], [3]]), 5, 5)
     plain = Violation(4, 3, None, 5, 5)
     column = _fake_column_factory({(4, 3): [match, other, plain]})
-    report = _collect("stub", (4, 4, 3, 3), [(3, (4,))], column, 1, expected)
+    report = _collect("stub", (4, 4, 3, 3), [(3, (4,))], column, expected)
     assert [v.expected for v in report.violations] == [True, False, False]
     assert report.status == STATUS_FAIL
 
