@@ -100,63 +100,112 @@ def _label_pieces(var: int) -> _Cache:
 
 
 def _monomial_rows(
-    n: int, d: int, kind: str, ranked: Iterable[tuple[int, int, tuple[int, ...]]]
+    n: int, d: int, kind: str, groups: Iterable[tuple[int, int, tuple[int, ...], list]]
 ) -> Iterator[tuple[str, ...]]:
-    """Rank rows of the monomials given as (rank, used, exponents), exponents ascending."""
+    """Rank rows of the monomials given as _partition_groups groups.
+
+    A group (factor, depth, parts, rows) holds the monomials (r * factor,
+    depth + u, t + parts) for each (r, u, t) in rows. Its prefix's
+    witness is made once per group and its label once per offset u; each
+    completion t's text is made once per call.
+    """
     n_text, d_text = str(n), str(d)
     texts = _Cache(str)
-    # pieces[v]: the label pieces of variable v + 1, one list entry per
-    # variable that some row uses, each made on first use.
-    pieces: list[_Cache] = []
-    for rank, used, exponents in ranked:
-        if used > len(pieces):
-            pieces += map(_label_pieces, range(len(pieces) + 1, used + 1))
-        yield (
-            n_text,
-            d_text,
-            texts[used],
-            kind,
-            str(rank),
-            ",".join(map(texts.__getitem__, exponents)),
-            "*".join(map(getitem, pieces, exponents)),
-        )
+    # pieces[v]: the label pieces of variable v, made for the variables some row uses.
+    pieces = _Cache(_label_pieces)
+
+    def label(exponents: tuple[int, ...], skip: int) -> str:
+        """The label of exponents on the variables after the first skip."""
+        variables = range(skip + 1, skip + len(exponents) + 1)
+        return "*".join(map(getitem, map(pieces.__getitem__, variables), exponents))
+
+    tails = _Cache(lambda tail: (",".join(map(texts.__getitem__, tail)), label(tail, 0)))
+    for factor, depth, parts, rows in groups:
+        witness = ",".join(map(texts.__getitem__, parts))
+        if witness and rows[0][2]:  # the completions are all nonempty, or the one completion is ()
+            witness = "," + witness
+        heads = {}  # u -> vars_used and the prefix's label after a completion of u variables
+        for rank, used, tail in rows:
+            tail_witness, tail_label = tails[tail]
+            head = heads.get(used)
+            if head is None:
+                head = label(parts, used)
+                if head and used:
+                    head = "*" + head
+                head = heads[used] = texts[depth + used], head
+            yield (
+                n_text,
+                d_text,
+                head[0],
+                kind,
+                str(rank * factor),
+                tail_witness + witness,
+                tail_label + head[1],
+            )
 
 
 def _sum_rows(
-    n: int, d: int, kind: str, pool: Sequence[mono.Monomial], ranked: Iterable[tuple[int, int, Iterable[int]]]
+    n: int, d: int, kind: str, pool: Sequence[mono.Monomial],
+    groups: Iterable[tuple[int, int, tuple[int, ...], list]],
 ) -> Iterator[tuple[str, ...]]:
-    """Rank rows of the sums of pool blocks given as (rank, used, picked pool indices)."""
+    """Rank rows of the sums of pool blocks given as _block_groups groups.
+
+    A group (rank, used, picked, rows) holds the sums (rank + r, used + u,
+    picked + p) for each (r, u, p) in rows, p listing pool indices. Its
+    prefix's text is made once per group, and each completion's once per
+    call and first variable.
+    """
     n_text, d_text = str(n), str(d)
+    texts = _Cache(str)
     sizes = [block.nvars for block in pool]
     # The witness syntax, e.g. '1,2|1,2'; rank parses it back.
     witnesses = [",".join(map(str, block.exponents)) for block in pool]
     # labels[i][first_var]: block i's label from variable first_var, made on
     # first use, so the cache holds only labels that some row shows.
     labels = [_Cache(block.label) for block in pool]
-    for rank, used, picked in ranked:
-        first_var = 1
+
+    def spell(first_var: int, picked: tuple[int, ...]) -> tuple[str, str]:
+        """The witness and label of the picked blocks, numbered from first_var."""
         block_labels = []
         for i in picked:
             block_labels.append(labels[i][first_var])
             first_var += sizes[i]
-        yield (
-            n_text,
-            d_text,
-            str(used),
-            kind,
-            str(rank),
-            "|".join([witnesses[i] for i in picked]),
-            cs.sum_label(block_labels),
-        )
+        return "|".join([witnesses[i] for i in picked]), cs.sum_label(block_labels)
+
+    def spell_after(key: tuple[int, tuple[int, ...]]) -> tuple[str, str]:
+        """A completion's witness and label, each led by its separator to follow a prefix's ('' if empty)."""
+        witness, label = spell(*key)
+        return ("|" + witness, cs.sum_label(("", label))) if key[1] else ("", "")
+
+    completions = _Cache(spell_after)
+    for rank, used, picked, rows in groups:
+        witness, label = spell(1, picked)
+        first_var = used + 1
+        for r, u, p in rows:
+            tail_witness, tail_label = completions[first_var, p]
+            yield (
+                n_text,
+                d_text,
+                texts[used + u],
+                kind,
+                str(rank + r),
+                witness + tail_witness,
+                label + tail_label,
+            )
 
 
 def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> tuple[str, ...]:
     """The rank row of one Monomial or CoprimeSum, from the two builders above."""
     if isinstance(obj, cs.CoprimeSum):
-        ranked = [(cs.sum_rank(obj), obj.vars_used, range(len(obj.blocks)))]
-        return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, ranked))
-    ranked = [(mono.waring_rank(obj), obj.nvars, obj.exponents)]
-    return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, ranked))
+        groups = [(cs.sum_rank(obj), obj.vars_used, range(len(obj.blocks)), [(0, 0, ())])]
+        return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, groups))
+    groups = [(mono.waring_rank(obj), obj.nvars, obj.exponents, [(1, 0, ())])]
+    return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, groups))
+
+
+def _one_per_group(ranked: Iterable[tuple[int, int, tuple[int, ...]]], empty: tuple) -> list[tuple]:
+    """The (rank, used, raw) objects as one group each, whose one row is the empty completion."""
+    return [(rank, used, parts, [empty]) for rank, used, parts in ranked]
 
 
 def _sparse_row(columns: list[str], /, **cells: str) -> tuple[str, ...]:
@@ -246,11 +295,14 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
     if args.sums:
         check_cell("enumerate_coprime_sums", args.n, args.d)
         pool = cs._block_pool(args.n, args.d)
-        ranked = cs._block_multisets(pool, args.n, args.spanning)
-        rows = _sum_rows(args.n, args.d, "coprime_sum", pool, ranked)
+        if args.spanning:
+            groups = _one_per_group(cs._block_multisets(pool, args.n, spanning=True), (0, 0, ()))
+        else:
+            groups = cs._block_groups(pool, args.n)
+        rows = _sum_rows(args.n, args.d, "coprime_sum", pool, groups)
     else:
         check_cell("enumerate_monomials", args.n, args.d)
-        rows = _monomial_rows(args.n, args.d, "monomial", mono._ranked_partitions(args.d, args.n))
+        rows = _monomial_rows(args.n, args.d, "monomial", mono._partition_groups(args.d, args.n))
     params = {
         "n": str(args.n),
         "d": str(args.d),
@@ -384,13 +436,15 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
         for n, d in ((4, 4), (5, 3)):
             ranked = sorted(mono._ranked_partitions(d, n), key=itemgetter(0), reverse=True)
             gen = str(rt.generic_rank(n, d))
-            rows += [_table_row(row, gen) for row in _monomial_rows(n, d, "monomial", ranked)]
+            groups = _one_per_group(ranked, (1, 0, ()))
+            rows += [_table_row(row, gen) for row in _monomial_rows(n, d, "monomial", groups)]
     elif args.name == "coprime-43":
         # The spanning sums at (4, 3) by rank, lowest first, ties in enumerate order.
         pool = cs._block_pool(4, 3)
         ranked = sorted(cs._block_multisets(pool, 4, spanning=True), key=itemgetter(0))
         gen = str(rt.generic_rank(4, 3))
-        rows += [_table_row(row, gen) for row in _sum_rows(4, 3, "coprime_sum", pool, ranked)]
+        groups = _one_per_group(ranked, (0, 0, ()))
+        rows += [_table_row(row, gen) for row in _sum_rows(4, 3, "coprime_sum", pool, groups)]
     elif args.name == "known-examples":
         for ex in rt.known_examples():
             rows.append(
@@ -468,7 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("verify", parents=[common], help="exhaustively check a claim")
-    p.add_argument("--threads", type=positive_int, default=1, help="verification worker count")
+    p.add_argument(
+        "--threads",
+        type=positive_int,
+        default=1,
+        help="at least 1; echoed in the report, and the output is the same for any value "
+        "(verify starts no process)",
+    )
     # argparse expands %(claim_ids)s only when it prints help, so verify loads
     # only then. Set after add_argument, which newer Pythons test-expand.
     claim = p.add_argument("--claim", required=True)

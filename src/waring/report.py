@@ -68,11 +68,14 @@ def _render_json(doc: ReportDocument) -> str:
     """json.dumps(envelope, indent=2) + newline, with the rows encoded by hand.
 
     json.dumps uses its C encoder only without indent, so the envelope head
-    goes through json.dumps and each row is spelled out here, cell by cell
-    with the encoder's own string escaping, byte for byte as indent=2 would.
+    goes through json.dumps and the rows are spelled out here, byte for
+    byte as indent=2 would, through one %-template per document. The
+    encoder escapes each character on its own, so a column whose joined
+    cells it leaves unchanged needs no escaping in any cell, and its cells
+    go into the template as they are, between quotes. Every other column's
+    cells are encoded one by one.
     """
     import json
-    from operator import add
 
     envelope: dict[str, object] = {
         "command": doc.command,
@@ -85,12 +88,20 @@ def _render_json(doc: ReportDocument) -> str:
     head = json.dumps(envelope, indent=2)
     if not doc.rows:
         return head + "\n"
-    encode = json.encoder.encode_basestring_ascii
-    keys = [f"      {encode(col)}: " for col in doc.columns]
-    if keys:
-        rows = ",\n".join(
-            "    {\n" + ",\n".join(map(add, keys, map(encode, row))) + "\n    }" for row in doc.rows
-        )
+    if doc.columns:
+        encode = json.encoder.encode_basestring_ascii
+        columns = list(zip(*doc.rows))
+        fields = []
+        for j, (name, column) in enumerate(zip(doc.columns, columns)):
+            key = "      " + encode(name).replace("%", "%%") + ": "
+            joined = "".join(column)
+            if encode(joined) == '"' + joined + '"':
+                fields.append(key + '"%s"')
+            else:
+                fields.append(key + "%s")
+                columns[j] = map(encode, column)
+        template = "    {\n" + ",\n".join(fields) + "\n    }"
+        rows = ",\n".join(map(template.__mod__, zip(*columns)))
     else:
         rows = ",\n".join(["    {}"] * len(doc.rows))
     # head ends with '"rows": []' and the closing brace.

@@ -297,6 +297,15 @@ def test_monomial_rows_label_each_piece_once(monkeypatch, argv, most):
     sums=st.booleans(),
     spanning=st.booleans(),
 )
+# Beyond the tail tables: monomials whose prefixes of one to three parts
+# join tabled completions, and sums in more than six variables, whose
+# prefixes do too (with --spanning, each sum is a group of its own).
+@example(n=3, d=14, sums=False, spanning=False)
+@example(n=5, d=13, sums=False, spanning=False)
+@example(n=2, d=25, sums=False, spanning=False)
+@example(n=9, d=3, sums=True, spanning=False)
+@example(n=9, d=3, sums=True, spanning=True)
+@example(n=8, d=4, sums=True, spanning=False)
 def test_enumerate_witnesses_round_trip_through_rank(n, d, sums, spanning):
     spanning = spanning and sums
     flag = "--sum" if sums else "--monomial"
@@ -798,7 +807,8 @@ options:
   --out FILE            write to FILE instead of stdout
   --deterministic       omit timestamps and timings so identical runs are
                         byte-identical
-  --threads THREADS     verification worker count
+  --threads THREADS     at least 1; echoed in the report, and the output is
+                        the same for any value (verify starts no process)
   --claim CLAIM         one of: theorem-monomial, theorem-coprime, lemma-
                         slope, ineq-agm, ineq-pure-power
   --n-range N_RANGE     inclusive a:b
@@ -863,6 +873,8 @@ def documents(draw, fmt):
 @example(ReportDocument("enumerate", {"n": "1"}, ["a", "b"], [], "json"))
 @example(ReportDocument("enumerate", {}, ["a"], [], "json", "2026-01-01T00:00:00Z"))
 @example(ReportDocument("x", {}, [], [(), ()], "json"))
+@example(ReportDocument("x", {}, ["plain", "mixed"], [("a", "b"), ("c%s", 'd"\n'), ("e", "f")], "json"))
+@example(ReportDocument("x", {}, ["100%", "%s", "%%d"], [("1", "%d", "é"), ("2", "%", "e")], "json"))
 def test_json_renderer_equals_indented_json_dumps(doc):
     envelope = {"command": doc.command, "parameters": doc.parameters}
     if doc.generated_at is not None:

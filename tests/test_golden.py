@@ -72,6 +72,8 @@ COMMANDS = (
     "enumerate --n 3 --d 1 --sums",
     "enumerate --n 11 --d 12",
     "enumerate --n 11 --d 4 --sums",
+    "enumerate --n 10 --d 40",
+    "enumerate --n 10 --d 12 --sums",
     "verify --claim theorem-monomial",
     "verify --claim theorem-coprime",
     "verify --claim lemma-slope",
