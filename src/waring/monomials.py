@@ -177,74 +177,65 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ..
             yield rank * factor, depth + used, tail + parts
 
 
-def _partition_summary(key: tuple[int, int, int], memo: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(counts, tops) for the rows _TAILS[key] would hold, by recurrence instead of walking them.
+def _balanced_split(s: int, u: int, cap: int) -> tuple[int, int, int]:
+    """The top-ranked partition of s into exactly u >= 2 parts of at most cap, as (m, q, r).
 
-    For key = (s, cap, slots), keyed as _TAILS keys it with s > 0 and
-    cap * slots >= s (so some partition fits), counts[u] is the
-    number of partitions of s into u <= slots parts of at most cap, and
-    tops[u] their highest rank (0 when there are none). As the walk, the
-    recurrence is on the largest part: (s, cap, slots) is (s, cap - 1,
-    slots) with the partitions whose largest part is cap, which are those
-    of (rest, min(cap, rest), min(slots - 1, rest)), rest = s - cap, with
-    one part more and ranks times (cap + 1), or cap alone, of rank 1, when
-    rest is 0. There are none once cap < ceil(s / slots).
-
-    memo holds every summary made, (s, c, slots) for each c it passed on
-    the way to cap, and serves every later call. The caps run in a loop
-    and missing rests wait on an explicit stack, so there is no depth
-    limit on s.
+    Its smallest part is m, the least that leaves s - m <= cap * (u - 1),
+    and the other u - 1 parts spread s - m as evenly as possible: r of
+    them q + 1 and the rest q. This is the paper's maximum (one exponent
+    1, the rest balanced) under a cap on the parts: even parts maximize
+    the product of (part + 1) by the exchange argument, that product
+    falls as m grows, and this m keeps every part within [m, cap] when
+    u <= s <= u * cap.
     """
-    stack = [key]
-    while stack:
-        s, cap, slots = stack[-1]
-        lowest = -(-s // slots)
-        done = cap
-        while done >= lowest and (s, done, slots) not in memo:
-            done -= 1
-        parts = range(done + 1, cap + 1)
-        rests = [(s - part, min(part, s - part), min(slots - 1, s - part)) for part in parts]
-        missing = [rest for rest in rests if rest[0] and rest not in memo]
-        if missing:
-            stack += missing
-            continue
-        stack.pop()
-        if done >= lowest:
-            counts, tops = map(list, memo[s, done, slots])
-        else:
-            counts, tops = [0] * (slots + 1), [0] * (slots + 1)
-        for part, rest in zip(parts, rests):
-            if rest[0]:
-                rest_counts, rest_tops = memo[rest]
-                for used, count, top in zip(range(1, slots + 1), rest_counts, rest_tops):
-                    counts[used] += count
-                    top *= part + 1
-                    if top > tops[used]:
-                        tops[used] = top
-            else:
-                counts[1] += 1
-                tops[1] = max(tops[1], 1)
-            memo[s, part, slots] = tuple(counts), tuple(tops)
-    return memo[key]
+    m = max(1, s - cap * (u - 1))
+    q, r = divmod(s - m, u - 1)
+    return m, q, r
 
 
-def _partitions_reaching(
-    key: tuple[int, int, int], low: list[int], memo: dict
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """The rows of _TAILS[key] ranked at least low[used], in walk order, from the summaries in memo.
+def _partition_top(s: int, u: int, cap: int) -> int:
+    """The highest rank among partitions of s into exactly u parts of at most cap; 0 when there are none."""
+    if s < u or s > u * cap:
+        return 0
+    if u == 1:
+        return 1
+    _, q, r = _balanced_split(s, u, cap)
+    return (q + 2) ** r * (q + 1) ** (u - 1 - r)
+
+
+def _partition_counts(d: int, slots: int) -> list[int]:
+    """counts[k], 0 <= k <= slots <= d: the number of partitions of d into exactly k parts.
+
+    Less one in each part, those are the partitions of d - k into at most
+    k parts, or by conjugation into parts of at most k. ways[t] counts the
+    partitions of t into parts of at most k; allowing parts of k adds
+    ways[t - k] to each ways[t], in increasing t. Nothing above d - k is
+    read after step k, so each step stops there: O(d * slots) additions.
+    """
+    ways = [1] * d  # parts of at most 1: one partition of each t < d
+    counts = [int(d == 0), 1][: slots + 1]  # no parts only for d = 0; one part, d itself
+    for k in range(2, slots + 1):
+        for t in range(k, d - k + 1):
+            ways[t] += ways[t - k]
+        counts.append(ways[d - k])
+    return counts
+
+
+def _partitions_reaching(key: tuple[int, int, int], low: list[int]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The rows of _TAILS[key] ranked at least low[used], in walk order, without walking the rest.
 
     A subtree of the walk, the partitions of s with a given prefix of
-    larger parts, is the summary (s, cap, slots) with the prefix's factor
-    (the product of its parts' part + 1) and depth (its number of parts).
-    It is opened only when some factor * tops[u] reaches low[depth + u].
-    Opened, it splits as the walk does: largest part cap first, then (s,
-    cap - 1, slots). An explicit stack holds what is left to read.
+    larger parts, is keyed (s, cap, slots) as _TAILS keys it, with the
+    prefix's factor (the product of its parts' part + 1) and depth (its
+    number of parts). It is opened only when factor * _partition_top(s,
+    u, cap) reaches low[depth + u] for some u <= slots. Opened, it splits
+    as the walk does: largest part cap first, then (s, cap - 1, slots).
+    An explicit stack holds what is left to read.
     """
     stack = [(key, 1, 0, ())]
     while stack:
         (s, cap, slots), factor, depth, above = stack.pop()
-        counts, tops = memo[s, cap, slots]
-        if not any(counts[u] and factor * tops[u] >= low[depth + u] for u in range(1, len(counts))):
+        if not any(factor * _partition_top(s, u, cap) >= low[depth + u] for u in range(-(-s // cap), slots + 1)):
             continue
         if (cap - 1) * slots >= s:  # some partition has largest part cap - 1 or less
             stack.append(((s, cap - 1, slots), factor, depth, above))
@@ -277,9 +268,10 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     """A rank-maximizing degree-d monomial in n ambient variables.
 
     closed_form uses n' = min(n, d) variables (extra variables cannot raise
-    monomial rank): one exponent 1 and the remaining d-1 spread as evenly
-    as possible over n'-1 variables. With q = (d-1) div (n'-1) and
-    s = (d-1) mod (n'-1) the rank is (1+q)^(n'-s-1) * (2+q)^s. oracle
+    monomial rank) and _balanced_split(d, n', d): one exponent 1 and the
+    remaining d-1 spread as evenly as possible over n'-1 variables. With
+    q = (d-1) div (n'-1) and r = (d-1) mod (n'-1) the rank is
+    (1+q)^(n'-r-1) * (2+q)^r, _partition_top(d, n', d). oracle
     instead walks every ranked partition in enumerate_monomials order and
     returns the first maximum; only that witness is built and validated.
     """
@@ -292,9 +284,8 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     used = min(n, d)
     if used == 1:
         return Monomial((d,), n)
-    q, s = divmod(d - 1, used - 1)
-    exponents = (1,) + (q,) * (used - 1 - s) + (q + 1,) * s
-    return Monomial(exponents, n)
+    m, q, r = _balanced_split(d, used, d)
+    return Monomial((m,) + (q,) * (used - 1 - r) + (q + 1,) * r, n)
 
 
 def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:

@@ -5,10 +5,11 @@ integer comparison; divisions are cleared by cross-multiplication first, so
 strict inequalities never depend on rounding. The unit of work is one
 degree column, the grid's cells with one d, and columns run in this
 process, in order; cells merge in (n, d) order. The theorem claims count
-and bound each degree's objects for all its cells at once, by recurrence:
-an exact summary per subtree of the walk, memoized, gives the count and
-top rank of its objects for each variable count. Only the subtrees whose
-top reaches a generic rank are walked, in walk order, and only the objects
+and bound each degree's objects for all its cells at once, per variable
+count: monomials by the partition-count recurrence, with each subtree of
+the walk bounded by the closed-form top rank of its partitions, coprime
+sums by an exact summary table per degree. Only the subtrees whose top
+reaches a generic rank are walked, in walk order, and only the objects
 that reach it are built. So every object is counted and compared exactly,
 without being enumerated.
 """
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from operator import ge, gt, itemgetter, lt
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .coprime_sums import (
@@ -28,8 +28,11 @@ from .coprime_sums import (
 )
 from .errors import UsageError, check_cell
 from .exact_math import binomial
-from .monomials import Monomial, _partition_summary, _partitions_reaching, r_max
+from .monomials import Monomial, _partition_counts, _partitions_reaching, r_max
 from .rank_tables import generic_rank
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -107,7 +110,7 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
 
 
 def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[int, list[Violation]]]:
-    """One (checked, violations) pair per cell (n, d) for n in ns, from one summary.
+    """One (checked, violations) pair per cell (n, d) for n in ns, from one count per variable count.
 
     counts[k], k >= 1, is the number of degree-d objects in max(ns)
     variables that use k of them, and reaching(low) yields (rank, used,
@@ -119,7 +122,9 @@ def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[in
     only those ranked at or above low[k], the smallest generic rank of the
     cells they lie in: cell n's violations are the kept objects with k <=
     n ranked at or above its generic rank, in walk order, and only they
-    are built.
+    are built. Monomial columns take counts from _partition_counts and
+    bound each subtree of reaching by the closed form _partition_top;
+    coprime columns read both from one _block_summaries table.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
@@ -136,13 +141,10 @@ def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[in
     ]
 
 
-def _monomial_column(column, memo: dict | None = None) -> list[tuple[int, list[Violation]]]:
-    """The column's partitions, summarized through memo: one dict may serve every degree of a grid."""
+def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
-    memo = {} if memo is None else memo
     key = d, d, min(ns[-1], d)
-    counts = _partition_summary(key, memo)[0]
-    return _theorem_column(d, ns, counts, lambda low: _partitions_reaching(key, low, memo), Monomial)
+    return _theorem_column(d, ns, _partition_counts(d, key[2]), lambda low: _partitions_reaching(key, low), Monomial)
 
 
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
@@ -288,9 +290,6 @@ def verify_claim(
     else:
         n_lo, n_hi = _check_range("n", claim.default_n if n_range is None else n_range, claim.min_n)
         d_lo, d_hi = _check_range("d", d_range, claim.min_d)
-    column = claim.column
-    if column is _monomial_column:  # one memo of partition summaries for every degree of the grid
-        column = partial(column, memo={})
     columns = []
     for d in range(d_hi, d_lo - 1, -1):  # largest first
         first = max(n_lo, d) if claim.n_at_least_d else n_lo
@@ -299,7 +298,7 @@ def verify_claim(
             columns.append((d, range(first, last + 1)))
     if not columns:
         raise UsageError(f"no grid cell satisfies n >= d >= {claim.min_d}")
-    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, column, claim.expected)
+    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, claim.column, claim.expected)
 
 
 def verify_theorem_monomial(
@@ -332,6 +331,8 @@ class RatioPoint(Record):
 
 def _fixed_n_limit(n: int) -> Fraction:
     # d -> infinity: max rank ~ d^(n-1)/(n-1)^(n-1), generic ~ d^(n-1)/n!.
+    from fractions import Fraction  # here, not at the top: it loads decimal, which no verify call needs
+
     return Fraction(math.factorial(n), (n - 1) ** (n - 1))
 
 
@@ -341,6 +342,8 @@ def ratio_to_generic(n: int, d: int, which: str = "monomial") -> RatioPoint:
     The limit column is the exact d -> infinity value n!/(n-1)^(n-1)
     (equal to 3/2 at n = 3), and the gap is the exact distance to it.
     """
+    from fractions import Fraction
+
     check_cell("ratio_to_generic", n, d, 2, 2)
     if which == "monomial":
         value = r_max(n, d)
@@ -360,6 +363,8 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
     d = 3, at most n*2^(d-1)/d for d >= 4) while the generic rank grows
     like n^(d-1). Every numerator comes from one knapsack.
     """
+    from fractions import Fraction
+
     if d < 3:
         raise UsageError(f"ratio_decay_fixed_d needs d >= 3, got {d}")
     if n_max < d:

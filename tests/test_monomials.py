@@ -10,7 +10,7 @@ from waring.monomials import (
     _TAIL,
     _TAILS,
     Monomial,
-    _partition_summary,
+    _partition_counts,
     _ranked_partitions,
     canonicalize,
     enumerate_monomials,
@@ -22,10 +22,8 @@ from waring.monomials import (
 
 
 def predicted_walk(d, n):
-    """The partitions _ranked_partitions(d, n) walks, counted by their root summary, without walking."""
-    if d == 0 or n == 0:
-        return int(d == 0)  # the empty partition alone, or none: no summary
-    return sum(_partition_summary((d, d, min(n, d)), {})[0])
+    """The partitions _ranked_partitions(d, n) walks, counted per number of parts, without walking."""
+    return sum(_partition_counts(d, min(n, d)))
 
 
 def brute_partitions(d, max_parts):

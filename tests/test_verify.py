@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from waring.errors import UsageError
 from waring.exact_math import ceil_div
 from waring.monomials import (
     Monomial,
-    _partition_summary,
+    _balanced_split,
+    _partition_counts,
+    _partition_top,
     _ranked_partitions,
     enumerate_monomials,
     max_rank_monomial,
@@ -277,13 +280,14 @@ def count_calls(monkeypatch, name):
 
 
 def test_each_degree_is_walked_once(monkeypatch):
-    # One root summary per degree, through one memo for the whole grid, and
-    # only violations are built: none on the monomial grid.
-    builds = count_calls(monkeypatch, "_partition_summary")
+    # One count and one pruned walk from the root per degree, and only
+    # violations are built: none on the monomial grid.
+    counted = count_calls(monkeypatch, "_partition_counts")
+    reached = count_calls(monkeypatch, "_partitions_reaching")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
-    assert [key for key, _ in builds] == [(d, d, min(d, 10)) for d in range(40, 1, -1)]
-    assert len({id(memo) for _, memo in builds}) == 1
+    assert counted == [(d, min(d, 10)) for d in range(40, 1, -1)]
+    assert [key for key, _ in reached] == [(d, d, min(d, 10)) for d in range(40, 1, -1)]
     assert built == []
 
     # One summary table per degree, in 12 variables: (4, 3)'s witnesses come
@@ -313,40 +317,78 @@ def walked_partition_summaries(s, slots):
     return summaries
 
 
-def assert_partition_summaries_equal_the_walk(memo):
-    assert memo
-    for (s, cap, slots), summary in memo.items():
-        assert summary == walked_partition_summaries(s, slots)[cap], (s, cap, slots)
+def assert_partition_tops_equal_the_walk(keys):
+    """_partition_top(s, u, cap) for each key (s, u, cap): the walk's top rank with u parts of at most cap."""
+    assert keys
+    for s, u, cap in keys:
+        assert _partition_top(s, u, cap) == walked_partition_summaries(s, s)[cap][1][u], (s, u, cap)
 
 
-def test_tail_summaries_count_and_top_each_used():
-    # Every summary the monomial acceptance grid reaches: each is that of the
-    # rows _TAILS would hold for its key.
-    memo = {}
+def test_tail_summaries_count_and_top_each_used(monkeypatch):
+    # Every count and top the monomial acceptance grid reads: each is that of
+    # the walk, the counts at each root and the tops at each node opened.
+    tops = []
+    monkeypatch.setattr(
+        waring.monomials, "_partition_top", lambda *key: tops.append(key) or _partition_top(*key)
+    )
     for d in range(40, 1, -1):
-        _monomial_column((d, range(4, 11)), memo)
-    assert_partition_summaries_equal_the_walk(memo)
+        _monomial_column((d, range(4, 11)))
+        assert _partition_counts(d, min(d, 10)) == list(walked_partition_summaries(d, min(d, 10))[d][0]), d
+    assert_partition_tops_equal_the_walk(set(tops))
 
 
-@st.composite
-def tail_keys(draw):
-    """A summary key (s, cap, slots), s <= 30, with some partition: cap >= ceil(s / slots)."""
-    s = draw(st.integers(1, 30))
-    slots = draw(st.integers(1, s))
-    return s, draw(st.integers(-(-s // slots), s)), slots
+def test_summaries_of_any_tail_key_equal_the_walk():
+    # Every (s, u, cap) with s <= 30: the closed form's top, 0 where no
+    # partition fits, is the walk's.
+    assert_partition_tops_equal_the_walk(
+        [(s, u, cap) for s in range(1, 31) for u in range(1, s + 1) for cap in range(1, s + 1)]
+    )
 
 
-@settings(max_examples=60, deadline=None)
-@given(key=tail_keys())
-@example(key=(1, 1, 1))
-@example(key=(30, 30, 30))
-@example(key=(30, 1, 30))
-def test_summaries_of_any_tail_key_equal_the_walk(key):
-    # With every summary the key needs, from ceil(s / slots) up to cap.
-    memo = {}
-    _partition_summary(key, memo)
-    assert key in memo
-    assert_partition_summaries_equal_the_walk(memo)
+def test_partition_counts_per_used_equal_the_walk():
+    for d in range(0, 31):
+        for slots in range(0, min(d, 16) + 1):
+            by_used = [0] * (slots + 1)
+            for _, used, _ in _ranked_partitions(d, slots):
+                by_used[used] += 1
+            assert _partition_counts(d, slots) == by_used, (d, slots)
+
+
+@functools.cache
+def best_partition_rank(s, u, cap):
+    """The highest rank among partitions of s into exactly u parts of at most
+    cap, by recursion on the largest part; 0 when there are none."""
+    if u == 1:
+        return int(1 <= s <= cap)
+    return max(((p + 1) * best_partition_rank(s - p, u - 1, p) for p in range(1, min(cap, s) + 1)), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(1, 60), u=st.integers(1, 60), cap=st.integers(1, 60))
+@example(s=60, u=1, cap=60)
+@example(s=60, u=60, cap=1)
+@example(s=60, u=7, cap=9)
+@example(s=60, u=7, cap=8)
+@example(s=59, u=2, cap=30)
+def test_partition_top_is_the_best_partition_and_the_balanced_split_reaches_it(s, u, cap):
+    top = _partition_top(s, u, cap)
+    assert top == best_partition_rank(s, u, cap)
+    if top and u > 1:
+        m, q, r = _balanced_split(s, u, cap)
+        parts = (m,) + (q,) * (u - 1 - r) + (q + 1,) * r
+        assert sum(parts) == s and parts[-1] <= cap
+        assert waring_rank(Monomial(parts, u)) == top
+
+
+def test_a_huge_degree_column_needs_no_memory():
+    tracemalloc.start()
+    try:
+        column = _monomial_column((1200, range(4, 5)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert column == [(12_150_601, [])]
+    assert peak < 1_000_000
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,10 +417,9 @@ def test_block_group_summaries_count_and_top_each_used(n, d):
 
 
 def test_root_summaries_top_out_at_the_closed_forms():
-    memo = {}
     for n in range(1, 17):
         for d in range(1, 61):
-            assert max(_partition_summary((d, d, min(n, d)), memo)[1]) == r_max(n, d), (n, d)
+            assert max(_partition_top(d, u, d) for u in range(1, min(n, d) + 1)) == r_max(n, d), (n, d)
     for n in range(1, 15):
         for d in range(1, 15):
             tops = _block_summaries(_block_pool(n, d), n)[n][0][1]
@@ -389,7 +430,8 @@ def test_enumerate_walks_build_no_summary(monkeypatch):
     def refuse(*args):
         raise AssertionError("a summary was built")
 
-    monkeypatch.setattr(waring.verify, "_partition_summary", refuse)
+    monkeypatch.setattr(waring.verify, "_partition_counts", refuse)
+    monkeypatch.setattr(waring.monomials, "_partition_top", refuse)
     monkeypatch.setattr(waring.verify, "_block_summaries", refuse)
     pool = _block_pool(10, 12)
     assert len(list(_block_multisets(pool, 10))) == 19_614
@@ -477,6 +519,15 @@ def test_verify_and_asymptotics_load_no_dataclasses(argv):
     modules = _fresh_modules(f"import os, waring.cli\nwaring.cli.main({argv!r} + ['--out', os.devnull])")
     assert "waring.verify" in modules
     assert sorted(modules & {"dataclasses", "inspect"}) == []
+
+
+@pytest.mark.parametrize("claim_id", ["theorem-monomial", "theorem-coprime"])
+def test_verify_call_loads_no_fractions_or_decimal(claim_id):
+    # Only the ratio functions need fractions, and it loads decimal.
+    argv = ["verify", "--claim", claim_id, "--n-range", "4:5", "--d-range", "3:4", "--format", "json"]
+    modules = _fresh_modules(f"import os, waring.cli\nwaring.cli.main({argv!r} + ['--out', os.devnull])")
+    assert "waring.verify" in modules
+    assert sorted(modules & {"fractions", "decimal"}) == []
 
 
 def test_verify_handler_loads_verify():
