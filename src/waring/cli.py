@@ -82,21 +82,9 @@ def _utc_now() -> str:
 RANK_COLUMNS = ["n", "d", "vars_used", "kind", "value", "witness", "label"]
 
 
-class _Cache(dict):
-    """A dict that makes each missing value on first use, as make(key), so
-    it holds only what was asked for."""
-
-    def __init__(self, make) -> None:
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _label_pieces(var: int) -> _Cache:
+def _label_pieces(var: int) -> mono._Table:
     """Exponent -> the label piece of variable var, e.g. 2 -> 'x3^2' for var 3."""
-    return _Cache(lambda e: mono.monomial_label((e,), var))
+    return mono._Table(lambda e: mono.monomial_label((e,), var))
 
 
 def _monomial_rows(
@@ -110,16 +98,16 @@ def _monomial_rows(
     completion t's text is made once per call.
     """
     n_text, d_text = str(n), str(d)
-    texts = _Cache(str)
+    texts = mono._Table(str)
     # pieces[v]: the label pieces of variable v, made for the variables some row uses.
-    pieces = _Cache(_label_pieces)
+    pieces = mono._Table(_label_pieces)
 
     def label(exponents: tuple[int, ...], skip: int) -> str:
         """The label of exponents on the variables after the first skip."""
         variables = range(skip + 1, skip + len(exponents) + 1)
         return "*".join(map(getitem, map(pieces.__getitem__, variables), exponents))
 
-    tails = _Cache(lambda tail: (",".join(map(texts.__getitem__, tail)), label(tail, 0)))
+    tails = mono._Table(lambda tail: (",".join(map(texts.__getitem__, tail)), label(tail, 0)))
     for factor, depth, parts, rows in groups:
         witness = ",".join(map(texts.__getitem__, parts))
         if witness and rows[0][2]:  # the completions are all nonempty, or the one completion is ()
@@ -156,13 +144,13 @@ def _sum_rows(
     call and first variable.
     """
     n_text, d_text = str(n), str(d)
-    texts = _Cache(str)
+    texts = mono._Table(str)
     sizes = [block.nvars for block in pool]
     # The witness syntax, e.g. '1,2|1,2'; rank parses it back.
     witnesses = [",".join(map(str, block.exponents)) for block in pool]
     # labels[i][first_var]: block i's label from variable first_var, made on
     # first use, so the cache holds only labels that some row shows.
-    labels = [_Cache(block.label) for block in pool]
+    labels = [mono._Table(block.label) for block in pool]
 
     def spell(first_var: int, picked: tuple[int, ...]) -> tuple[str, str]:
         """The witness and label of the picked blocks, numbered from first_var."""
@@ -177,7 +165,7 @@ def _sum_rows(
         witness, label = spell(*key)
         return ("|" + witness, cs.sum_label(("", label))) if key[1] else ("", "")
 
-    completions = _Cache(spell_after)
+    completions = mono._Table(spell_after)
     for rank, used, picked, rows in groups:
         witness, label = spell(1, picked)
         first_var = used + 1

@@ -19,6 +19,7 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
+    _partition_counts,
     _ranked_partitions,
     canonicalize,
     max_rank_monomial,
@@ -198,62 +199,47 @@ def _block_multisets(
             yield rank + r, used + u, picked + p
 
 
-def _block_summaries(pool: list[Monomial], n: int) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """(counts, tops) for the multisets of pool[j:] within b variables, the empty one included, as
-    table[b][j] for b <= n and j <= len(pool): by recurrence instead of walking them.
+def _multiset_counts(d: int, n: int) -> list[int]:
+    """counts[u], u <= n: the number of multisets of degree-d block shapes on u variables in all.
 
-    counts[u] of them use u variables, and tops[u] is their highest sum of
-    block ranks (of _block_ranks, so the base is left out). The pool ends
-    with the one-variable block, so below j = len(pool), where only the
-    empty multiset is left and the other tops read 0, every u <= b is
-    reached. Bottom-up, b ascending and j descending: (b, j) is (b, j + 1)
-    with block j joined to each of (b - size_j, j). Blocks come by
-    variable count descending, so for j before the first block that fits
-    b, (b, j) is the same as at that block.
+    These are the coefficients of prod_k (1 - x^k)^(-p_k) up to x^n, with
+    p_k the number of shapes on k variables (_partition_counts): each
+    shape is one pass of counts[u] += counts[u - k], u ascending, so
+    O(pool * n) additions. counts[0] = 1 is the empty multiset.
     """
-    sizes, ranks, _ = _block_ranks(pool)
-    table = []
-    for b in range(n + 1):
-        counts, tops = [1] + [0] * b, [0] * (b + 1)
-        row = [(tuple(counts), tuple(tops))]
-        for j in range(len(pool) - 1, -1, -1):
-            size, rank = sizes[j], ranks[j]
-            if size <= b:
-                rest_counts, rest_tops = table[b - size][j]
-                for used, count, top in zip(range(size, b + 1), rest_counts, rest_tops):
-                    counts[used] += count
-                    top += rank
-                    if top > tops[used]:
-                        tops[used] = top
-                row.append((tuple(counts), tuple(tops)))
-            else:
-                row.append(row[-1])
-        table.append(row[::-1])
-    return table
+    counts = [1] + [0] * n
+    for k, shapes in enumerate(_partition_counts(d, min(n, d))[1:], 1):
+        for _ in range(shapes):
+            for u in range(k, n + 1):
+                counts[u] += counts[u - k]
+    return counts
 
 
 def _multisets_reaching(
-    pool: list[Monomial], table: list, low: list[int]
+    pool: list[Monomial], n: int, low: list[int]
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """The walk of _block_multisets(pool, n), n = len(table) - 1, restricted to the multisets ranked at
-    least low[used], from the _block_summaries table.
+    """The walk of _block_multisets(pool, n), restricted to the multisets ranked at least low[used].
 
     A subtree of the walk, the nonempty multisets of pool[j:] within b
-    variables that follow a prefix, is table[b][j] with the prefix's rank
-    and used. It is opened only when some rank + tops[u], u >= 1, reaches
-    low[used + u]. Opened, it splits as the walk does: the first block i
-    from j on that fits, alone; i joined to the subtree (b - size_i, i);
-    then (b, i + 1). An explicit stack holds what is left to read.
+    variables that follow a prefix, carries the prefix's rank and used.
+    It is opened only when some block from j on fits b and rank + best(u)
+    reaches low[used + u] for some 1 <= u <= b, best from _knapsack: a
+    sum of blocks on u variables ranks at most best(u), so a subtree left
+    closed holds nothing to yield. Opened, it splits as the walk does: the
+    first block i from j on that fits, alone; i joined to the subtree
+    (b - size_i, i); then (b, i + 1). An explicit stack holds what is
+    left to read.
     """
     sizes, ranks, base = _block_ranks(pool)
-    stack = [(len(table) - 1, 0, base, 0, ())]
+    count = len(pool)
+    best = list(map(_knapsack(n, pool[0].degree)[2], range(n + 1)))
+    stack = [(n, 0, base, 0, ())]
     while stack:
         b, j, rank, used, picked = stack.pop()
-        counts, tops = table[b][j]
-        if not any(counts[u] and rank + tops[u] >= low[used + u] for u in range(1, b + 1)):
-            continue
-        while sizes[j] > b:
+        while j < count and sizes[j] > b:
             j += 1
+        if j == count or not any(rank + best[u] >= low[used + u] for u in range(1, b + 1)):
+            continue
         stack.append((b, j + 1, rank, used, picked))
         rank, used, picked = rank + ranks[j], used + sizes[j], picked + (j,)
         stack.append((b - sizes[j], j, rank, used, picked))

@@ -8,10 +8,11 @@ process, in order; cells merge in (n, d) order. The theorem claims count
 and bound each degree's objects for all its cells at once, per variable
 count: monomials by the partition-count recurrence, with each subtree of
 the walk bounded by the closed-form top rank of its partitions, coprime
-sums by an exact summary table per degree. Only the subtrees whose top
-reaches a generic rank are walked, in walk order, and only the objects
-that reach it are built. So every object is counted and compared exactly,
-without being enumerated.
+sums by the block-shape recurrence, with each subtree bounded by the
+block-size knapsack. Only the subtrees whose bound reaches a generic rank
+are walked, in walk order, and only the objects that reach it are built.
+So every object is counted and compared exactly, without being
+enumerated.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .coprime_sums import (
-    CoprimeSum, _block_pool, _block_summaries, _knapsack, _multisets_reaching, make_sum, r_max_star,
+    CoprimeSum, _block_pool, _knapsack, _multiset_counts, _multisets_reaching, make_sum, r_max_star,
 )
 from .errors import UsageError, check_cell
 from .exact_math import binomial
@@ -124,7 +125,8 @@ def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[in
     n ranked at or above its generic rank, in walk order, and only they
     are built. Monomial columns take counts from _partition_counts and
     bound each subtree of reaching by the closed form _partition_top;
-    coprime columns read both from one _block_summaries table.
+    coprime columns take counts from _multiset_counts and bound each
+    subtree by the block-size knapsack, _knapsack.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
@@ -150,9 +152,8 @@ def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
     pool = _block_pool(ns[-1], d)
-    table = _block_summaries(pool, ns[-1])
     return _theorem_column(
-        d, ns, table[-1][0][0], lambda low: _multisets_reaching(pool, table, low),
+        d, ns, _multiset_counts(d, ns[-1]), lambda low: _multisets_reaching(pool, ns[-1], low),
         lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n),
     )
 

@@ -10,8 +10,9 @@ from waring.coprime_sums import (
     CoprimeSum,
     _block_multisets,
     _block_pool,
-    _block_summaries,
     _knapsack,
+    _multiset_counts,
+    _multisets_reaching,
     enumerate_coprime_sums,
     greedy_construction,
     make_sum,
@@ -26,8 +27,8 @@ from waring.verify import ratio_decay_fixed_d
 
 
 def predicted_walk(d, n):
-    """The nonempty multisets _block_multisets walks over _block_pool(n, d), counted by their root summary."""
-    return sum(_block_summaries(_block_pool(n, d), n)[n][0][0]) - 1
+    """The nonempty multisets _block_multisets walks over _block_pool(n, d), counted by the shape recurrence."""
+    return sum(_multiset_counts(d, n)) - 1
 
 
 def multiset_count(n, d, spanning):
@@ -235,6 +236,22 @@ def test_block_multiset_counts_match_generating_function(n, d):
     assert sum(1 for _ in _block_multisets(pool, n, spanning=True)) == coeffs[n]
     assert sum(1 for _ in _block_multisets(pool, n)) == sum(coeffs[1:])
     assert predicted_walk(d, n) == sum(coeffs[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 8), data=st.data())
+def test_multisets_reaching_is_the_walk_filtered_by_low(n, d, data):
+    pool = _block_pool(n, d)
+    walk = list(_block_multisets(pool, n))
+    top = max(rank for rank, _, _ in walk)
+    drawn = data.draw(st.lists(st.integers(0, top + 1), min_size=n + 1, max_size=n + 1), label="low")
+    generic = [0] + [generic_rank(u, d) for u in range(1, n + 1)]  # the ranks a verify cell compares with
+    for low in (drawn, generic):
+        assert list(_multisets_reaching(pool, n, low)) == [m for m in walk if m[0] >= low[m[1]]], low
+    per_used = [1] + [0] * n
+    for _, used, _ in walk:
+        per_used[used] += 1
+    assert _multiset_counts(d, n) == shape_multiset_counts(n, d) == per_used
 
 
 def test_enumerate_rejects_bad_args():

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from waring.coprime_sums import (
     CoprimeSum,
     _block_multisets,
     _block_pool,
-    _block_summaries,
+    _knapsack,
     enumerate_coprime_sums,
     make_sum,
     max_rank_sum,
@@ -290,13 +291,13 @@ def test_each_degree_is_walked_once(monkeypatch):
     assert [key for key, _ in reached] == [(d, d, min(d, 10)) for d in range(40, 1, -1)]
     assert built == []
 
-    # One summary table per degree, in 12 variables: (4, 3)'s witnesses come
-    # from it too, and they are the only sums built.
-    builds = count_calls(monkeypatch, "_block_summaries")
+    # One count per degree, in 12 variables, and one pruned walk: (4, 3)'s
+    # witnesses come from it, and they are the only sums built.
+    counted = count_calls(monkeypatch, "_multiset_counts")
     built = count_calls(monkeypatch, "CoprimeSum")
     report = verify_claim("theorem-coprime", (4, 12), (3, 12))
     assert report.status == STATUS_PASS_WITH_EXPECTED
-    assert [(pool[0].degree, n) for pool, n in builds] == [(d, 12) for d in range(12, 2, -1)]
+    assert counted == [(d, 12) for d in range(12, 2, -1)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
     assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
 
@@ -391,39 +392,35 @@ def test_a_huge_degree_column_needs_no_memory():
     assert peak < 1_000_000
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 12), d=st.integers(1, 8))
-@example(n=12, d=8)
-@example(n=5, d=1)
-def test_block_group_summaries_count_and_top_each_used(n, d):
-    pool = _block_pool(n, d)
-    table = _block_summaries(pool, n)
-    base = 1 if d == 1 else 0
-    assert len(table) == n + 1
-    for b, row in enumerate(table):
-        # The walk within b variables, less its base rank, by first pick; then
-        # each j's multisets, those picking from j on, the empty one included.
-        by_first = [[] for _ in pool]
-        for rank, used, picked in _block_multisets(pool, b):
-            by_first[picked[0]].append((rank - base, used))
-        counts, tops = [1] + [0] * b, [0] * (b + 1)
-        assert len(row) == len(pool) + 1
-        assert row[-1] == (tuple(counts), tuple(tops))
-        for j in range(len(pool) - 1, -1, -1):
-            for rank, used in by_first[j]:
-                counts[used] += 1
-                tops[used] = max(tops[used], rank)
-            assert row[j] == (tuple(counts), tuple(tops)), (b, j)
+def test_a_wide_coprime_column_needs_no_memory():
+    # Counts by the block-shape recurrence and the knapsack bound take O(n)
+    # memory beyond the pool, whatever the number of sums (2.4e17 in 30 variables).
+    tracemalloc.start()
+    try:
+        column = _coprime_column((30, range(4, 31)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [checked for checked, _ in column[:3]] == [525, 2_444, 11_515]
+    assert column[-1][0] == 240_656_794_017_777_158
+    assert all(bad == [] for _, bad in column)
+    assert peak < 5_000_000
 
 
 def test_root_summaries_top_out_at_the_closed_forms():
     for n in range(1, 17):
         for d in range(1, 61):
             assert max(_partition_top(d, u, d) for u in range(1, min(n, d) + 1)) == r_max(n, d), (n, d)
+    # The knapsack bounds every subtree of the coprime walk: best(u) is the
+    # walk's highest rank on at most u variables, the base rank of 1 at d = 1
+    # included.
     for n in range(1, 15):
         for d in range(1, 15):
-            tops = _block_summaries(_block_pool(n, d), n)[n][0][1]
-            assert max(tops[1:]) + (d == 1) == r_max_star(n, d), (n, d)
+            best = _knapsack(n, d)[2]
+            tops = [0] * (n + 1)
+            for rank, used, _ in _block_multisets(_block_pool(n, d), n):
+                tops[used] = max(tops[used], rank)
+            assert [best(u) for u in range(n + 1)] == list(accumulate(tops, max)), (n, d)
 
 
 def test_enumerate_walks_build_no_summary(monkeypatch):
@@ -432,7 +429,7 @@ def test_enumerate_walks_build_no_summary(monkeypatch):
 
     monkeypatch.setattr(waring.verify, "_partition_counts", refuse)
     monkeypatch.setattr(waring.monomials, "_partition_top", refuse)
-    monkeypatch.setattr(waring.verify, "_block_summaries", refuse)
+    monkeypatch.setattr(waring.verify, "_multiset_counts", refuse)
     pool = _block_pool(10, 12)
     assert len(list(_block_multisets(pool, 10))) == 19_614
     assert len(list(_ranked_partitions(40, 10))) == 16_928
