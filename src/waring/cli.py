@@ -20,7 +20,7 @@ from . import coprime_sums as cs
 from . import monomials as mono
 from .errors import UsageError, check_cell
 from .monomials import MODE_CLOSED_FORM, MODE_ORACLE
-from .report import FORMATS, ReportDocument, approx12, fmt_exact, render
+from .report import FORMATS, ReportDocument, approx12, fmt_exact, render_pieces
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -191,14 +191,31 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> tuple[str, ...
     return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, groups))
 
 
-def _one_per_group(ranked: Iterable[tuple[int, int, tuple[int, ...]]], empty: tuple) -> list[tuple]:
+def _one_per_group(ranked: Iterable[tuple[int, int, tuple[int, ...]]], empty: tuple) -> Iterator[tuple]:
     """The (rank, used, raw) objects as one group each, whose one row is the empty completion."""
-    return [(rank, used, parts, [empty]) for rank, used, parts in ranked]
+    return ((rank, used, parts, [empty]) for rank, used, parts in ranked)
 
 
 def _sparse_row(columns: list[str], /, **cells: str) -> tuple[str, ...]:
     """The row of the named cells in column order: a column they leave out is ''."""
     return tuple([cells.get(col, "") for col in columns])
+
+
+class _CountedRows:
+    """Rows made as they are read, once, and their number, known before any is made.
+
+    len() gives the number before or after the rows are written, and
+    list() sizes itself by it.
+    """
+
+    def __init__(self, rows: Iterator[tuple[str, ...]], count: int) -> None:
+        self._rows, self._count = rows, count
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._count
 
 
 def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
@@ -207,7 +224,7 @@ def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
         command=args.command,
         parameters=parameters,
         columns=columns,
-        rows=list(rows),
+        rows=rows,
         fmt=args.format,
         generated_at=generated_at,
     )
@@ -288,16 +305,19 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
         else:
             groups = cs._block_groups(pool, args.n)
         rows = _sum_rows(args.n, args.d, "coprime_sum", pool, groups)
+        counts = cs._multiset_counts(args.d, args.n)  # by the count recurrence, without a walk
+        count = counts[args.n] if args.spanning else sum(counts) - 1  # less the empty sum
     else:
         check_cell("enumerate_monomials", args.n, args.d)
         rows = _monomial_rows(args.n, args.d, "monomial", mono._partition_groups(args.d, args.n))
+        count = sum(mono._partition_counts(args.d, min(args.n, args.d)))
     params = {
         "n": str(args.n),
         "d": str(args.d),
         "sums": str(bool(args.sums)).lower(),
         "spanning": str(bool(args.spanning)).lower(),
     }
-    return _document(args, RANK_COLUMNS, rows, params), 0
+    return _document(args, RANK_COLUMNS, _CountedRows(rows, count), params), 0
 
 
 VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
@@ -541,22 +561,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(text: str) -> None:
-    """Write all of text to stdout, or raise OSError with stdout pointed at
-    the null device, so the flush at exit cannot fail again.
+def _write_stdout(pieces: Iterable[str]) -> None:
+    """Write all of the pieces to stdout in order, or raise OSError with
+    stdout pointed at the null device, so the flush at exit cannot fail again.
 
-    Bytes are written until none are left: under python -u a closed pipe
-    can cut a raw write short, and stdout's text layer would drop the rest.
+    Each piece's bytes are written until none are left: under python -u a
+    closed pipe can cut a raw write short, and stdout's text layer would
+    drop the rest.
     """
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text-only stream, such as io.StringIO
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    encoding, errors = sys.stdout.encoding, sys.stdout.errors
     try:
         sys.stdout.flush()
-        while data:
-            data = data[out.write(data):]
+        for piece in pieces:
+            data = memoryview(piece.encode(encoding, errors))
+            while data:
+                data = data[out.write(data):]
         out.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -576,13 +599,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render(doc)
+    pieces = render_pieces(doc)
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            _write_stdout(text)
+            _write_stdout(pieces)
     except OSError as exc:
         print(f"error: cannot write {'--out' if args.out else 'stdout'}: {exc}", file=sys.stderr)
         return 2

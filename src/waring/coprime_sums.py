@@ -215,24 +215,28 @@ def _multiset_counts(d: int, n: int) -> list[int]:
     return counts
 
 
-def _multisets_reaching(
-    pool: list[Monomial], n: int, low: list[int]
-) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """The walk of _block_multisets(pool, n), restricted to the multisets ranked at least low[used].
+def _multisets_reaching(n: int, d: int, low: list[int]) -> Iterator[tuple[int, int, tuple[Monomial, ...]]]:
+    """The walk of _block_multisets(_block_pool(n, d), n), restricted to the multisets ranked at least low[used].
 
-    A subtree of the walk, the nonempty multisets of pool[j:] within b
-    variables that follow a prefix, carries the prefix's rank and used.
-    It is opened only when some block from j on fits b and rank + best(u)
-    reaches low[used + u] for some 1 <= u <= b, best from _knapsack: a
-    sum of blocks on u variables ranks at most best(u), so a subtree left
-    closed holds nothing to yield. Opened, it splits as the walk does: the
-    first block i from j on that fits, alone; i joined to the subtree
-    (b - size_i, i); then (b, i + 1). An explicit stack holds what is
-    left to read.
+    Yields (rank, used, blocks), blocks the pool blocks that the walk's
+    picked indices name. A subtree of the walk, the nonempty multisets of
+    pool[j:] within b variables that follow a prefix, carries the prefix's
+    rank and used. It is opened only when some block from j on fits b and
+    rank + best(u) reaches low[used + u] for some 1 <= u <= b, best from
+    _knapsack: a sum of blocks on u variables ranks at most best(u), so a
+    subtree left closed holds nothing to yield. Opened, it splits as the
+    walk does: the first block i from j on that fits, alone; i joined to
+    the subtree (b - size_i, i); then (b, i + 1). An explicit stack holds
+    what is left to read. Every block fits the root, so the pool is built
+    only if the root opens: on the claim's domain, that is d = 3 alone.
     """
-    sizes, ranks, base = _block_ranks(pool)
+    base = int(d == 1)  # _block_ranks's rank of a sum of none, known before the pool is
+    best = list(map(_knapsack(n, d)[2], range(n + 1)))
+    if not any(base + best[u] >= low[u] for u in range(1, n + 1)):
+        return
+    pool = _block_pool(n, d)
+    sizes, ranks, _ = _block_ranks(pool)
     count = len(pool)
-    best = list(map(_knapsack(n, pool[0].degree)[2], range(n + 1)))
     stack = [(n, 0, base, 0, ())]
     while stack:
         b, j, rank, used, picked = stack.pop()
@@ -241,7 +245,7 @@ def _multisets_reaching(
         if j == count or not any(rank + best[u] >= low[used + u] for u in range(1, b + 1)):
             continue
         stack.append((b, j + 1, rank, used, picked))
-        rank, used, picked = rank + ranks[j], used + sizes[j], picked + (j,)
+        rank, used, picked = rank + ranks[j], used + sizes[j], picked + (pool[j],)
         stack.append((b - sizes[j], j, rank, used, picked))
         if rank >= low[used]:
             yield rank, used, picked

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .coprime_sums import (
-    CoprimeSum, _block_pool, _knapsack, _multiset_counts, _multisets_reaching, make_sum, r_max_star,
+    CoprimeSum, _knapsack, _multiset_counts, _multisets_reaching, make_sum, r_max_star,
 )
 from .errors import UsageError, check_cell
 from .exact_math import binomial
@@ -151,11 +151,8 @@ def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
 
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
-    pool = _block_pool(ns[-1], d)
-    return _theorem_column(
-        d, ns, _multiset_counts(d, ns[-1]), lambda low: _multisets_reaching(pool, ns[-1], low),
-        lambda picked, n: CoprimeSum(tuple(pool[i] for i in picked), n),
-    )
+    n = ns[-1]
+    return _theorem_column(d, ns, _multiset_counts(d, n), lambda low: _multisets_reaching(n, d, low), CoprimeSum)
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:

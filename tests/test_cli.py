@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from waring import monomials as mono
 from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
 from waring.monomials import Monomial, canonicalize, enumerate_monomials, waring_rank
-from waring.report import FORMATS, ReportDocument, approx12, fmt_exact, render
+from waring import report
+from waring.report import FORMATS, ReportDocument, approx12, fmt_exact, render, render_pieces
 from fractions import Fraction
 
 
@@ -27,6 +29,10 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Rows per rendered piece: one and two put a piece boundary between any two rows.
+CHUNKS = (1, 2, report._CHUNK)
 
 
 def run_json(capsys, *args):
@@ -601,10 +607,12 @@ def test_csv_output_parses(capsys):
     assert rows[1][witness_col] == "3|3|3|3"
 
 
-def test_markdown_escapes_pipes(capsys):
-    code, out, err = run_cli(capsys, "table", "--name", "coprime-43", "--deterministic")
-    assert code == 0
-    assert "3\\|3\\|3\\|3" in out
+def test_markdown_escapes_pipes(capsys, monkeypatch):
+    for chunk in CHUNKS:
+        monkeypatch.setattr(report, "_CHUNK", chunk)
+        code, out, err = run_cli(capsys, "table", "--name", "coprime-43", "--deterministic")
+        assert code == 0
+        assert "3\\|3\\|3\\|3" in out
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -622,6 +630,37 @@ def test_out_flag_writes_file(tmp_path, capsys):
         "--deterministic",
     )
     assert on_disk == stdout_copy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--n", "0", "--d", "3"), ("enumerate", "--spanning", "--n", "4", "--d", "3")],
+)
+def test_usage_error_leaves_out_file_as_it_was(tmp_path, capsys, argv):
+    # Output is written as it is rendered, so every check must come first.
+    target = tmp_path / "report.md"
+    target.write_text("keep")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert target.read_text() == "keep"
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 3_000_000), ("json", 3_000_000), ("md", 9_000_000)])
+def test_enumerate_dump_memory_does_not_hold_the_whole_text(tmp_path, fmt, bound):
+    # 16,928 rows; their text is 1.4 MB in csv, 3.6 MB in json and 2.1 MB
+    # in md. Holding every row, then the whole text and its bytes, the
+    # traced peaks were 8.9, 17.5 and 13.3 MB. Markdown still holds its
+    # rows, to pad its columns, so its bound is looser.
+    argv = ["enumerate", "--n", "10", "--d", "40", "--format", fmt, "--out", str(tmp_path / "dump")]
+    assert main(argv) == 0  # fills the caches the walk shares across calls
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
@@ -845,6 +884,14 @@ def test_report_document_rejects_duplicate_columns():
         ReportDocument("x", {}, ["a", "b", "a"], [("1", "2", "3")], fmt="json")
 
 
+def rendered_in_pieces(doc, chunk):
+    """The joined pieces of doc, its rows read once, as an iterator, in pieces of chunk rows."""
+    doc = ReportDocument(doc.command, doc.parameters, doc.columns, iter(doc.rows), doc.fmt, doc.generated_at)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "_CHUNK", chunk)
+        return "".join(render_pieces(doc))
+
+
 def test_render_empty_table():
     doc = ReportDocument("x", {"p": "1"}, ["a", "b"], [], fmt="md")
     text = render(doc)
@@ -881,7 +928,8 @@ def test_json_renderer_equals_indented_json_dumps(doc):
         envelope["generated_at"] = doc.generated_at
     envelope["columns"] = doc.columns
     envelope["rows"] = [dict(zip(doc.columns, row)) for row in doc.rows]
-    assert render(doc) == json.dumps(envelope, indent=2) + "\n"
+    for chunk in CHUNKS:
+        assert rendered_in_pieces(doc, chunk) == json.dumps(envelope, indent=2) + "\n", chunk
 
 
 @settings(max_examples=100, deadline=None)
@@ -899,4 +947,16 @@ def test_markdown_renderer_pads_escaped_cells(doc):
         "| " + " | ".join(cell.ljust(w) for cell, w in zip(cells, widths)) + " |\n"
         for cells in table
     )
-    assert render(doc).endswith("\n" + expected)
+    for chunk in CHUNKS:
+        assert rendered_in_pieces(doc, chunk).endswith("\n" + expected), chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents("csv"))
+def test_csv_renderer_equals_one_csv_writer_pass(doc):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(doc.columns)
+    writer.writerows(doc.rows)
+    for chunk in CHUNKS:
+        assert rendered_in_pieces(doc, chunk) == out.getvalue(), chunk

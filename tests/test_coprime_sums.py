@@ -247,7 +247,8 @@ def test_multisets_reaching_is_the_walk_filtered_by_low(n, d, data):
     drawn = data.draw(st.lists(st.integers(0, top + 1), min_size=n + 1, max_size=n + 1), label="low")
     generic = [0] + [generic_rank(u, d) for u in range(1, n + 1)]  # the ranks a verify cell compares with
     for low in (drawn, generic):
-        assert list(_multisets_reaching(pool, n, low)) == [m for m in walk if m[0] >= low[m[1]]], low
+        expected = [(rank, used, tuple(pool[i] for i in picked)) for rank, used, picked in walk if rank >= low[used]]
+        assert list(_multisets_reaching(n, d, low)) == expected, low
     per_used = [1] + [0] * n
     for _, used, _ in walk:
         per_used[used] += 1

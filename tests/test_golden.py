@@ -150,10 +150,12 @@ def test_handler_rows_are_tuples_of_strings_in_column_order():
             continue
         args = build_parser().parse_args(argv)
         doc, _ = args.handler(args)
-        assert type(doc.rows) is list, key
-        shapes = {(type(row), len(row)) for row in doc.rows}
+        count = len(doc.rows)  # enumerate knows its count before it makes a row
+        rows = list(doc.rows)  # read once: enumerate makes its rows as they are read
+        assert len(rows) == count, key
+        shapes = {(type(row), len(row)) for row in rows}
         assert shapes <= {(tuple, len(doc.columns))}, key
-        assert all(type(cell) is str for row in doc.rows for cell in row), key
+        assert all(type(cell) is str for row in rows for cell in row), key
 
 
 def test_cli_output_matches_golden(monkeypatch):

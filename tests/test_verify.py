@@ -302,6 +302,23 @@ def test_each_degree_is_walked_once(monkeypatch):
     assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
 
 
+def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypatch):
+    # Past (4, 3), no sum in the claim's domain reaches a generic rank, so
+    # the knapsack closes the root of every column with d >= 4.
+    built = []
+    original = waring.coprime_sums._block_pool
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(waring.coprime_sums, "_block_pool", counted)
+    assert verify_claim("theorem-coprime", (4, 40), (40, 40)).status == STATUS_PASS
+    assert built == []
+    assert verify_claim("theorem-coprime", (4, 12), (3, 12)).status == STATUS_PASS_WITH_EXPECTED
+    assert built == [(12, 3)]
+
+
 @functools.cache
 def walked_partition_summaries(s, slots):
     """summaries[cap] = (counts, tops) per used, taken from the walk of
