@@ -12,7 +12,6 @@ column, so each renderer walks them without looking columns up by name.
 from __future__ import annotations
 
 from itertools import islice, repeat
-from operator import add
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -28,8 +27,25 @@ def fmt_exact(value: int | Fraction | str) -> str:
 
 
 def approx12(value: int | Fraction) -> str:
-    """Decimal approximation with 12 significant digits, for _approx columns."""
-    return f"{float(value):.12g}"
+    """Decimal approximation with 12 significant digits, for _approx columns.
+
+    A value beyond float range is rounded exactly (half to even), and
+    spelled as %.12g would spell it: trailing zeros dropped, e+NNN.
+    """
+    try:
+        return f"{float(value):.12g}"
+    except OverflowError:
+        pass
+    from fractions import Fraction
+
+    size = abs(Fraction(value))
+    exponent = len(str(int(size))) - 1  # at least 308 here
+    digits = round(size / 10 ** (exponent - 11))
+    if digits == 10**12:  # rounded up to the next power of ten
+        digits, exponent = 10**11, exponent + 1
+    mantissa = str(digits)
+    mantissa = (mantissa[0] + "." + mantissa[1:]).rstrip("0").rstrip(".")
+    return f"{'-' if value < 0 else ''}{mantissa}e+{exponent}"
 
 
 class ReportDocument:
@@ -98,11 +114,12 @@ def _render_json(doc: ReportDocument) -> Iterator[str]:
 
     json.dumps uses its C encoder only without indent, so the envelope head
     goes through json.dumps and the rows are spelled out here, byte for
-    byte as indent=2 would, through one %-template per piece of rows. The
+    byte as indent=2 would: each piece is joined from its columns and the
+    fixed separators between them, which hold the keys and the quotes. The
     encoder escapes each character on its own, so a column whose joined
     cells in the piece it leaves unchanged needs no escaping in any of
-    them, and they go into the template as they are, between quotes. Every
-    other column's cells are encoded one by one.
+    them, and its cells go in as they are, between quotes. Every other
+    column's cells are encoded one by one.
     """
     import json
 
@@ -116,23 +133,25 @@ def _render_json(doc: ReportDocument) -> Iterator[str]:
     envelope["rows"] = []
     head = json.dumps(envelope, indent=2)
     encode = json.encoder.encode_basestring_ascii
-    keys = ["      " + encode(name).replace("%", "%%") + ": " for name in doc.columns]
+    keys = ["      " + encode(name) + ": " for name in doc.columns]
     # head ends with '"rows": []' and the closing brace; with rows, the first
     # piece opens the list in their place, and the last line closes it.
     lead, tail = head[: -len("[]\n}")] + "[\n", head + "\n"
     for rows in _pieces(doc.rows):
         if keys:
-            columns = list(zip(*rows))
-            fields = []
-            for j, (key, column) in enumerate(zip(keys, columns)):
+            # Each row joins its cells, each after a fixed separator that
+            # closes the cell before it and opens its own, and a last one
+            # that closes the row.
+            parts = []
+            quote, opening = "", "    {\n"
+            for key, column in zip(keys, zip(*rows)):
                 joined = "".join(column)
-                if encode(joined) == '"' + joined + '"':
-                    fields.append(key + '"%s"')
-                else:
-                    fields.append(key + "%s")
-                    columns[j] = map(encode, column)
-            template = "    {\n" + ",\n".join(fields) + "\n    }"
-            yield lead + ",\n".join(map(template.__mod__, zip(*columns)))
+                separator = quote + opening + key
+                quote = '"' if encode(joined) == '"' + joined + '"' else ""
+                parts += (repeat(separator + quote), column if quote else map(encode, column))
+                opening = ",\n"
+            parts.append(repeat(quote + "\n    }"))
+            yield lead + ",\n".join(map("".join, zip(*parts)))
         else:
             yield lead + ",\n".join(["    {}"] * len(rows))
         lead, tail = ",\n", "\n  ]\n}\n"
@@ -140,23 +159,60 @@ def _render_json(doc: ReportDocument) -> Iterator[str]:
 
 
 def _render_csv(doc: ReportDocument) -> Iterator[str]:
-    """One csv.writer for the whole document, its buffer emptied after each piece."""
+    """What one csv.writer writes for the header and every row.
+
+    A plain piece of rows (see _plain_csv) is joined by hand; any other
+    piece goes through the writer, whose buffer is emptied after each.
+    """
     import csv
     import io
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(doc.columns)
-    for rows in _pieces(doc.rows):
-        writer.writerows(rows)
-        yield out.getvalue()
+
+    def drained() -> str:
+        text = out.getvalue()
         out.seek(0)
         out.truncate()
-    yield out.getvalue()
+        return text
+
+    writer.writerow(doc.columns)
+    yield drained()
+    for rows in _pieces(doc.rows):
+        text = _plain_csv(rows)
+        if text is None:
+            writer.writerows(rows)
+            text = drained()
+        yield text
+
+
+def _plain_csv(rows: list[tuple[str, ...]]) -> str | None:
+    """rows as csv.writer writes them, if the piece is plain; else None.
+
+    A piece is plain when it has at least two columns and no cell in it is
+    empty or holds a quote, a carriage return, a newline or a NUL. Then
+    the writer quotes exactly the cells that hold a comma, by wrapping
+    them in quotes, in every supported Python; on the other cells its
+    rules differ between versions, so those pieces are left to it.
+    """
+    columns = list(zip(*rows))
+    if len(columns) < 2:
+        return None
+    for j, column in enumerate(columns):
+        joined = "".join(column)
+        if not all(column) or any(char in joined for char in '"\r\n\0'):
+            return None
+        if "," in joined:
+            columns[j] = [f'"{cell}"' if "," in cell else cell for cell in column]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _render_md(doc: ReportDocument) -> Iterator[str]:
-    """A table padded to its widest cells, so every row is read before the first piece."""
+    """A table padded to its widest cells, so every row is read before the first piece.
+
+    The rows are read piece by piece and held only as columns, each literal
+    | escaped as \\| on the way in (it would end the table cell).
+    """
     lines = [f"# {doc.command}", ""]
     if doc.parameters:
         params = ", ".join(f"{k}={v}" for k, v in doc.parameters.items())
@@ -165,25 +221,25 @@ def _render_md(doc: ReportDocument) -> Iterator[str]:
         lines.append(f"generated_at: {doc.generated_at}")
     if doc.parameters or doc.generated_at is not None:
         lines.append("")
-    rows = list(doc.rows)
-    widths = [len(col) for col in doc.columns]
-    piped = []  # the columns holding a literal |, which would end the table cell: it is escaped as \|
-    for j, column in enumerate(zip(*rows)):
-        if "|" in "".join(column):
-            piped.append(j)
-            width = max(map(add, map(len, column), map(str.count, column, repeat("|"))))
-        else:
-            width = max(map(len, column))
-        widths[j] = max(widths[j], 1, width)
+    columns: list[list[str]] = [[] for _ in doc.columns]
+    count = 0
+    for rows in _pieces(doc.rows):
+        count += len(rows)
+        for cells, column in zip(columns, zip(*rows)):
+            if "|" in "".join(column):
+                column = [cell.replace("|", "\\|") for cell in column]
+            cells += column
+    widths = [len(name) for name in doc.columns]
+    if count:
+        widths = [max(w, 1, max(map(len, cells))) for w, cells in zip(widths, columns)]
     lines.append("| " + " | ".join(col.ljust(w) for col, w in zip(doc.columns, widths)) + " |")
     lines.append("| " + " | ".join("-" * w for w in widths) + " |")
     yield "\n".join(lines) + "\n"
-    template = "| " + " | ".join(f"%-{w}s" for w in widths) + " |\n"
-    for start in range(0, len(rows), _CHUNK):
-        piece = rows[start : start + _CHUNK]
-        if piped:
-            columns = list(zip(*piece))
-            for j in piped:
-                columns[j] = [cell.replace("|", "\\|") for cell in columns[j]]
-            piece = zip(*columns)
-        yield "".join(map(template.__mod__, piece))
+    for start in range(0, count, _CHUNK):
+        if columns:
+            padded = [
+                map(str.ljust, cells[start : start + _CHUNK], repeat(w)) for cells, w in zip(columns, widths)
+            ]
+            yield "| " + " |\n| ".join(map(" | ".join, zip(*padded))) + " |\n"
+        else:
+            yield "|  |\n" * min(_CHUNK, count - start)

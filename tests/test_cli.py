@@ -143,6 +143,14 @@ def test_bounds_command(capsys):
     assert "gap_ratio_heuristic" in by_kind
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bounds_beyond_float_range_exits_zero(capsys, fmt):
+    # The span bound at (1000, 1000) is about 1e+600, past any float.
+    code, out, err = run_cli(capsys, "bounds", "--n", "1000", "--d", "1000", "--format", fmt, "--deterministic")
+    assert (code, err) == (0, "")
+    assert "1.02407581349e+600" in out
+
+
 def test_enumerate_monomials_command(capsys):
     code, doc = run_json(capsys, "enumerate", "--n", "4", "--d", "4")
     assert code == 0
@@ -815,6 +823,7 @@ def assert_renderings_agree(argv, out_dir):
 @example(argv=["rank", "--monomial", "0,0", "--deterministic"])
 @example(argv=["asymptotics", "--mode", "n-limit", "--d", "3", "--n-max", "2"])
 @example(argv=["enumerate", "--n", "3", "--d", "3", "--out", "directory"])
+@example(argv=["bounds", "--n", "1000", "--d", "1000", "--deterministic"])
 def test_cli_contract_on_any_small_argv(argv):
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err, written = run_in_process(argv, Path(tmp))
@@ -872,6 +881,36 @@ def test_fmt_exact_and_approx():
     assert approx12(Fraction(1, 3)) == "0.333333333333"
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    value=st.integers(2**1024, 10**700) | st.builds(Fraction, st.integers(10**400, 10**700), st.integers(1, 10**80)),
+    sign=st.sampled_from([1, -1]),
+)
+@example(value=10**400 - 1, sign=1)  # rounds up to the next power of ten
+@example(value=1234567890125 * 10**300, sign=1)  # a tie, rounded to the even digit
+@example(value=7**500, sign=-1)
+def test_approx12_beyond_float_range_rounds_the_exact_value(value, sign):
+    text = approx12(sign * value)
+    mantissa, exponent = text.lstrip("-").split("e+")
+    digits = mantissa.replace(".", "")
+    assert text.startswith("-") == (sign < 0)
+    assert 1 <= len(digits) <= 12 and digits[0] != "0" and digits[-1] != "0", text
+    assert "." in mantissa or len(digits) == 1, text
+    # Within half a unit in the 12th digit of the exact value.
+    error = abs(Fraction(mantissa) * 10 ** int(exponent) - value)
+    assert 2 * error <= 10 ** (int(exponent) - 11), text
+    leading = str(int(value))
+    if leading[12] < "5":
+        # Rounded down: the mantissa is the value's leading digits.
+        assert leading[:12].rstrip("0") == digits
+        assert int(exponent) == len(leading) - 1
+
+
+def test_approx12_keeps_the_float_path_in_float_range():
+    for value in (1, Fraction(2, 3), 10**300, Fraction(10**308, 7), 2**1023):
+        assert approx12(value) == f"{float(value):.12g}"
+
+
 def test_report_document_rejects_unknown_format():
     with pytest.raises(ValueError):
         ReportDocument("x", {}, ["a"], [], fmt="xml")
@@ -922,6 +961,8 @@ def documents(draw, fmt):
 @example(ReportDocument("x", {}, [], [(), ()], "json"))
 @example(ReportDocument("x", {}, ["plain", "mixed"], [("a", "b"), ("c%s", 'd"\n'), ("e", "f")], "json"))
 @example(ReportDocument("x", {}, ["100%", "%s", "%%d"], [("1", "%d", "é"), ("2", "%", "e")], "json"))
+@example(ReportDocument("x", {}, ["a", "b"], [("1", "é"), ("2", "x"), ("3", "y")], "json"))
+@example(ReportDocument("x", {"p": "1"}, [], [(), (), ()], "json", "2026-01-01T00:00:00Z"))
 def test_json_renderer_equals_indented_json_dumps(doc):
     envelope = {"command": doc.command, "parameters": doc.parameters}
     if doc.generated_at is not None:
@@ -953,6 +994,19 @@ def test_markdown_renderer_pads_escaped_cells(doc):
 
 @settings(max_examples=100, deadline=None)
 @given(documents("csv"))
+@example(ReportDocument("x", {}, ["a"], [("1",), ("",), ("2",)], "csv"))  # the writer prints ""
+@example(ReportDocument("x", {}, ["a", "b", "c"], [("1", "", "3"), ("4", "5", "6")], "csv"))
+@example(ReportDocument("x", {}, ["a", "b"], [(",", ",,"), (",,,", "x")], "csv"))
+@example(ReportDocument("x", {}, ["a", "b"], [("1", "2"), ("\r", "3"), ("4", "5")], "csv"))
+@example(ReportDocument("x", {}, ["a", "b"], [("1", "2"), ("3", "\x00"), ("4", "5")], "csv"))
+# Plain pieces next to others, in pieces of one row and of two.
+@example(
+    ReportDocument(
+        "x", {}, ["a", "b"],
+        [("1", "2,3"), ("4", "5"), ('"6"', "7"), ("8", "9"), ("a,b", "c"), ("d", "e"), ("f", "g\n")],
+        "csv",
+    )
+)
 def test_csv_renderer_equals_one_csv_writer_pass(doc):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -960,3 +1014,28 @@ def test_csv_renderer_equals_one_csv_writer_pass(doc):
     writer.writerows(doc.rows)
     for chunk in CHUNKS:
         assert rendered_in_pieces(doc, chunk) == out.getvalue(), chunk
+
+
+def test_enumerate_csv_writes_only_its_header_through_csv_writer(capsys, monkeypatch):
+    # Every piece of this dump is plain, so the rows skip the writer.
+    written = []
+    real_writer = csv.writer
+
+    class CountingWriter:
+        def __init__(self, *args, **kwargs):
+            self.writer = real_writer(*args, **kwargs)
+
+        def writerow(self, row):
+            written.append(row)
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            written.extend(rows)
+            return self.writer.writerows(rows)
+
+    monkeypatch.setattr(csv, "writer", CountingWriter)
+    code, out, err = run_cli(capsys, "enumerate", "--n", "10", "--d", "12", "--sums", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert written == [cli.RANK_COLUMNS]
+    assert out.count("\n") == 1 + 19_614
