@@ -20,7 +20,7 @@ from . import coprime_sums as cs
 from . import monomials as mono
 from .errors import UsageError, check_cell
 from .monomials import MODE_CLOSED_FORM, MODE_ORACLE
-from .report import FORMATS, ReportDocument, approx12, fmt_exact, render_pieces
+from .report import DIGIT_BUDGET, FORMATS, ReportDocument, approx12, check_digits, fmt_exact, render_pieces
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -186,9 +186,12 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> tuple[str, ...
     """The rank row of one Monomial or CoprimeSum, from the two builders above."""
     if isinstance(obj, cs.CoprimeSum):
         groups = [(cs.sum_rank(obj), obj.vars_used, range(len(obj.blocks)), [(0, 0, ())])]
-        return next(_sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, groups))
-    groups = [(mono.waring_rank(obj), obj.nvars, obj.exponents, [(1, 0, ())])]
-    return next(_monomial_rows(obj.ambient_vars, obj.degree, kind, groups))
+        rows = _sum_rows(obj.ambient_vars, obj.degree, kind, obj.blocks, groups)
+    else:
+        groups = [(mono.waring_rank(obj), obj.nvars, obj.exponents, [(1, 0, ())])]
+        rows = _monomial_rows(obj.ambient_vars, obj.degree, kind, groups)
+    check_digits(groups[0][0])  # the rank
+    return next(rows)
 
 
 def _one_per_group(ranked: Iterable[tuple[int, int, tuple[int, ...]]], empty: tuple) -> Iterator[tuple]:
@@ -254,7 +257,7 @@ def cmd_generic_rank(args) -> tuple[ReportDocument, int]:
     from . import rank_tables as rt
 
     params = {"n": str(args.n), "d": str(args.d)}
-    row = _sparse_row(RANK_COLUMNS, **params, kind="generic", value=str(rt.generic_rank(args.n, args.d)))
+    row = _sparse_row(RANK_COLUMNS, **params, kind="generic", value=fmt_exact(rt.generic_rank(args.n, args.d)))
     return _document(args, RANK_COLUMNS, [row], params), 0
 
 
@@ -594,13 +597,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_BUDGET)  # Python's own limit is 4300 digits; restored on return
     try:
         doc, exit_code = args.handler(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    pieces = render_pieces(doc)
-    try:
+        pieces = render_pieces(doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
@@ -609,6 +610,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write {'--out' if args.out else 'stdout'}: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
     return exit_code
 
 

@@ -133,8 +133,10 @@ def _block_ranks(pool: list[Monomial]) -> tuple[list[int], list[int], int]:
 _TAIL = 6
 
 
-def _block_groups(pool: list[Monomial], n: int) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
-    """The walk of _block_multisets(pool, n), up to two groups per walked prefix.
+def _block_groups(
+    pool: list[Monomial], n: int, low: list[int] | None = None
+) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
+    """The walk of _block_multisets(pool, n, low=low), up to two groups per walked prefix.
 
     Yields (rank, used, picked, rows) for the prefix alone, with rows
     [(0, 0, ())], and then, if 1 to _TAIL variables are left, for its
@@ -145,9 +147,20 @@ def _block_groups(pool: list[Monomial], n: int) -> Iterator[tuple[int, int, tupl
     pool, and starts[b][j] is where its part whose first index is j or
     more begins.
 
-    Depth first, a lazy range of pool indices per level.
+    Depth first, a lazy range of pool indices per level. With low,
+    indexed by used, each subtree whose bound misses low[used + u] for
+    every u is skipped, the root first and then each prefix's
+    completions, before their rows are read: a sum on u more variables
+    adds at most best(u) to the prefix's rank, best from _knapsack. So the
+    groups hold every multiset ranked at least low[used].
     """
     sizes, ranks, base = _block_ranks(pool)
+    if low is not None:
+        best = list(map(_knapsack(n, pool[0].degree)[2], range(n + 1)))
+
+    def reaches(rank: int, used: int) -> bool:
+        return any(rank + best[u] >= low[used + u] for u in range(1, n - used + 1))
+
     count = len(sizes)
     full, starts = [[]], [[0] * count]
     for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
@@ -157,24 +170,25 @@ def _block_groups(pool: list[Monomial], n: int) -> Iterator[tuple[int, int, tupl
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
     alone = [(0, 0, ())]
     # Per level: indices left to try, from the first that fits, and the prefix's rank, used and picked.
-    stack = [(iter(range(first_fit[n], count)), base, 0, ())]
+    stack = [(iter(range(first_fit[n], count)), base, 0, ())] if low is None or reaches(base, 0) else []
     while stack:
         indices, rank, used, picked = stack[-1]
         for j in indices:
             rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
             yield rank_j, used_j, picked_j, alone
             rest = n - used_j
+            if not rest or low is not None and not reaches(rank_j, used_j):
+                continue
             if rest > _TAIL:
                 stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
                 break
-            if rest:
-                yield rank_j, used_j, picked_j, full[rest][starts[rest][j]:]
+            yield rank_j, used_j, picked_j, full[rest][starts[rest][j]:]
         else:
             stack.pop()
 
 
 def _block_multisets(
-    pool: list[Monomial], n: int, spanning: bool = False
+    pool: list[Monomial], n: int, spanning: bool = False, low: list[int] | None = None
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Ranked multisets of pool blocks using at most n variables (exactly n when spanning).
 
@@ -189,12 +203,13 @@ def _block_multisets(
     restricted to used <= k, is the walk over _block_pool(k, d).
 
     The groups of _block_groups, expanded: with at most _TAIL variables
-    left, each completion costs two adds and a tuple concatenation.
+    left, each completion costs two adds and a tuple concatenation. With
+    low, only the groups left by its prune are expanded.
     """
     if spanning:
-        yield from (multiset for multiset in _block_multisets(pool, n) if multiset[1] == n)
+        yield from (multiset for multiset in _block_multisets(pool, n, low=low) if multiset[1] == n)
         return
-    for rank, used, picked, rows in _block_groups(pool, n):
+    for rank, used, picked, rows in _block_groups(pool, n, low):
         for r, u, p in rows:
             yield rank + r, used + u, picked + p
 
@@ -215,40 +230,9 @@ def _multiset_counts(d: int, n: int) -> list[int]:
     return counts
 
 
-def _multisets_reaching(n: int, d: int, low: list[int]) -> Iterator[tuple[int, int, tuple[Monomial, ...]]]:
-    """The walk of _block_multisets(_block_pool(n, d), n), restricted to the multisets ranked at least low[used].
-
-    Yields (rank, used, blocks), blocks the pool blocks that the walk's
-    picked indices name. A subtree of the walk, the nonempty multisets of
-    pool[j:] within b variables that follow a prefix, carries the prefix's
-    rank and used. It is opened only when some block from j on fits b and
-    rank + best(u) reaches low[used + u] for some 1 <= u <= b, best from
-    _knapsack: a sum of blocks on u variables ranks at most best(u), so a
-    subtree left closed holds nothing to yield. Opened, it splits as the
-    walk does: the first block i from j on that fits, alone; i joined to
-    the subtree (b - size_i, i); then (b, i + 1). An explicit stack holds
-    what is left to read. Every block fits the root, so the pool is built
-    only if the root opens: on the claim's domain, that is d = 3 alone.
-    """
-    base = int(d == 1)  # _block_ranks's rank of a sum of none, known before the pool is
-    best = list(map(_knapsack(n, d)[2], range(n + 1)))
-    if not any(base + best[u] >= low[u] for u in range(1, n + 1)):
-        return
-    pool = _block_pool(n, d)
-    sizes, ranks, _ = _block_ranks(pool)
-    count = len(pool)
-    stack = [(n, 0, base, 0, ())]
-    while stack:
-        b, j, rank, used, picked = stack.pop()
-        while j < count and sizes[j] > b:
-            j += 1
-        if j == count or not any(rank + best[u] >= low[used + u] for u in range(1, b + 1)):
-            continue
-        stack.append((b, j + 1, rank, used, picked))
-        rank, used, picked = rank + ranks[j], used + sizes[j], picked + (pool[j],)
-        stack.append((b - sizes[j], j, rank, used, picked))
-        if rank >= low[used]:
-            yield rank, used, picked
+def _sum_of(pool: list[Monomial], picked: Iterable[int], n: int) -> CoprimeSum:
+    """The CoprimeSum in n variables of the pool blocks that picked indexes, in canonical order."""
+    return CoprimeSum(tuple(pool[i] for i in picked), n)
 
 
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:
@@ -262,7 +246,7 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
     check_cell("enumerate_coprime_sums", n, d)
     pool = _block_pool(n, d)
     for _, _, picked in _block_multisets(pool, n, spanning):
-        yield CoprimeSum(tuple(pool[i] for i in picked), n)
+        yield _sum_of(pool, picked, n)
 
 
 def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], Callable[[int], int]]:
@@ -333,8 +317,8 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
         pool = _block_pool(n, d)
-        _, _, best = max(_block_multisets(pool, n), key=itemgetter(0))
-        return CoprimeSum(tuple(pool[i] for i in best), n)
+        _, _, picked = max(_block_multisets(pool, n), key=itemgetter(0))
+        return _sum_of(pool, picked, n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     blocks, ranks, best = _knapsack(n, d)

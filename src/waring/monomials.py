@@ -119,8 +119,8 @@ _TAIL = 10
 _TAILS = _Table(_tail_rows)
 
 
-def _partition_groups(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
-    """The walk of _ranked_partitions(d, n), one group per walked prefix.
+def _partition_groups(d: int, n: int, low: list[int] | None = None) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
+    """The walk of _ranked_partitions(d, n, low), one group per walked prefix.
 
     Yields (factor, depth, parts, rows): parts are the prefix's parts,
     smallest first (none when d <= _TAIL), and depth their count; they
@@ -132,8 +132,20 @@ def _partition_groups(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...
     smallest's when rest is 0.
 
     Depth first, one lazy range of candidate parts per level, so at most
-    n levels whatever d is.
+    n levels whatever d is. With low, indexed by used, each subtree whose
+    bound misses low[depth + u] for every u is skipped, the root first and
+    then each prefix's completions, before their rows are read: factor *
+    _partition_top(s, u, cap) bounds a completion of s into u parts of at
+    most cap. So the groups hold every partition ranked at least low[used].
     """
+
+    def reaches(factor: int, depth: int, s: int, cap: int, slots: int) -> bool:
+        if not s:
+            return factor >= low[depth]
+        return any(factor * _partition_top(s, u, cap) >= low[depth + u] for u in range(-(-s // cap), slots + 1))
+
+    if low is not None and not reaches(1, 0, d, d, min(n, d)):
+        return
     if d <= _TAIL:
         yield 1, 0, (), _TAILS[d, d, min(n, d)]
         return
@@ -144,17 +156,19 @@ def _partition_groups(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...
         for part in parts:
             rest = s - part
             chosen = (part,) + above
-            if rest > _TAIL:
-                lowest = -(-rest // slots)
-                stack.append((iter(range(min(part, rest), lowest - 1, -1)), rest, slots - 1, chosen, prod * (part + 1)))
-                break
+            factor = prod * (part + 1) if rest else prod
             key = rest, part if part < rest else rest, slots if slots < rest else rest  # as _TAILS keys it
-            yield prod * (part + 1) if rest else prod, len(chosen), chosen, _TAILS[key]
+            if low is not None and not reaches(factor, len(chosen), *key):
+                continue
+            if rest > _TAIL:
+                stack.append((iter(range(key[1], -(-rest // slots) - 1, -1)), rest, slots - 1, chosen, factor))
+                break
+            yield factor, len(chosen), chosen, _TAILS[key]
         else:
             stack.pop()
 
 
-def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def _ranked_partitions(d: int, n: int, low: list[int] | None = None) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The degree-d monomials in n variables as ranked partitions of d.
 
     Yields (rank, used, exponents) for every partition of d into at most n
@@ -170,9 +184,10 @@ def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ..
 
     The groups of _partition_groups, expanded: each completion of a
     prefix costs one multiply, add and tuple concatenation. 10 was the
-    fastest _TAIL measured whose whole table stays under 0.5 MB.
+    fastest _TAIL measured whose whole table stays under 0.5 MB. With
+    low, only the groups left by its prune are expanded.
     """
-    for factor, depth, parts, rows in _partition_groups(d, n):
+    for factor, depth, parts, rows in _partition_groups(d, n, low):
         for rank, used, tail in rows:
             yield rank * factor, depth + used, tail + parts
 
@@ -219,31 +234,6 @@ def _partition_counts(d: int, slots: int) -> list[int]:
             ways[t] += ways[t - k]
         counts.append(ways[d - k])
     return counts
-
-
-def _partitions_reaching(key: tuple[int, int, int], low: list[int]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """The rows of _TAILS[key] ranked at least low[used], in walk order, without walking the rest.
-
-    A subtree of the walk, the partitions of s with a given prefix of
-    larger parts, is keyed (s, cap, slots) as _TAILS keys it, with the
-    prefix's factor (the product of its parts' part + 1) and depth (its
-    number of parts). It is opened only when factor * _partition_top(s,
-    u, cap) reaches low[depth + u] for some u <= slots. Opened, it splits
-    as the walk does: largest part cap first, then (s, cap - 1, slots).
-    An explicit stack holds what is left to read.
-    """
-    stack = [(key, 1, 0, ())]
-    while stack:
-        (s, cap, slots), factor, depth, above = stack.pop()
-        if not any(factor * _partition_top(s, u, cap) >= low[depth + u] for u in range(-(-s // cap), slots + 1)):
-            continue
-        if (cap - 1) * slots >= s:  # some partition has largest part cap - 1 or less
-            stack.append(((s, cap - 1, slots), factor, depth, above))
-        rest, parts = s - cap, (cap,) + above
-        if rest:
-            stack.append(((rest, min(cap, rest), min(slots - 1, rest)), factor * (cap + 1), depth + 1, parts))
-        elif factor >= low[depth + 1]:
-            yield factor, depth + 1, parts
 
 
 def partitions(d: int, max_parts: int) -> Iterator[tuple[int, ...]]:

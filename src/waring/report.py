@@ -20,9 +20,24 @@ if TYPE_CHECKING:
 
 FORMATS = ("md", "csv", "json")
 
+# Exact values print with at most this many digits in numerator and denominator each;
+# converting 10^5 digits to text takes about 0.16 s.
+DIGIT_BUDGET = 100_000
 
-def fmt_exact(value: int | Fraction | str) -> str:
-    """Serialize an exact value: ints in decimal, fractions as 'p/q', as str does."""
+
+def check_digits(value: int | Fraction) -> None:
+    """Reject a value whose numerator or denominator has more than DIGIT_BUDGET digits, before converting it.
+
+    bits * 0.30103 + 1 predicts the digits: the true count or one more.
+    """
+    digits = max(value.numerator.bit_length(), value.denominator.bit_length()) * 30103 // 100000 + 1
+    if digits > DIGIT_BUDGET:
+        raise ValueError(f"an exact value of about {digits} digits is over the output budget of {DIGIT_BUDGET} digits")
+
+
+def fmt_exact(value: int | Fraction) -> str:
+    """Serialize an exact value: ints in decimal, fractions as 'p/q', as str does, within DIGIT_BUDGET."""
+    check_digits(value)
     return str(value)
 
 

@@ -5,14 +5,13 @@ integer comparison; divisions are cleared by cross-multiplication first, so
 strict inequalities never depend on rounding. The unit of work is one
 degree column, the grid's cells with one d, and columns run in this
 process, in order; cells merge in (n, d) order. The theorem claims count
-and bound each degree's objects for all its cells at once, per variable
-count: monomials by the partition-count recurrence, with each subtree of
-the walk bounded by the closed-form top rank of its partitions, coprime
-sums by the block-shape recurrence, with each subtree bounded by the
-block-size knapsack. Only the subtrees whose bound reaches a generic rank
-are walked, in walk order, and only the objects that reach it are built.
-So every object is counted and compared exactly, without being
-enumerated.
+each degree's objects for all its cells at once, per variable count, by
+the partition-count or the block-shape recurrence, and read the one walk
+of their kind, _ranked_partitions or _block_multisets, pruned to the
+subtrees whose bound reaches a generic rank: the closed-form top rank of
+the subtree's partitions, or the block-size knapsack. Only the objects
+that reach it are built. So every object is counted and compared
+exactly, without being enumerated.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ from itertools import accumulate
 from operator import ge, gt, itemgetter, lt
 from typing import TYPE_CHECKING
 
+from . import coprime_sums
 from ._record import Record
-from .coprime_sums import (
-    CoprimeSum, _knapsack, _multiset_counts, _multisets_reaching, make_sum, r_max_star,
-)
+from .coprime_sums import CoprimeSum, _block_multisets, _knapsack, _multiset_counts, _sum_of, make_sum, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
-from .monomials import Monomial, _partition_counts, _partitions_reaching, r_max
+from .monomials import Monomial, _partition_counts, _ranked_partitions, r_max
 from .rank_tables import generic_rank
 
 if TYPE_CHECKING:
@@ -110,28 +108,27 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[int, list[Violation]]]:
+def _theorem_column(d: int, ns: range, counts, walk, build) -> list[tuple[int, list[Violation]]]:
     """One (checked, violations) pair per cell (n, d) for n in ns, from one count per variable count.
 
     counts[k], k >= 1, is the number of degree-d objects in max(ns)
-    variables that use k of them, and reaching(low) yields (rank, used,
-    raw) for those among them ranked at least low[used], in walk order.
-    build(raw, n) makes the object raw stands for in n variables. An
-    object using k variables lies in every cell with n >= k, with the same
-    rank in each, and the walk, restricted to k <= n, is cell n's own walk
-    in the same order. So the column counts the objects per k and keeps
-    only those ranked at or above low[k], the smallest generic rank of the
-    cells they lie in: cell n's violations are the kept objects with k <=
-    n ranked at or above its generic rank, in walk order, and only they
-    are built. Monomial columns take counts from _partition_counts and
-    bound each subtree of reaching by the closed form _partition_top;
-    coprime columns take counts from _multiset_counts and bound each
-    subtree by the block-size knapsack, _knapsack.
+    variables that use k of them. walk(low) is their kind's walk,
+    _ranked_partitions or _block_multisets, pruned by low: it yields
+    (rank, used, raw) in walk order for a superset of the objects ranked
+    at least low[used]. build(raw, n) makes the object raw stands for in
+    n variables. An object using k variables lies in every cell with n
+    >= k, with the same rank in each, and the walk, restricted to k <= n,
+    is cell n's own walk in the same order. So the column counts the
+    objects per k and keeps only those ranked at or above low[k], the
+    smallest generic rank of the cells they lie in: cell n's violations
+    are the kept objects with k <= n ranked at or above its generic rank,
+    in walk order, and only they are built. Monomial columns count by
+    _partition_counts and coprime columns by _multiset_counts.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
     low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
-    kept = list(reaching(low))
+    kept = [(rank, k, raw) for rank, k, raw in walk(low) if rank >= low[k]]
     per_k = list(counts[1:]) + [0] * (ns[-1] + 1 - len(counts))
     checked = list(accumulate(per_k, initial=0))  # checked[n]: the objects on at most n variables
     return [
@@ -145,14 +142,21 @@ def _theorem_column(d: int, ns: range, counts, reaching, build) -> list[tuple[in
 
 def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
-    key = d, d, min(ns[-1], d)
-    return _theorem_column(d, ns, _partition_counts(d, key[2]), lambda low: _partitions_reaching(key, low), Monomial)
+    n = ns[-1]
+    return _theorem_column(d, ns, _partition_counts(d, min(n, d)), lambda low: _ranked_partitions(d, n, low), Monomial)
 
 
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
-    n = ns[-1]
-    return _theorem_column(d, ns, _multiset_counts(d, n), lambda low: _multisets_reaching(n, d, low), CoprimeSum)
+    n, pool = ns[-1], []
+    best = _knapsack(n, d)[2]
+
+    def walk(low):  # the pool is built only if the knapsack opens the root: on the claim's domain, at d = 3 alone
+        if any(int(d == 1) + best(u) >= low[u] for u in range(1, n + 1)):  # int(d == 1): the rank of no block
+            pool[:] = coprime_sums._block_pool(n, d)
+            yield from _block_multisets(pool, n, low=low)
+
+    return _theorem_column(d, ns, _multiset_counts(d, n), walk, lambda picked, m: _sum_of(pool, picked, m))
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:

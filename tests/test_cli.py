@@ -19,7 +19,8 @@ from waring import coprime_sums as cs
 from waring import monomials as mono
 from waring.coprime_sums import CoprimeSum, enumerate_coprime_sums, make_sum, sum_rank
 from waring.errors import UsageError
-from waring.monomials import Monomial, canonicalize, enumerate_monomials, waring_rank
+from waring.monomials import Monomial, canonicalize, enumerate_monomials, r_max, waring_rank
+from waring.rank_tables import generic_rank, upper_bounds
 from waring import report
 from waring.report import FORMATS, ReportDocument, approx12, fmt_exact, render, render_pieces
 from fractions import Fraction
@@ -727,9 +728,14 @@ def joined(items, sep, most):
 
 
 # A small argv grammar: every subcommand and flag, with valid and invalid
-# values, n and d at most 6. An invalid value is one that does not parse or
-# lies outside an operation's domain.
+# values, n and d at most 6 wherever a command walks its objects. An invalid
+# value is one that does not parse or lies outside an operation's domain.
 small_int = values(st.integers(1, 6).map(str), "-1", "0", "x", "")
+# Degrees whose values pass float range (approx12's exact path) and Python's
+# default limit of 4300 digits, and in 30 variables the digit budget
+# (29 * 3500 digits), each computed in well under a second.
+big_d = small_int | st.sampled_from(["1000", "1" + "0" * 200, "1" + "0" * 3500])
+BIG_CELL = {"--n": small_int | st.just("30"), "--d": big_d}
 exponent_list = values(joined(st.integers(0, 6).map(str), ",", 4), "1,x", "", ",")
 ordered_pair = st.lists(st.integers(2, 6), min_size=2, max_size=2).map(lambda pair: "%d:%d" % tuple(sorted(pair)))
 small_range = values(ordered_pair, "6:4", "5", "x", "1:2:3")
@@ -739,10 +745,13 @@ CELL = {"--n": small_int, "--d": small_int}
 GRAMMAR = [
     (["rank"], {"--monomial": exponent_list}, {"--vars": small_int}),
     (["rank"], {"--sum": joined(exponent_list, "|", 3)}, {"--vars": small_int}),
-    (["generic-rank"], CELL, {}),
+    (["generic-rank"], BIG_CELL, {}),
     (["max-rank"], CELL, {"--oracle": NONE}),
+    (["max-rank"], BIG_CELL, {}),
     (["max-rank-sum"], CELL, {"--oracle": NONE}),
-    (["bounds"], CELL, {}),
+    # n at most 6: in 30 variables its knapsack takes about a second over 100,000-digit ranks.
+    (["max-rank-sum"], {"--n": small_int, "--d": big_d}, {}),
+    (["bounds"], BIG_CELL, {}),
     (["enumerate"], CELL, {"--sums": NONE, "--spanning": NONE}),
     (
         ["verify"],
@@ -757,11 +766,11 @@ GRAMMAR = [
         ["asymptotics", "--mode", "d-limit"],
         {"--n": small_int},
         {
-            "--d-samples": joined(small_int, ",", 3),
+            "--d-samples": joined(big_d, ",", 3),
             "--which": values(st.sampled_from(["monomial", "coprime"]), "other"),
         },
     ),
-    (["asymptotics", "--mode", "n-limit"], {"--d": small_int}, {"--n-max": small_int}),
+    (["asymptotics", "--mode", "n-limit"], {"--d": small_int}, {"--n-max": small_int | st.just("1000")}),
     (["asymptotics", "--mode", "x-limit"], {}, {"--n": small_int, "--d": small_int}),
     (["table"], {"--name": st.sampled_from([*cli.TABLE_NAMES, "no-such-table"])}, {}),
     (["no-such-command"], {}, {}),
@@ -824,9 +833,13 @@ def assert_renderings_agree(argv, out_dir):
 @example(argv=["asymptotics", "--mode", "n-limit", "--d", "3", "--n-max", "2"])
 @example(argv=["enumerate", "--n", "3", "--d", "3", "--out", "directory"])
 @example(argv=["bounds", "--n", "1000", "--d", "1000", "--deterministic"])
+@example(argv=["max-rank", "--n", "30", "--d", "1" + "0" * 200, "--deterministic"])
+@example(argv=["generic-rank", "--n", "30", "--d", "1" + "0" * 3500, "--deterministic"])
 def test_cli_contract_on_any_small_argv(argv):
+    limit = sys.get_int_max_str_digits()
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err, written = run_in_process(argv, Path(tmp))
+        assert sys.get_int_max_str_digits() == limit, argv
         assert code in (0, 1, 2), argv
         assert code != 1 or argv[0] == "verify", argv
         assert "Traceback" not in err, argv
@@ -872,6 +885,63 @@ def test_verify_help_is_pinned_and_names_every_claim(capsys, monkeypatch):
     # Unwrap: argparse breaks lines after a hyphen.
     flat = " ".join(out.split()).replace("- ", "-")
     assert "--claim CLAIM one of: " + ", ".join(vf.CLAIM_IDS) + " --n-range" in flat
+
+
+def exact_text(value):
+    """str(value), past the interpreter's limit on digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["generic-rank", "--n", "8000", "--d", "8000"], lambda: [generic_rank(8000, 8000)]),
+        (["bounds", "--n", "8000", "--d", "8000"], lambda: [r.value for r in upper_bounds(8000, 8000)]),
+        (["max-rank", "--n", "20000", "--d", "200000"], lambda: [r_max(20000, 200000)]),
+    ],
+)
+def test_values_past_the_default_digit_limit_print_exactly(capsys, argv, values):
+    limit = sys.get_int_max_str_digits()
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    texts = [exact_text(value) for value in values()]
+    assert max(map(len, texts)) > limit
+    assert [row["value"] for row in doc["rows"]][: len(texts)] == texts
+
+
+def test_a_value_over_the_digit_budget_exits_two_naming_its_digits(capsys):
+    limit = sys.get_int_max_str_digits()
+    value = generic_rank(30, 10**3500)
+    digits = value.bit_length() * 30103 // 100000 + 1
+    assert digits > report.DIGIT_BUDGET
+    code, out, err = run_cli(capsys, "generic-rank", "--n", "30", "--d", "1" + "0" * 3500)
+    assert (code, out) == (2, "")
+    assert err == f"error: an exact value of about {digits} digits is over the output budget of 100000 digits\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    value=st.integers(1, 10**4000)
+    | st.integers(0, 4000).map(lambda k: 10**k)  # the smallest with k + 1 digits
+    | st.integers(1, 4000).map(lambda k: 10**k - 1)  # the largest with k digits
+)
+def test_predicted_digits_are_the_true_count_or_one_more(value):
+    digits = len(str(value))
+    for budget, rejected in ((digits - 1, True), (digits + 1, False)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "DIGIT_BUDGET", budget)
+            try:
+                report.check_digits(Fraction(1, value) if value % 2 else value)
+            except ValueError:
+                assert rejected, (value, budget)
+            else:
+                assert not rejected, (value, budget)
 
 
 def test_fmt_exact_and_approx():

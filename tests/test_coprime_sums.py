@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +12,6 @@ from waring.coprime_sums import (
     _block_pool,
     _knapsack,
     _multiset_counts,
-    _multisets_reaching,
     enumerate_coprime_sums,
     greedy_construction,
     make_sum,
@@ -238,17 +237,29 @@ def test_block_multiset_counts_match_generating_function(n, d):
     assert predicted_walk(d, n) == sum(coeffs[1:])
 
 
+def column_low(d, first, n):
+    """The low a verify column over n = first..n at degree d prunes by: per used, its cells' least generic rank."""
+    low = list(accumulate(reversed([generic_rank(m, d) for m in range(first, n + 1)]), min))[::-1]
+    return low[:1] * first + low
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 8), data=st.data())
-def test_multisets_reaching_is_the_walk_filtered_by_low(n, d, data):
+@example(n=4, d=3, data=None)
+def test_pruned_block_walk_is_the_walk_filtered_by_low(n, d, data):
     pool = _block_pool(n, d)
     walk = list(_block_multisets(pool, n))
-    top = max(rank for rank, _, _ in walk)
-    drawn = data.draw(st.lists(st.integers(0, top + 1), min_size=n + 1, max_size=n + 1), label="low")
-    generic = [0] + [generic_rank(u, d) for u in range(1, n + 1)]  # the ranks a verify cell compares with
-    for low in (drawn, generic):
-        expected = [(rank, used, tuple(pool[i] for i in picked)) for rank, used, picked in walk if rank >= low[used]]
-        assert list(_multisets_reaching(n, d, low)) == expected, low
+    lows = [column_low(d, 1, n), column_low(d, min(n, 4), n)]
+    if data is not None:
+        top = max(rank for rank, _, _ in walk)
+        lows.append(data.draw(st.lists(st.integers(0, top + 1), min_size=n + 1, max_size=n + 1), label="low"))
+    for tail in (0, 1, n, n + 1):  # every prefix's completions read from its table, none, and between
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coprime_sums, "_TAIL", tail)
+            for low in lows:
+                expected = [(rank, used, picked) for rank, used, picked in walk if rank >= low[used]]
+                pruned = _block_multisets(pool, n, low=low)
+                assert [(rank, used, picked) for rank, used, picked in pruned if rank >= low[used]] == expected, low
     per_used = [1] + [0] * n
     for _, used, _ in walk:
         per_used[used] += 1

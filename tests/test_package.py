@@ -4,6 +4,7 @@ and the immutable value classes."""
 import ast
 import importlib
 import pickle
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -93,6 +94,91 @@ def test_package_imports_only_the_standard_library():
 def test_no_module_imports_dataclasses():
     # Every value class is a _record.Record; one mechanism, not two.
     assert [(name, top) for name, top in _absolute_imports() if top == "dataclasses"] == []
+
+
+# ---------------------------------------------------------------------------
+# the waring names the benchmark calls
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope):
+    """The nodes of scope's body, less the bodies of the functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _waring_names(scope, bound):
+    """The dotted waring names scope reads: its imports from waring, the
+    attributes it reads off a name they bind (bound holds those of the
+    enclosing scopes), and the waring modules it names in strings."""
+    bound = dict(bound)
+    nodes = list(_own_nodes(scope))
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "waring":
+                    yield alias.name
+                    bound[alias.asname or "waring"] = alias.name if alias.asname else "waring"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "waring":
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                yield ".".join([bound[base.id], *reversed(chain)])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"waring(\.\w+)+", node.value):
+                yield node.value
+        elif isinstance(node, FUNCTIONS):
+            yield from _waring_names(node, bound)
+
+
+def _resolve(dotted):
+    """The object a dotted waring name stands for: its longest importable module prefix, then attributes."""
+    parts = dotted.split(".")
+    for end in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:end]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[end:]:
+            value = getattr(value, attr)
+        return value
+    raise ModuleNotFoundError(dotted)
+
+
+def test_every_waring_name_the_bench_uses_resolves():
+    # A change that deletes or renames a name the benchmark calls fails
+    # here, before any benchmark run.
+    names = {(path.name, name) for path in sorted(BENCH.glob("*.py"))
+             for name in _waring_names(ast.parse(path.read_text(encoding="utf-8")), {})}
+    assert {"waring.cli.main", "waring.report.render", "waring.enumerate_monomials"} <= {n for _, n in names}
+    for path_name, name in sorted(names):
+        try:
+            _resolve(name)
+        except (AttributeError, ModuleNotFoundError) as exc:
+            pytest.fail(f"bench/{path_name} uses {name}, which does not resolve: {exc}")
+    # worker._WRAPPED names functions as "module.attr", with every module
+    # that must hold that same function for its calls to be traced.
+    worker = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    [wrapped] = [node.value for node in worker.body if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets if isinstance(target, ast.Name)] == ["_WRAPPED"]]
+    for name, holders, _ in ast.literal_eval(wrapped):
+        function = _resolve("waring." + name)
+        attr = name.rpartition(".")[2]
+        for holder in holders:
+            assert getattr(importlib.import_module("waring." + holder), attr, None) is function, (name, holder)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from waring.coprime_sums import (
     _block_multisets,
     _block_pool,
     _knapsack,
+    _sum_of,
     enumerate_coprime_sums,
     make_sum,
     max_rank_sum,
@@ -268,13 +269,13 @@ def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, 
 
 
 def count_calls(monkeypatch, name):
-    """The argument tuples of every call verify makes to its name from here on."""
+    """The positional argument tuples of every call verify makes to its name from here on."""
     calls = []
     original = getattr(waring.verify, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(waring.verify, name, counted)
     return calls
@@ -284,22 +285,32 @@ def test_each_degree_is_walked_once(monkeypatch):
     # One count and one pruned walk from the root per degree, and only
     # violations are built: none on the monomial grid.
     counted = count_calls(monkeypatch, "_partition_counts")
-    reached = count_calls(monkeypatch, "_partitions_reaching")
+    walked = count_calls(monkeypatch, "_ranked_partitions")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
     assert counted == [(d, min(d, 10)) for d in range(40, 1, -1)]
-    assert [key for key, _ in reached] == [(d, d, min(d, 10)) for d in range(40, 1, -1)]
+    assert [(d, n) for d, n, _ in walked] == [(d, 10) for d in range(40, 1, -1)]
     assert built == []
 
     # One count per degree, in 12 variables, and one pruned walk: (4, 3)'s
     # witnesses come from it, and they are the only sums built.
     counted = count_calls(monkeypatch, "_multiset_counts")
-    built = count_calls(monkeypatch, "CoprimeSum")
+    walked = count_calls(monkeypatch, "_block_multisets")
+    built = count_calls(monkeypatch, "_sum_of")
     report = verify_claim("theorem-coprime", (4, 12), (3, 12))
     assert report.status == STATUS_PASS_WITH_EXPECTED
     assert counted == [(d, 12) for d in range(12, 2, -1)]
+    assert [(pool[0].degree, n) for pool, n in walked] == [(3, 12)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
-    assert [v.witness for v in report.violations] == [CoprimeSum(*args) for args in built]
+    assert [v.witness for v in report.violations] == [_sum_of(*args) for args in built]
+
+
+def test_a_verify_walk_fills_no_tail_table(monkeypatch):
+    # Every subtree of the monomial acceptance grid is closed before its
+    # rows would be read from the tail table, the root's included.
+    monkeypatch.setattr(waring.monomials, "_TAILS", waring.monomials._Table(waring.monomials._tail_rows))
+    assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
+    assert waring.monomials._TAILS == {}
 
 
 def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypatch):
