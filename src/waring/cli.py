@@ -303,11 +303,7 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
     if args.sums:
         check_cell("enumerate_coprime_sums", args.n, args.d)
         pool = cs._block_pool(args.n, args.d)
-        if args.spanning:
-            groups = _one_per_group(cs._block_multisets(pool, args.n, spanning=True), (0, 0, ()))
-        else:
-            groups = cs._block_groups(pool, args.n)
-        rows = _sum_rows(args.n, args.d, "coprime_sum", pool, groups)
+        rows = _sum_rows(args.n, args.d, "coprime_sum", pool, cs._block_groups(pool, args.n, spanning=args.spanning))
         counts = cs._multiset_counts(args.d, args.n)  # by the count recurrence, without a walk
         count = counts[args.n] if args.spanning else sum(counts) - 1  # less the empty sum
     else:
@@ -369,31 +365,13 @@ def cmd_verify(args) -> tuple[ReportDocument, int]:
     return doc, 0 if report.passed else 1
 
 
-ASYMPTOTICS_COLUMNS = [
-    "n",
-    "d",
-    "kind",
-    "ratio",
-    "ratio_approx",
-    "limit",
-    "limit_approx",
-    "gap",
-    "gap_approx",
-]
+ASYMPTOTICS_COLUMNS = ["n", "d", "kind", "ratio", "ratio_approx", "limit", "limit_approx", "gap", "gap_approx"]
 
 
 def _ratio_row(point: RatioPoint) -> tuple[str, ...]:
-    return (
-        str(point.n),
-        str(point.d),
-        "exact",
-        fmt_exact(point.ratio),
-        approx12(point.ratio),
-        fmt_exact(point.limit),
-        approx12(point.limit),
-        fmt_exact(point.gap),
-        approx12(point.gap),
-    )
+    """The point's row: each of its ratio, limit and gap, exactly and then approximately."""
+    cells = [cell(value) for value in (point.ratio, point.limit, point.gap) for cell in (fmt_exact, approx12)]
+    return (str(point.n), str(point.d), "exact", *cells)
 
 
 # Per mode, the asymptotics flags it does not read; passing one is a usage

@@ -20,6 +20,7 @@ from .monomials import (
     MODE_ORACLE,
     Monomial,
     _partition_counts,
+    _partition_top,
     _ranked_partitions,
     canonicalize,
     max_rank_monomial,
@@ -134,13 +135,15 @@ _TAIL = 6
 
 
 def _block_groups(
-    pool: list[Monomial], n: int, low: list[int] | None = None
+    pool: list[Monomial], n: int, low: list[int] | None = None, spanning: bool = False
 ) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
-    """The walk of _block_multisets(pool, n, low=low), up to two groups per walked prefix.
+    """The walk of _block_multisets(pool, n, spanning, low), up to two groups per walked prefix.
 
     Yields (rank, used, picked, rows) for the prefix alone, with rows
     [(0, 0, ())], and then, if 1 to _TAIL variables are left, for its
     completions, with rows full[rest][starts[rest][j]:], j its last pick.
+    With spanning, only multisets on all n variables are kept: a prefix
+    alone if used == n, the rows with u == rest, no group left empty.
     The group's multisets are (rank + r, used + u, picked + p) for each
     (r, u, p) in rows, in that order. full[b] is the walk in b variables
     less the base rank, built once per call by the recursion for the
@@ -156,7 +159,7 @@ def _block_groups(
     """
     sizes, ranks, base = _block_ranks(pool)
     if low is not None:
-        best = list(map(_knapsack(n, pool[0].degree)[2], range(n + 1)))
+        best = list(map(_knapsack(n, pool[0].degree)[1], range(n + 1)))
 
     def reaches(rank: int, used: int) -> bool:
         return any(rank + best[u] >= low[used + u] for u in range(1, n - used + 1))
@@ -175,14 +178,19 @@ def _block_groups(
         indices, rank, used, picked = stack[-1]
         for j in indices:
             rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
-            yield rank_j, used_j, picked_j, alone
             rest = n - used_j
+            if not (spanning and rest):
+                yield rank_j, used_j, picked_j, alone
             if not rest or low is not None and not reaches(rank_j, used_j):
                 continue
             if rest > _TAIL:
                 stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
                 break
-            yield rank_j, used_j, picked_j, full[rest][starts[rest][j]:]
+            rows = full[rest][starts[rest][j]:]
+            if spanning:
+                rows = [row for row in rows if row[1] == rest]
+            if rows:
+                yield rank_j, used_j, picked_j, rows
         else:
             stack.pop()
 
@@ -204,12 +212,10 @@ def _block_multisets(
 
     The groups of _block_groups, expanded: with at most _TAIL variables
     left, each completion costs two adds and a tuple concatenation. With
-    low, only the groups left by its prune are expanded.
+    low, only the groups left by its prune are expanded, and with
+    spanning only the rows its filter keeps.
     """
-    if spanning:
-        yield from (multiset for multiset in _block_multisets(pool, n, low=low) if multiset[1] == n)
-        return
-    for rank, used, picked, rows in _block_groups(pool, n, low):
+    for rank, used, picked, rows in _block_groups(pool, n, low, spanning):
         for r, u, p in rows:
             yield rank + r, used + u, picked + p
 
@@ -249,14 +255,15 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
         yield _sum_of(pool, picked, n)
 
 
-def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], Callable[[int], int]]:
-    """The best block of each size and the maximum rank for each variable budget.
+def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int]]:
+    """The best rank of each block size and the maximum rank for each variable budget.
 
-    Returns (blocks, ranks, best): blocks[k] is max_rank_monomial(k, d) on
-    its own k variables and ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
-    (index 0 unused); best(b) is the maximum rank of a coprime sum in b <= n
-    variables: ranks add across coprime blocks and a maximum uses only
-    rank-maximal blocks, so best is an unbounded knapsack over block sizes.
+    Returns (ranks, best): ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
+    (index 0 unused), the rank of max_rank_monomial(k, d) read from
+    _partition_top(d, k, d) without building it; best(b) is the maximum
+    rank of a coprime sum in b <= n variables: ranks add across coprime
+    blocks and a maximum uses only rank-maximal blocks, so best is an
+    unbounded knapsack over block sizes.
     Let k have the most rank per variable (the largest on ties). Among any k
     other blocks some add up to a multiple of k variables (two of their k + 1
     prefix sums agree mod k), and copies of the k block there rank no lower.
@@ -265,10 +272,9 @@ def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], Callabl
     stops there, O(m^3) time for any n. At d = 1, best(b) = 1 for b >= 1.
     """
     m = min(n, d)
-    blocks = [None] + [max_rank_monomial(k, d) for k in range(1, m + 1)]
-    ranks = [0] + [waring_rank(block) for block in blocks[1:]]
+    ranks = [0] + [_partition_top(d, k, d) for k in range(1, m + 1)]
     if d == 1:
-        return blocks, ranks, lambda b: min(b, 1)
+        return ranks, lambda b: min(b, 1)
     step = 1
     for k in range(2, m + 1):
         if ranks[k] * step >= ranks[step] * k:
@@ -282,7 +288,7 @@ def _knapsack(n: int, d: int) -> tuple[list[Monomial | None], list[int], Callabl
         steps = max(0, -(-(b - top) // step))
         return table[b - steps * step] + steps * ranks[step]
 
-    return blocks, ranks, best
+    return ranks, best
 
 
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
@@ -298,7 +304,7 @@ def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """
     check_cell("r_max_star", n, d)
     if mode == MODE_CLOSED_FORM:
-        return _knapsack(n, d)[2](n)
+        return _knapsack(n, d)[1](n)
     return sum_rank(max_rank_sum(n, d, mode))
 
 
@@ -321,15 +327,16 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
         return _sum_of(pool, picked, n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
-    blocks, ranks, best = _knapsack(n, d)
+    ranks, best = _knapsack(n, d)
     if d == 1:
-        return CoprimeSum((blocks[1],), n)
-    picked, b = [], n
+        return CoprimeSum((max_rank_monomial(1, 1),), n)
+    sizes, b = [], n
     while b:
         k = max(k for k in range(1, min(b, d) + 1) if ranks[k] + best(b - k) == best(b))
-        picked.append(blocks[k])
+        sizes.append(k)
         b -= k
-    return CoprimeSum(tuple(picked), n)
+    blocks = {k: max_rank_monomial(k, d) for k in set(sizes)}
+    return CoprimeSum(tuple(map(blocks.get, sizes)), n)
 
 
 def greedy_construction(n: int, d: int) -> CoprimeSum:

@@ -25,12 +25,17 @@ FORMATS = ("md", "csv", "json")
 DIGIT_BUDGET = 100_000
 
 
+def _exponent_estimate(bits: int) -> int:
+    """The decimal exponent of a positive integer of bits bits, or one more: bits * 0.30103, rounded down."""
+    return bits * 30103 // 100000
+
+
 def check_digits(value: int | Fraction) -> None:
     """Reject a value whose numerator or denominator has more than DIGIT_BUDGET digits, before converting it.
 
-    bits * 0.30103 + 1 predicts the digits: the true count or one more.
+    The exponent estimate plus one predicts the digits: the true count or one more.
     """
-    digits = max(value.numerator.bit_length(), value.denominator.bit_length()) * 30103 // 100000 + 1
+    digits = _exponent_estimate(max(value.numerator.bit_length(), value.denominator.bit_length())) + 1
     if digits > DIGIT_BUDGET:
         raise ValueError(f"an exact value of about {digits} digits is over the output budget of {DIGIT_BUDGET} digits")
 
@@ -54,7 +59,10 @@ def approx12(value: int | Fraction) -> str:
     from fractions import Fraction
 
     size = abs(Fraction(value))
-    exponent = len(str(int(size))) - 1  # at least 308 here
+    whole = int(size)  # the same decimal exponent as size, at least 308 here
+    exponent = _exponent_estimate(whole.bit_length())
+    if whole < 10**exponent:
+        exponent -= 1
     digits = round(size / 10 ** (exponent - 11))
     if digits == 10**12:  # rounded up to the next power of ten
         digits, exponent = 10**11, exponent + 1

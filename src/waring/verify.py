@@ -149,7 +149,7 @@ def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
 def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
     d, ns = column
     n, pool = ns[-1], []
-    best = _knapsack(n, d)[2]
+    best = _knapsack(n, d)[1]
 
     def walk(low):  # the pool is built only if the knapsack opens the root: on the claim's domain, at d = 3 alone
         if any(int(d == 1) + best(u) >= low[u] for u in range(1, n + 1)):  # int(d == 1): the rank of no block
@@ -371,7 +371,7 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
         raise UsageError(f"ratio_decay_fixed_d needs d >= 3, got {d}")
     if n_max < d:
         raise UsageError(f"n_max must be at least d, got n_max={n_max} < d={d}")
-    best = _knapsack(n_max, d)[2]
+    best = _knapsack(n_max, d)[1]
     zero = Fraction(0)
     points = []
     for n in range(d, n_max + 1):

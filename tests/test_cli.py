@@ -249,6 +249,23 @@ def test_enumerate_builds_no_object_per_row(monkeypatch, sums):
     assert built[Monomial] <= (pool_size if sums else 0)
 
 
+def test_enumerate_spanning_groups_completions_under_their_prefix(monkeypatch):
+    # The spanning sums are the grouped block walk, filtered: a prefix's
+    # text is made once for all of its spanning completions.
+    recorded = []
+    sum_rows = cli._sum_rows
+
+    def recording_sum_rows(n, d, kind, pool, groups):
+        recorded.extend(groups)
+        return sum_rows(n, d, kind, pool, recorded)
+
+    monkeypatch.setattr(cli, "_sum_rows", recording_sum_rows)
+    rows = handler_rows(*enumerate_argv(10, 12, True, True))
+    assert len(rows) == 11_068 == sum(len(group[3]) for group in recorded)
+    assert len(recorded) < len(rows)
+    assert all(group[3] for group in recorded)
+
+
 @pytest.mark.parametrize(
     "argv, first_vars, n, value, label_end",
     [
@@ -314,7 +331,7 @@ def test_monomial_rows_label_each_piece_once(monkeypatch, argv, most):
 )
 # Beyond the tail tables: monomials whose prefixes of one to three parts
 # join tabled completions, and sums in more than six variables, whose
-# prefixes do too (with --spanning, each sum is a group of its own).
+# prefixes do too (with --spanning, only the completions on all n variables).
 @example(n=3, d=14, sums=False, spanning=False)
 @example(n=5, d=13, sums=False, spanning=False)
 @example(n=2, d=25, sums=False, spanning=False)
@@ -959,6 +976,8 @@ def test_fmt_exact_and_approx():
 @example(value=10**400 - 1, sign=1)  # rounds up to the next power of ten
 @example(value=1234567890125 * 10**300, sign=1)  # a tie, rounded to the even digit
 @example(value=7**500, sign=-1)
+@example(value=10**400, sign=1)  # the exponent estimate is the true exponent
+@example(value=Fraction(10**401 - 1, 10), sign=1)  # the estimate is one more than the true exponent
 def test_approx12_beyond_float_range_rounds_the_exact_value(value, sign):
     text = approx12(sign * value)
     mantissa, exponent = text.lstrip("-").split("e+")

@@ -8,6 +8,7 @@ from waring import coprime_sums
 from waring.coprime_sums import (
     _TAIL,
     CoprimeSum,
+    _block_groups,
     _block_multisets,
     _block_pool,
     _knapsack,
@@ -210,6 +211,8 @@ def test_block_multisets_match_reference_and_enumeration(n, d, spanning):
         for tail in (0, 1, n, n + 1, _TAIL):
             patch.setattr(coprime_sums, "_TAIL", tail)
             assert list(_block_multisets(pool, n, spanning)) == expected, tail
+            groups = list(_block_groups(pool, n, spanning=True))
+            assert all(rows and all(used + u == n for _, u, _ in rows) for _, used, _, rows in groups), tail
     sums = list(enumerate_coprime_sums(n, d, spanning=spanning))
     assert [tuple(pool[i] for i in p) for p in reference] == [f.blocks for f in sums]
 
@@ -303,6 +306,23 @@ def test_r_max_star_modes_agree_where_both_apply():
             assert r_max_star(n, d) == r_max_star(n, d, "oracle") == sum_rank(witness)
 
 
+def test_r_max_star_builds_no_monomial(monkeypatch):
+    # The knapsack reads each block size's best rank from its closed form.
+    cells = [(1, 1), (6, 1), (9, 4), (40, 12), (30, 10**200)]
+    # At (30, 10^200), d >= n, so r_max_star is r_max.
+    expected = [1, 1, closed_form_r_max_star(9, 4), closed_form_r_max_star(40, 12), r_max(30, 10**200)]
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    assert [r_max_star(n, d) for n, d in cells] == expected
+    assert built == []
+
+
 def test_r_max_star_keeps_the_known_closed_forms():
     # d >= n: a single monomial is best; d = 3: a pile of x*y^2 (and one z^3).
     for d in range(1, 41):
@@ -325,10 +345,10 @@ def closed_form_r_max_star(n, d):
 
 def test_r_max_star_matches_its_closed_forms():
     # best(b) does not depend on n, so one knapsack per d gives
-    # _knapsack(n, d)[2](n) for every n up to d^2 + 2d.
+    # _knapsack(n, d)[1](n) for every n up to d^2 + 2d.
     for d in range(2, 41):
         top = d * d + 2 * d
-        best = _knapsack(top, d)[2]
+        best = _knapsack(top, d)[1]
         assert [closed_form_r_max_star(n, d) for n in range(1, top + 1)] == [best(n) for n in range(1, top + 1)], d
     assert r_max_star(9, 4) == closed_form_r_max_star(9, 4) == 2 * 8 + 1 + 1
 
@@ -346,7 +366,7 @@ def test_knapsack_steps_down_to_the_full_table():
     # The table stops at (k - 1) * min(n, d); beyond it best steps down by k.
     for d in range(2, 41):
         top = 3 * d * d
-        best = _knapsack(top, d)[2]
+        best = _knapsack(top, d)[1]
         assert [best(b) for b in range(top + 1)] == full_knapsack(top, d)[1], d
     # The witness is the full table's backtrack: the largest size that still leads to a maximum.
     for d in (2, 3, 4, 5, 6, 9, 16):

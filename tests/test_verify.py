@@ -444,7 +444,7 @@ def test_root_summaries_top_out_at_the_closed_forms():
     # included.
     for n in range(1, 15):
         for d in range(1, 15):
-            best = _knapsack(n, d)[2]
+            best = _knapsack(n, d)[1]
             tops = [0] * (n + 1)
             for rank, used, _ in _block_multisets(_block_pool(n, d), n):
                 tops[used] = max(tops[used], rank)
