@@ -304,12 +304,13 @@ def cmd_enumerate(args) -> tuple[ReportDocument, int]:
         check_cell("enumerate_coprime_sums", args.n, args.d)
         pool = cs._block_pool(args.n, args.d)
         rows = _sum_rows(args.n, args.d, "coprime_sum", pool, cs._block_groups(pool, args.n, spanning=args.spanning))
-        counts = cs._multiset_counts(args.d, args.n)  # by the count recurrence, without a walk
+        shapes = mono._partition_counts([args.d], min(args.n, args.d))[args.d]
+        counts = cs._multiset_counts(shapes, args.n)  # by the count recurrences, without a walk
         count = counts[args.n] if args.spanning else sum(counts) - 1  # less the empty sum
     else:
         check_cell("enumerate_monomials", args.n, args.d)
         rows = _monomial_rows(args.n, args.d, "monomial", mono._partition_groups(args.d, args.n))
-        count = sum(mono._partition_counts(args.d, min(args.n, args.d)))
+        count = sum(mono._partition_counts([args.d], min(args.n, args.d))[args.d])
     params = {
         "n": str(args.n),
         "d": str(args.d),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from operator import itemgetter
+from operator import add, itemgetter
 
 from ._record import Record
 from .errors import DimensionError, UsageError, check_cell
@@ -19,7 +19,6 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
-    _partition_counts,
     _partition_top,
     _ranked_partitions,
     canonicalize,
@@ -220,19 +219,30 @@ def _block_multisets(
             yield rank + r, used + u, picked + p
 
 
-def _multiset_counts(d: int, n: int) -> list[int]:
-    """counts[u], u <= n: the number of multisets of degree-d block shapes on u variables in all.
+def _multiset_counts(shapes: list[int], n: int) -> list[int]:
+    """counts[u], u <= n: the number of multisets of block shapes on u variables in all.
 
-    These are the coefficients of prod_k (1 - x^k)^(-p_k) up to x^n, with
-    p_k the number of shapes on k variables (_partition_counts): each
-    shape is one pass of counts[u] += counts[u - k], u ascending, so
-    O(pool * n) additions. counts[0] = 1 is the empty multiset.
+    shapes[k] is the number of shapes on k variables: for degree d, the
+    partitions of d into exactly k parts (_partition_counts). The counts
+    are the coefficients of prod_k (1 - x^k)^(-shapes[k]) up to x^n, one
+    factor per k. A factor with few shapes, p <= n // k, is p passes of
+    counts[u] += counts[u - k], u ascending. One with more is one
+    convolution with its series, whose x^(jk) coefficient is
+    C(p + j - 1, j): n // k shifted multiply-adds of the counts in place
+    of p passes. counts[0] = 1 is the empty multiset.
     """
     counts = [1] + [0] * n
-    for k, shapes in enumerate(_partition_counts(d, min(n, d))[1:], 1):
-        for _ in range(shapes):
-            for u in range(k, n + 1):
-                counts[u] += counts[u - k]
+    for k, p in enumerate(shapes[1:n + 1], 1):
+        if p <= n // k:
+            for _ in range(p):
+                for u in range(k, n + 1):
+                    counts[u] += counts[u - k]
+            continue
+        before, coefficient = counts[:], 1
+        for j in range(1, n // k + 1):
+            coefficient = coefficient * (p + j - 1) // j
+            shift = j * k
+            counts[shift:] = map(add, counts[shift:], map(coefficient.__mul__, before[:n + 1 - shift]))
     return counts
 
 

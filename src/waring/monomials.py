@@ -218,21 +218,27 @@ def _partition_top(s: int, u: int, cap: int) -> int:
     return (q + 2) ** r * (q + 1) ** (u - 1 - r)
 
 
-def _partition_counts(d: int, slots: int) -> list[int]:
-    """counts[k], 0 <= k <= slots <= d: the number of partitions of d into exactly k parts.
+def _partition_counts(degrees: Iterable[int], slots: int) -> dict[int, list[int]]:
+    """counts[d][k], 0 <= k <= min(slots, d): the number of partitions of d into exactly k parts, for each d in degrees.
 
     Less one in each part, those are the partitions of d - k into at most
     k parts, or by conjugation into parts of at most k. ways[t] counts the
     partitions of t into parts of at most k; allowing parts of k adds
-    ways[t - k] to each ways[t], in increasing t. Nothing above d - k is
-    read after step k, so each step stops there: O(d * slots) additions.
+    ways[t - k] to each ways[t], in increasing t, and then each degree d
+    reads its count ways[d - k]. Nothing above top - k, top the largest
+    degree, is read after step k, so each step stops there. So one row of
+    top counts serves every degree, in O(top * slots) additions, and
+    nothing else is kept but the counts asked for.
     """
-    ways = [1] * d  # parts of at most 1: one partition of each t < d
-    counts = [int(d == 0), 1][: slots + 1]  # no parts only for d = 0; one part, d itself
-    for k in range(2, slots + 1):
-        for t in range(k, d - k + 1):
+    counts = {d: [int(d == 0), 1][: min(slots, d) + 1] for d in degrees}  # no parts only for d = 0; one part, d
+    top = max(counts)
+    ways = [1] * top  # parts of at most 1: one partition of each t < top
+    for k in range(2, min(slots, top) + 1):
+        for t in range(k, top - k + 1):
             ways[t] += ways[t - k]
-        counts.append(ways[d - k])
+        for d, per_k in counts.items():
+            if k <= d:
+                per_k.append(ways[d - k])
     return counts
 
 
@@ -281,9 +287,12 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
 def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum Waring rank over degree-d monomials in n variables.
 
-    closed_form evaluates the balanced construction; oracle brute-forces
-    the maximum over every partition of d into at most n parts. The two
-    always agree.
+    closed_form evaluates the balanced construction's rank,
+    _partition_top(d, min(n, d), d), without building it; oracle
+    brute-forces the maximum over every partition of d into at most n
+    parts. The two always agree.
     """
     check_cell("r_max", n, d)
+    if mode == MODE_CLOSED_FORM:
+        return _partition_top(d, min(n, d), d)
     return waring_rank(max_rank_monomial(n, d, mode))

@@ -5,13 +5,14 @@ integer comparison; divisions are cleared by cross-multiplication first, so
 strict inequalities never depend on rounding. The unit of work is one
 degree column, the grid's cells with one d, and columns run in this
 process, in order; cells merge in (n, d) order. The theorem claims count
-each degree's objects for all its cells at once, per variable count, by
-the partition-count or the block-shape recurrence, and read the one walk
-of their kind, _ranked_partitions or _block_multisets, pruned to the
-subtrees whose bound reaches a generic rank: the closed-form top rank of
-the subtree's partitions, or the block-size knapsack. Only the objects
-that reach it are built. So every object is counted and compared
-exactly, without being enumerated.
+each degree's objects for all its cells at once, per variable count: one
+partition-count recurrence serves every column of the grid, and a coprime
+column multiplies its block-shape counts into one series per variable
+count. They read the one walk of their kind, _ranked_partitions or
+_block_multisets, pruned to the subtrees whose bound reaches a generic
+rank: the closed-form top rank of the subtree's partitions, or the
+block-size knapsack. Only the objects that reach it are built. So every
+object is counted and compared exactly, without being enumerated.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .monomials import Monomial, _partition_counts, _ranked_partitions, r_max
 from .rank_tables import generic_rank
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
 STATUS_PASS = "pass"
@@ -112,18 +114,20 @@ def _theorem_column(d: int, ns: range, counts, walk, build) -> list[tuple[int, l
     """One (checked, violations) pair per cell (n, d) for n in ns, from one count per variable count.
 
     counts[k], k >= 1, is the number of degree-d objects in max(ns)
-    variables that use k of them. walk(low) is their kind's walk,
-    _ranked_partitions or _block_multisets, pruned by low: it yields
-    (rank, used, raw) in walk order for a superset of the objects ranked
-    at least low[used]. build(raw, n) makes the object raw stands for in
-    n variables. An object using k variables lies in every cell with n
-    >= k, with the same rank in each, and the walk, restricted to k <= n,
-    is cell n's own walk in the same order. So the column counts the
-    objects per k and keeps only those ranked at or above low[k], the
-    smallest generic rank of the cells they lie in: cell n's violations
-    are the kept objects with k <= n ranked at or above its generic rank,
-    in walk order, and only they are built. Monomial columns count by
-    _partition_counts and coprime columns by _multiset_counts.
+    variables that use k of them; entries past max(ns) are ignored.
+    walk(low) is their kind's walk, _ranked_partitions or
+    _block_multisets, pruned by low: it yields (rank, used, raw) in walk
+    order for a superset of the objects ranked at least low[used].
+    build(raw, n) makes the object raw stands for in n variables. An
+    object using k variables lies in every cell with n >= k, with the
+    same rank in each, and the walk, restricted to k <= n, is cell n's
+    own walk in the same order. So the column counts the objects per k and
+    keeps only those ranked at or above low[k], the smallest generic rank
+    of the cells they lie in: cell n's violations are the kept objects
+    with k <= n ranked at or above its generic rank, in walk order, and
+    only they are built. The counts come from the grid's one
+    _partition_counts call: as they are for monomial columns, and through
+    _multiset_counts for coprime columns.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
@@ -140,23 +144,30 @@ def _theorem_column(d: int, ns: range, counts, walk, build) -> list[tuple[int, l
     ]
 
 
-def _monomial_column(column) -> list[tuple[int, list[Violation]]]:
-    d, ns = column
-    n = ns[-1]
-    return _theorem_column(d, ns, _partition_counts(d, min(n, d)), lambda low: _ranked_partitions(d, n, low), Monomial)
+def _grid_partition_counts(columns) -> dict[int, list[int]]:
+    """_partition_counts for every column's degree, up to the grid's largest n: one recurrence per grid."""
+    return _partition_counts([d for d, _ in columns], max(ns[-1] for _, ns in columns))
 
 
-def _coprime_column(column) -> list[tuple[int, list[Violation]]]:
-    d, ns = column
-    n, pool = ns[-1], []
-    best = _knapsack(n, d)[1]
+def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
+    counts = _grid_partition_counts(columns)
+    for d, ns in columns:
+        n = ns[-1]
+        yield _theorem_column(d, ns, counts[d], lambda low: _ranked_partitions(d, n, low), Monomial)
 
-    def walk(low):  # the pool is built only if the knapsack opens the root: on the claim's domain, at d = 3 alone
-        if any(int(d == 1) + best(u) >= low[u] for u in range(1, n + 1)):  # int(d == 1): the rank of no block
-            pool[:] = coprime_sums._block_pool(n, d)
-            yield from _block_multisets(pool, n, low=low)
 
-    return _theorem_column(d, ns, _multiset_counts(d, n), walk, lambda picked, m: _sum_of(pool, picked, m))
+def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
+    counts = _grid_partition_counts(columns)
+    for d, ns in columns:
+        n, pool = ns[-1], []
+        best = _knapsack(n, d)[1]
+
+        def walk(low):  # the pool is built only if the knapsack opens the root: on the claim's domain, at d = 3 alone
+            if any(int(d == 1) + best(u) >= low[u] for u in range(1, n + 1)):  # int(d == 1): the rank of no block
+                pool[:] = coprime_sums._block_pool(n, d)
+                yield from _block_multisets(pool, n, low=low)
+
+        yield _theorem_column(d, ns, _multiset_counts(counts[d], n), walk, lambda picked, m: _sum_of(pool, picked, m))
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
@@ -164,39 +175,40 @@ def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Vi
     return 1, [] if holds(lhs, rhs) else [Violation(n, d, None, lhs, rhs)]
 
 
-def _slope_column(column) -> list[tuple[int, list[Violation]]]:
-    """r_max(n, d)/n >= r_max(n - 1, d)/(n - 1) for each n of the column (cross-multiplied)."""
-    d, ns = column
-    return [_inequality(n, d, (n - 1) * r_max(n, d), n * r_max(n - 1, d), ge) for n in ns]
+def _slope_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
+    """r_max(n, d)/n >= r_max(n - 1, d)/(n - 1) for each cell (cross-multiplied)."""
+    for d, ns in columns:
+        ranks = {n: r_max(n, d) for n in range(ns[0] - 1, ns[-1] + 1)}  # each once, for the two cells it is in
+        yield [_inequality(n, d, (n - 1) * ranks[n], n * ranks[n - 1], ge) for n in ns]
 
 
-def _agm_column(column) -> list[tuple[int, list[Violation]]]:
+def _agm_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     """((d+n-2)/(n-1))^(n-1) < C(d+n-1, n-1)/n, checked on integers."""
-    d, ns = column
-    return [
-        _inequality(n, d, n * (d + n - 2) ** (n - 1), (n - 1) ** (n - 1) * binomial(d + n - 1, n - 1), lt)
-        for n in ns
-    ]
+    for d, ns in columns:
+        yield [
+            _inequality(n, d, n * (d + n - 2) ** (n - 1), (n - 1) ** (n - 1) * binomial(d + n - 1, n - 1), lt)
+            for n in ns
+        ]
 
 
-def _pure_power_column(column) -> list[tuple[int, list[Violation]]]:
+def _pure_power_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     """C(d+n-1, n-1)/n^2 > 2^(d-1)/d, checked on integers."""
-    d, ns = column
-    return [_inequality(n, d, d * binomial(d + n - 1, n - 1), n * n * 2 ** (d - 1), gt) for n in ns]
+    for d, ns in columns:
+        yield [_inequality(n, d, d * binomial(d + n - 1, n - 1), n * n * 2 ** (d - 1), gt) for n in ns]
 
 
-def _collect(claim_id, grid, columns, fn, expected=()):
+def _collect(claim_id, grid, columns, check, expected=()):
     """Run the column checks, merge their cells in (n, d) order, and classify the outcome.
 
-    columns lists (d, ns) pairs; fn(column) returns one (checked,
-    violations) pair per n of ns. expected is a collection of (n, d,
-    witness) triples that are allowed (and required, when their cell lies
-    inside the grid) to appear as non-strict cases; a violation matches one
-    when its own (n, d, witness) is equal, and comes back flagged expected.
-    Anything else found is an unexpected violation.
+    columns lists (d, ns) pairs; check(columns) gives, for each column in
+    order, one (checked, violations) pair per n of its ns. expected is a
+    collection of (n, d, witness) triples that are allowed (and required,
+    when their cell lies inside the grid) to appear as non-strict cases; a
+    violation matches one when its own (n, d, witness) is equal, and comes
+    back flagged expected. Anything else found is an unexpected violation.
     """
     start = time.perf_counter()
-    cells = [((n, d), cell) for d, ns in columns for n, cell in zip(ns, fn((d, ns)))]
+    cells = [((n, d), cell) for (d, ns), column in zip(columns, check(columns)) for n, cell in zip(ns, column)]
     merged = [cell for _, cell in sorted(cells, key=itemgetter(0))]
     checked = sum(cell_checked for cell_checked, _ in merged)
     found = [v for _, cell_bad in merged for v in cell_bad]
@@ -214,18 +226,20 @@ def _collect(claim_id, grid, columns, fn, expected=()):
 class Claim(Record):
     """One checkable claim: its column check, preconditions and default grid.
 
-    column((d, ns)) checks the cells (n, d) for n in ns, returning one
-    (checked, violations) pair per n. A claim without an n range
+    columns(columns), given the grid's (d, ns) pairs, checks the cells
+    (n, d) for n in ns of each, giving one list of (checked, violations)
+    pairs per column, one pair per n, in order. So a check may share work
+    across the grid's columns. A claim without an n range
     (default_n is None) takes the cells 2 <= n <= d of each column.
     n_at_least_d drops the cells with n < d, which fall outside the claim.
     expected lists the (n, d, witness) violations that must appear.
     """
 
-    FIELDS = ("column", "min_n", "min_d", "default_n", "default_d", "n_at_least_d", "expected")
+    FIELDS = ("columns", "min_n", "min_d", "default_n", "default_d", "n_at_least_d", "expected")
 
     def __init__(
         self,
-        column,
+        columns,
         min_n: int | None,
         min_d: int,
         default_n: tuple[int, int] | None,
@@ -233,22 +247,22 @@ class Claim(Record):
         n_at_least_d: bool = False,
         expected: tuple = (),
     ) -> None:
-        self._set(column, min_n, min_d, default_n, default_d, n_at_least_d, expected)
+        self._set(columns, min_n, min_d, default_n, default_d, n_at_least_d, expected)
 
 
 CLAIMS: dict[str, Claim] = {
-    "theorem-monomial": Claim(_monomial_column, 4, 2, (4, 8), (2, 20)),
+    "theorem-monomial": Claim(_monomial_columns, 4, 2, (4, 8), (2, 20)),
     "theorem-coprime": Claim(
-        _coprime_column,
+        _coprime_columns,
         4,
         3,
         (4, 8),
         (3, 10),
         expected=tuple((4, 3, make_sum(shapes, 4)) for shapes in EXPECTED_COPRIME_EXCEPTIONS),
     ),
-    "lemma-slope": Claim(_slope_column, None, 4, None, (4, 20)),
-    "ineq-agm": Claim(_agm_column, 4, 2, (4, 8), (2, 20)),
-    "ineq-pure-power": Claim(_pure_power_column, 4, 4, (4, 14), (4, 14), n_at_least_d=True),
+    "lemma-slope": Claim(_slope_columns, None, 4, None, (4, 20)),
+    "ineq-agm": Claim(_agm_columns, 4, 2, (4, 8), (2, 20)),
+    "ineq-pure-power": Claim(_pure_power_columns, 4, 4, (4, 14), (4, 14), n_at_least_d=True),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -300,7 +314,7 @@ def verify_claim(
             columns.append((d, range(first, last + 1)))
     if not columns:
         raise UsageError(f"no grid cell satisfies n >= d >= {claim.min_d}")
-    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, claim.column, claim.expected)
+    return _collect(claim_id, (n_lo, n_hi, d_lo, d_hi), columns, claim.columns, claim.expected)
 
 
 def verify_theorem_monomial(

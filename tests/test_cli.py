@@ -457,13 +457,12 @@ def test_verify_defaults_run_clean(capsys):
 
 
 def test_verify_unexpected_counterexample_exits_one(capsys, monkeypatch):
-    def fake_column(column):
+    def fake_columns(columns):
         # One unexpected counterexample, in the first cell only.
-        d, ns = column
-        return [(1, [vf.Violation(n, d, None, 1, 2)] if (n, d) == (2, 4) else []) for n in ns]
+        return [[(1, [vf.Violation(n, d, None, 1, 2)] if (n, d) == (2, 4) else []) for n in ns] for d, ns in columns]
 
     old = vf.CLAIMS["lemma-slope"]
-    claim = vf.Claim(fake_column, old.min_n, old.min_d, old.default_n, old.default_d)
+    claim = vf.Claim(fake_columns, old.min_n, old.min_d, old.default_n, old.default_d)
     monkeypatch.setitem(vf.CLAIMS, "lemma-slope", claim)
     code, out, err = run_cli(
         capsys, "verify", "--claim", "lemma-slope", "--deterministic"

@@ -25,7 +25,24 @@ from waring.rank_tables import generic_rank
 
 def predicted_walk(d, n):
     """The partitions _ranked_partitions(d, n) walks, counted per number of parts, without walking."""
-    return sum(_partition_counts(d, min(n, d)))
+    return sum(_partition_counts([d], min(n, d))[d])
+
+
+def column_partition_counts(d, slots):
+    """counts[k], 0 <= k <= slots <= d: the partitions of d into exactly k parts, one degree at a time.
+
+    Less one in each part, those are the partitions of d - k into at most
+    k parts, or by conjugation into parts of at most k: ways[t] counts the
+    partitions of t into parts of at most k, and allowing parts of k adds
+    ways[t - k] to each ways[t], in increasing t.
+    """
+    ways = [1] * d  # parts of at most 1: one partition of each t < d
+    counts = [int(d == 0), 1][: slots + 1]  # no parts only for d = 0; one part, d itself
+    for k in range(2, slots + 1):
+        for t in range(k, d - k + 1):
+            ways[t] += ways[t - k]
+        counts.append(ways[d - k])
+    return counts
 
 
 def brute_partitions(d, max_parts):
@@ -178,6 +195,19 @@ def test_enumerate_count_matches_recurrence():
     for n in range(1, 9):
         for d in range(1, 21):
             assert len(list(enumerate_monomials(n, d))) == partition_count(d, n) == predicted_walk(d, n)
+
+
+def test_grid_partition_counts_equal_the_per_column_recurrence():
+    for slots in range(0, 26):
+        counts = _partition_counts(range(61), slots)
+        assert counts == {d: column_partition_counts(d, min(slots, d)) for d in range(61)}, slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.sets(st.integers(0, 300), min_size=1, max_size=8), slots=st.integers(0, 60))
+def test_grid_partition_counts_hold_each_degree_of_any_grid(degrees, slots):
+    counts = _partition_counts(sorted(degrees, reverse=True), slots)
+    assert counts == {d: column_partition_counts(d, min(slots, d)) for d in degrees}
 
 
 def test_partitions_descending_lex_order():

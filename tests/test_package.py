@@ -23,7 +23,7 @@ from waring.verify import (
     RatioPoint,
     VerificationReport,
     Violation,
-    _agm_column,
+    _agm_columns,
     ratio_to_generic,
     verify_claim,
 )
@@ -229,7 +229,7 @@ def _values():
             ratio_to_generic(5, 9, "coprime"),
             RatioPoint(5, 9, Fraction(81, 143), Fraction(15, 32), Fraction(447, 4576)),
         ),
-        (CLAIMS["ineq-agm"], Claim(_agm_column, 4, 2, (4, 8), (2, 20))),
+        (CLAIMS["ineq-agm"], Claim(_agm_columns, 4, 2, (4, 8), (2, 20))),
     ]
 
 

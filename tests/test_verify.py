@@ -46,11 +46,11 @@ from waring.verify import (
     STATUS_PASS,
     STATUS_PASS_WITH_EXPECTED,
     Violation,
-    _agm_column,
+    _agm_columns,
     _collect,
-    _coprime_column,
-    _monomial_column,
-    _pure_power_column,
+    _coprime_columns,
+    _monomial_columns,
+    _pure_power_columns,
     ratio_decay_fixed_d,
     ratio_to_generic,
     verify_claim,
@@ -214,9 +214,9 @@ def assert_report_equals_cell_walks(report, claim_id, n_range, d_range):
 )
 def test_theorem_columns_equal_the_cell_walks(monkeypatch, claim_id, n_range, d_range):
     ns = range(n_range[0], n_range[1] + 1)
-    column = CLAIMS[claim_id].column
+    columns = CLAIMS[claim_id].columns
     for d in range(d_range[0], d_range[1] + 1):
-        assert column((d, ns)) == [cell_walk(claim_id, n, d) for n in ns], d
+        assert list(columns([(d, ns)])) == [[cell_walk(claim_id, n, d) for n in ns]], d
     two_cpus(monkeypatch)
     for workers in (1, 2):
         report = verify_claim(claim_id, n_range, d_range, workers)
@@ -264,7 +264,7 @@ def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, 
     ns = range(min(k, n), n + 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(waring.verify, "generic_rank", lambda m, e: generic_rank(m, e) - cut)
-        column = CLAIMS[claim_id].column((d, ns))
+        [column] = CLAIMS[claim_id].columns([(d, ns)])
     assert column == [cell_walk(claim_id, m, d, cut) for m in ns]
 
 
@@ -282,24 +282,28 @@ def count_calls(monkeypatch, name):
 
 
 def test_each_degree_is_walked_once(monkeypatch):
-    # One count and one pruned walk from the root per degree, and only
-    # violations are built: none on the monomial grid.
+    # One partition count for the whole grid, one pruned walk from the root
+    # per degree, and only violations are built: none on the monomial grid.
     counted = count_calls(monkeypatch, "_partition_counts")
     walked = count_calls(monkeypatch, "_ranked_partitions")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
-    assert counted == [(d, min(d, 10)) for d in range(40, 1, -1)]
+    assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(40, 1, -1)), 10)]
     assert [(d, n) for d, n, _ in walked] == [(d, 10) for d in range(40, 1, -1)]
     assert built == []
 
-    # One count per degree, in 12 variables, and one pruned walk: (4, 3)'s
-    # witnesses come from it, and they are the only sums built.
-    counted = count_calls(monkeypatch, "_multiset_counts")
+    # One partition count for the whole grid, in 12 variables, one series
+    # per degree made from it, and one pruned walk: (4, 3)'s witnesses come
+    # from it, and they are the only sums built.
+    counted = count_calls(monkeypatch, "_partition_counts")
+    series = count_calls(monkeypatch, "_multiset_counts")
     walked = count_calls(monkeypatch, "_block_multisets")
     built = count_calls(monkeypatch, "_sum_of")
     report = verify_claim("theorem-coprime", (4, 12), (3, 12))
     assert report.status == STATUS_PASS_WITH_EXPECTED
-    assert counted == [(d, 12) for d in range(12, 2, -1)]
+    assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(12, 2, -1)), 12)]
+    grid_counts = _partition_counts(range(12, 2, -1), 12)
+    assert series == [(grid_counts[d], 12) for d in range(12, 2, -1)]
     assert [(pool[0].degree, n) for pool, n in walked] == [(3, 12)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
     assert [v.witness for v in report.violations] == [_sum_of(*args) for args in built]
@@ -360,9 +364,10 @@ def test_tail_summaries_count_and_top_each_used(monkeypatch):
     monkeypatch.setattr(
         waring.monomials, "_partition_top", lambda *key: tops.append(key) or _partition_top(*key)
     )
+    list(_monomial_columns([(d, range(4, 11)) for d in range(40, 1, -1)]))
+    counts = _partition_counts(range(40, 1, -1), 10)
     for d in range(40, 1, -1):
-        _monomial_column((d, range(4, 11)))
-        assert _partition_counts(d, min(d, 10)) == list(walked_partition_summaries(d, min(d, 10))[d][0]), d
+        assert counts[d] == list(walked_partition_summaries(d, min(d, 10))[d][0]), d
     assert_partition_tops_equal_the_walk(set(tops))
 
 
@@ -380,7 +385,7 @@ def test_partition_counts_per_used_equal_the_walk():
             by_used = [0] * (slots + 1)
             for _, used, _ in _ranked_partitions(d, slots):
                 by_used[used] += 1
-            assert _partition_counts(d, slots) == by_used, (d, slots)
+            assert _partition_counts([d], slots)[d] == by_used, (d, slots)
 
 
 @functools.cache
@@ -412,7 +417,7 @@ def test_partition_top_is_the_best_partition_and_the_balanced_split_reaches_it(s
 def test_a_huge_degree_column_needs_no_memory():
     tracemalloc.start()
     try:
-        column = _monomial_column((1200, range(4, 5)))
+        [column] = _monomial_columns([(1200, range(4, 5))])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -425,7 +430,7 @@ def test_a_wide_coprime_column_needs_no_memory():
     # memory beyond the pool, whatever the number of sums (2.4e17 in 30 variables).
     tracemalloc.start()
     try:
-        column = _coprime_column((30, range(4, 31)))
+        [column] = _coprime_columns([(30, range(4, 31))])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -461,19 +466,19 @@ def test_enumerate_walks_build_no_summary(monkeypatch):
     pool = _block_pool(10, 12)
     assert len(list(_block_multisets(pool, 10))) == 19_614
     assert len(list(_ranked_partitions(40, 10))) == 16_928
-    for column in (_monomial_column, _coprime_column):
+    for columns in (_monomial_columns, _coprime_columns):
         with pytest.raises(AssertionError, match="a summary was built"):
-            column((12, range(4, 11)))
+            list(columns([(12, range(4, 11))]))
 
 
 def test_theorem_columns_have_no_depth_limit_on_d():
     # Summaries made by recursion on the cap, or on the pool index, would pass
     # the interpreter's recursion limit here. The figures are those of the walks.
-    monomials = _monomial_column((1500, range(1, 3)))
+    [monomials] = _monomial_columns([(1500, range(1, 3))])
     assert [(checked, len(bad)) for checked, bad in monomials] == [(1, 1), (751, 750)]
     assert [v.witness.exponents for v in monomials[1][1][::749]] == [(1, 1499), (750, 750)]
     assert sum(v.lhs for v in monomials[1][1]) == 844_125
-    sums = _coprime_column((2000, range(1, 3)))
+    [sums] = _coprime_columns([(2000, range(1, 3))])
     assert [(checked, len(bad)) for checked, bad in sums] == [(1, 1), (1002, 1000)]
     assert [v.witness.block_shapes() for v in sums[1][1][::999]] == [((1000, 1000),), ((1, 1999),)]
     assert sum(v.lhs for v in sums[1][1]) == 1_500_500
@@ -624,11 +629,10 @@ def test_theorem_coprime_rejects_bad_ranges():
 
 
 def _fake_column_factory(violations_by_cell):
-    def column(c):
-        d, ns = c
-        return [(1, list(violations_by_cell.get((n, d), ()))) for n in ns]
+    def columns(grid):
+        return [[(1, list(violations_by_cell.get((n, d), ()))) for n in ns] for d, ns in grid]
 
-    return column
+    return columns
 
 
 def test_collect_status_fail_on_unexpected_violation():
@@ -699,6 +703,24 @@ def test_lemma_slope_documented_edge_cases():
         assert (d - 1) * r_max(d, d) >= d * r_max(d - 1, d)
 
 
+def test_r_max_builds_no_monomial(monkeypatch):
+    # The closed form reads the balanced construction's rank from
+    # _partition_top, so neither r_max nor the slope lemma builds one.
+    built = []
+    init = Monomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    value = r_max(30, 10**200)
+    assert verify_claim("lemma-slope", None, (4, 40)).status == STATUS_PASS
+    assert built == []
+    monkeypatch.undo()
+    assert value == waring_rank(max_rank_monomial(30, 10**200))
+
+
 def test_lemma_slope_rejects_small_d():
     with pytest.raises(UsageError):
         verify_claim("lemma-slope", None, (3, 10))
@@ -715,7 +737,7 @@ def test_agm_inequality_grid():
 
 
 def test_agm_cell_4_4_values():
-    assert _agm_column((4, (4,))) == [(1, [])]
+    assert list(_agm_columns([(4, (4,))])) == [[(1, [])]]
     assert 4 * 6**3 == 864
     assert 27 * 35 == 945  # (n-1)^(n-1) * C(7,3)
 
@@ -732,7 +754,7 @@ def test_pure_power_inequality_grid():
 
 
 def test_pure_power_cell_base_case():
-    assert _pure_power_column((4, (4,))) == [(1, [])]
+    assert list(_pure_power_columns([(4, (4,))])) == [[(1, [])]]
     assert 4 * 35 == 140
     assert 16 * 8 == 128
 
