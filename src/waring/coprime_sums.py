@@ -150,18 +150,19 @@ def _block_groups(
     more begins.
 
     Depth first, a lazy range of pool indices per level. With low,
-    indexed by used, each subtree whose bound misses low[used + u] for
-    every u is skipped, the root first and then each prefix's
-    completions, before their rows are read: a sum on u more variables
-    adds at most best(u) to the prefix's rank, best from _knapsack. So the
-    groups hold every multiset ranked at least low[used].
+    indexed by used, each prefix whose subtree's bound misses
+    low[used + u] for every u is skipped, itself and its completions,
+    before their rows are read: a sum on u more variables adds at most
+    best(u) - base to the prefix's rank, best from _knapsack, which
+    counts the base too. So the groups hold every multiset ranked at
+    least low[used]. The root is not tested: its caller has.
     """
     sizes, ranks, base = _block_ranks(pool)
     if low is not None:
-        best = list(map(_knapsack(n, pool[0].degree)[1], range(n + 1)))
+        gain = [0] + [top - base for top in map(_knapsack(n, pool[0].degree)[1], range(1, n + 1))]
 
     def reaches(rank: int, used: int) -> bool:
-        return any(rank + best[u] >= low[used + u] for u in range(1, n - used + 1))
+        return any(rank + gain[u] >= low[used + u] for u in range(n - used + 1))
 
     count = len(sizes)
     full, starts = [[]], [[0] * count]
@@ -172,15 +173,17 @@ def _block_groups(
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
     alone = [(0, 0, ())]
     # Per level: indices left to try, from the first that fits, and the prefix's rank, used and picked.
-    stack = [(iter(range(first_fit[n], count)), base, 0, ())] if low is None or reaches(base, 0) else []
+    stack = [(iter(range(first_fit[n], count)), base, 0, ())]
     while stack:
         indices, rank, used, picked = stack[-1]
         for j in indices:
             rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
+            if low is not None and not reaches(rank_j, used_j):
+                continue
             rest = n - used_j
             if not (spanning and rest):
                 yield rank_j, used_j, picked_j, alone
-            if not rest or low is not None and not reaches(rank_j, used_j):
+            if not rest:
                 continue
             if rest > _TAIL:
                 stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
@@ -270,7 +273,7 @@ def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int]]:
 
     Returns (ranks, best): ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
     (index 0 unused), the rank of max_rank_monomial(k, d) read from
-    _partition_top(d, k, d) without building it; best(b) is the maximum
+    _partition_top(d, k) without building it; best(b) is the maximum
     rank of a coprime sum in b <= n variables: ranks add across coprime
     blocks and a maximum uses only rank-maximal blocks, so best is an
     unbounded knapsack over block sizes.
@@ -282,7 +285,7 @@ def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int]]:
     stops there, O(m^3) time for any n. At d = 1, best(b) = 1 for b >= 1.
     """
     m = min(n, d)
-    ranks = [0] + [_partition_top(d, k, d) for k in range(1, m + 1)]
+    ranks = [0] + [_partition_top(d, k) for k in range(1, m + 1)]
     if d == 1:
         return ranks, lambda b: min(b, 1)
     step = 1

@@ -119,8 +119,8 @@ _TAIL = 10
 _TAILS = _Table(_tail_rows)
 
 
-def _partition_groups(d: int, n: int, low: list[int] | None = None) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
-    """The walk of _ranked_partitions(d, n, low), one group per walked prefix.
+def _partition_groups(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
+    """The walk of _ranked_partitions(d, n), one group per walked prefix.
 
     Yields (factor, depth, parts, rows): parts are the prefix's parts,
     smallest first (none when d <= _TAIL), and depth their count; they
@@ -132,20 +132,8 @@ def _partition_groups(d: int, n: int, low: list[int] | None = None) -> Iterator[
     smallest's when rest is 0.
 
     Depth first, one lazy range of candidate parts per level, so at most
-    n levels whatever d is. With low, indexed by used, each subtree whose
-    bound misses low[depth + u] for every u is skipped, the root first and
-    then each prefix's completions, before their rows are read: factor *
-    _partition_top(s, u, cap) bounds a completion of s into u parts of at
-    most cap. So the groups hold every partition ranked at least low[used].
+    n levels whatever d is.
     """
-
-    def reaches(factor: int, depth: int, s: int, cap: int, slots: int) -> bool:
-        if not s:
-            return factor >= low[depth]
-        return any(factor * _partition_top(s, u, cap) >= low[depth + u] for u in range(-(-s // cap), slots + 1))
-
-    if low is not None and not reaches(1, 0, d, d, min(n, d)):
-        return
     if d <= _TAIL:
         yield 1, 0, (), _TAILS[d, d, min(n, d)]
         return
@@ -158,8 +146,6 @@ def _partition_groups(d: int, n: int, low: list[int] | None = None) -> Iterator[
             chosen = (part,) + above
             factor = prod * (part + 1) if rest else prod
             key = rest, part if part < rest else rest, slots if slots < rest else rest  # as _TAILS keys it
-            if low is not None and not reaches(factor, len(chosen), *key):
-                continue
             if rest > _TAIL:
                 stack.append((iter(range(key[1], -(-rest // slots) - 1, -1)), rest, slots - 1, chosen, factor))
                 break
@@ -168,7 +154,7 @@ def _partition_groups(d: int, n: int, low: list[int] | None = None) -> Iterator[
             stack.pop()
 
 
-def _ranked_partitions(d: int, n: int, low: list[int] | None = None) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def _ranked_partitions(d: int, n: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The degree-d monomials in n variables as ranked partitions of d.
 
     Yields (rank, used, exponents) for every partition of d into at most n
@@ -184,37 +170,31 @@ def _ranked_partitions(d: int, n: int, low: list[int] | None = None) -> Iterator
 
     The groups of _partition_groups, expanded: each completion of a
     prefix costs one multiply, add and tuple concatenation. 10 was the
-    fastest _TAIL measured whose whole table stays under 0.5 MB. With
-    low, only the groups left by its prune are expanded.
+    fastest _TAIL measured whose whole table stays under 0.5 MB.
     """
-    for factor, depth, parts, rows in _partition_groups(d, n, low):
+    for factor, depth, parts, rows in _partition_groups(d, n):
         for rank, used, tail in rows:
             yield rank * factor, depth + used, tail + parts
 
 
-def _balanced_split(s: int, u: int, cap: int) -> tuple[int, int, int]:
-    """The top-ranked partition of s into exactly u >= 2 parts of at most cap, as (m, q, r).
+def _balanced_split(d: int, u: int) -> tuple[int, int]:
+    """The top-ranked partition of d into exactly 2 <= u <= d parts, as (q, r).
 
-    Its smallest part is m, the least that leaves s - m <= cap * (u - 1),
-    and the other u - 1 parts spread s - m as evenly as possible: r of
-    them q + 1 and the rest q. This is the paper's maximum (one exponent
-    1, the rest balanced) under a cap on the parts: even parts maximize
-    the product of (part + 1) by the exchange argument, that product
-    falls as m grows, and this m keeps every part within [m, cap] when
-    u <= s <= u * cap.
+    One part is 1, and the other u - 1 spread d - 1 as evenly as
+    possible: r of them q + 1 and the rest q. This is the paper's
+    maximum: even parts maximize the product of (part + 1) by the
+    exchange argument, and that product falls as the smallest part grows.
     """
-    m = max(1, s - cap * (u - 1))
-    q, r = divmod(s - m, u - 1)
-    return m, q, r
+    return divmod(d - 1, u - 1)
 
 
-def _partition_top(s: int, u: int, cap: int) -> int:
-    """The highest rank among partitions of s into exactly u parts of at most cap; 0 when there are none."""
-    if s < u or s > u * cap:
+def _partition_top(d: int, u: int) -> int:
+    """The highest rank among partitions of d into exactly u >= 1 parts; 0 when there are none, u > d."""
+    if u > d:
         return 0
     if u == 1:
         return 1
-    _, q, r = _balanced_split(s, u, cap)
+    q, r = _balanced_split(d, u)
     return (q + 2) ** r * (q + 1) ** (u - 1 - r)
 
 
@@ -264,10 +244,10 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     """A rank-maximizing degree-d monomial in n ambient variables.
 
     closed_form uses n' = min(n, d) variables (extra variables cannot raise
-    monomial rank) and _balanced_split(d, n', d): one exponent 1 and the
+    monomial rank) and _balanced_split(d, n'): one exponent 1 and the
     remaining d-1 spread as evenly as possible over n'-1 variables. With
     q = (d-1) div (n'-1) and r = (d-1) mod (n'-1) the rank is
-    (1+q)^(n'-r-1) * (2+q)^r, _partition_top(d, n', d). oracle
+    (1+q)^(n'-r-1) * (2+q)^r, _partition_top(d, n'). oracle
     instead walks every ranked partition in enumerate_monomials order and
     returns the first maximum; only that witness is built and validated.
     """
@@ -280,19 +260,19 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     used = min(n, d)
     if used == 1:
         return Monomial((d,), n)
-    m, q, r = _balanced_split(d, used, d)
-    return Monomial((m,) + (q,) * (used - 1 - r) + (q + 1,) * r, n)
+    q, r = _balanced_split(d, used)
+    return Monomial((1,) + (q,) * (used - 1 - r) + (q + 1,) * r, n)
 
 
 def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum Waring rank over degree-d monomials in n variables.
 
     closed_form evaluates the balanced construction's rank,
-    _partition_top(d, min(n, d), d), without building it; oracle
+    _partition_top(d, min(n, d)), without building it; oracle
     brute-forces the maximum over every partition of d into at most n
     parts. The two always agree.
     """
     check_cell("r_max", n, d)
     if mode == MODE_CLOSED_FORM:
-        return _partition_top(d, min(n, d), d)
+        return _partition_top(d, min(n, d))
     return waring_rank(max_rank_monomial(n, d, mode))

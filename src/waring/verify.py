@@ -8,11 +8,12 @@ process, in order; cells merge in (n, d) order. The theorem claims count
 each degree's objects for all its cells at once, per variable count: one
 partition-count recurrence serves every column of the grid, and a coprime
 column multiplies its block-shape counts into one series per variable
-count. They read the one walk of their kind, _ranked_partitions or
-_block_multisets, pruned to the subtrees whose bound reaches a generic
-rank: the closed-form top rank of the subtree's partitions, or the
-block-size knapsack. Only the objects that reach it are built. So every
-object is counted and compared exactly, without being enumerated.
+count. A column is decided at its root by the top rank per variable
+count: the paper's construction for monomials, which closes every root
+in n >= 4 variables, and the block-size knapsack for coprime sums, which
+also prunes the walk of a root it opens. Only the objects that reach a
+generic rank are built. So every object is counted and compared exactly,
+without being enumerated.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ._record import Record
 from .coprime_sums import CoprimeSum, _block_multisets, _knapsack, _multiset_counts, _sum_of, make_sum, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
-from .monomials import Monomial, _partition_counts, _ranked_partitions, r_max
+from .monomials import Monomial, _partition_counts, _partition_top, _ranked_partitions, r_max
 from .rank_tables import generic_rank
 
 if TYPE_CHECKING:
@@ -110,29 +111,28 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-def _theorem_column(d: int, ns: range, counts, walk, build) -> list[tuple[int, list[Violation]]]:
+def _theorem_column(d: int, ns: range, counts, top, walk) -> list[tuple[int, list[Violation]]]:
     """One (checked, violations) pair per cell (n, d) for n in ns, from one count per variable count.
 
     counts[k], k >= 1, is the number of degree-d objects in max(ns)
-    variables that use k of them; entries past max(ns) are ignored.
-    walk(low) is their kind's walk, _ranked_partitions or
-    _block_multisets, pruned by low: it yields (rank, used, raw) in walk
-    order for a superset of the objects ranked at least low[used].
-    build(raw, n) makes the object raw stands for in n variables. An
+    variables that use k of them; entries past max(ns) are ignored. An
     object using k variables lies in every cell with n >= k, with the
-    same rank in each, and the walk, restricted to k <= n, is cell n's
-    own walk in the same order. So the column counts the objects per k and
-    keeps only those ranked at or above low[k], the smallest generic rank
-    of the cells they lie in: cell n's violations are the kept objects
-    with k <= n ranked at or above its generic rank, in walk order, and
-    only they are built. The counts come from the grid's one
-    _partition_counts call: as they are for monomial columns, and through
-    _multiset_counts for coprime columns.
+    same rank in each, so it is kept only if ranked at least low[k], the
+    smallest generic rank of those cells. top(k) bounds the ranks on k
+    variables: unless some top(k) reaches low[k], nothing is walked.
+    Otherwise walk(low) gives (ranked, build): ranked is the kind's walk,
+    _ranked_partitions or _block_multisets, yielding (rank, used, raw) in
+    walk order for a superset of the objects ranked at least low[used],
+    and build(raw, n) makes the object raw stands for in n variables.
+    Restricted to k <= n, the walk is cell n's own, so cell n's
+    violations are the kept objects with k <= n that reach its generic
+    rank, in walk order, and only they are built.
     """
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
     low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
-    kept = [(rank, k, raw) for rank, k, raw in walk(low) if rank >= low[k]]
+    ranked, build = walk(low) if any(top(k) >= low[k] for k in range(1, ns[-1] + 1)) else ((), None)
+    kept = [(rank, k, raw) for rank, k, raw in ranked if rank >= low[k]]
     per_k = list(counts[1:]) + [0] * (ns[-1] + 1 - len(counts))
     checked = list(accumulate(per_k, initial=0))  # checked[n]: the objects on at most n variables
     return [
@@ -153,21 +153,21 @@ def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
         n = ns[-1]
-        yield _theorem_column(d, ns, counts[d], lambda low: _ranked_partitions(d, n, low), Monomial)
+        yield _theorem_column(
+            d, ns, counts[d], lambda k: _partition_top(d, k), lambda low: (_ranked_partitions(d, n), Monomial)
+        )
 
 
 def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
-        n, pool = ns[-1], []
-        best = _knapsack(n, d)[1]
+        n = ns[-1]
 
-        def walk(low):  # the pool is built only if the knapsack opens the root: on the claim's domain, at d = 3 alone
-            if any(int(d == 1) + best(u) >= low[u] for u in range(1, n + 1)):  # int(d == 1): the rank of no block
-                pool[:] = coprime_sums._block_pool(n, d)
-                yield from _block_multisets(pool, n, low=low)
+        def walk(low):
+            pool = coprime_sums._block_pool(n, d)
+            return _block_multisets(pool, n, low=low), lambda picked, m: _sum_of(pool, picked, m)
 
-        yield _theorem_column(d, ns, _multiset_counts(counts[d], n), walk, lambda picked, m: _sum_of(pool, picked, m))
+        yield _theorem_column(d, ns, _multiset_counts(counts[d], n), _knapsack(n, d)[1], walk)
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:

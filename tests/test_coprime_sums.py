@@ -275,6 +275,12 @@ def test_pruned_block_walk_is_the_walk_filtered_by_low(n, d, data):
     assert multiset_counts(d, n) == shape_multiset_counts(n, d) == per_used
 
 
+def test_block_walk_prune_counts_the_linear_base_once():
+    # At d = 1 every sum is one linear form, of rank 1: a low of 2 everywhere leaves no subtree.
+    for n in range(1, 7):
+        assert list(_block_multisets(_block_pool(n, 1), n, low=[2] * (n + 1))) == [], n
+
+
 def test_multiset_counts_equal_the_per_shape_passes():
     # Both ways of multiplying in one variable count's shapes run here:
     # passes where shapes[k] <= n // k, as at k = 1, and the series where

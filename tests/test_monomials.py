@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import accumulate, islice
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +20,6 @@ from waring.monomials import (
     r_max,
     waring_rank,
 )
-from waring.rank_tables import generic_rank
 
 
 def predicted_walk(d, n):
@@ -242,32 +241,19 @@ def test_partitions_equal_brute_force_in_descending_lex_order(d, max_parts):
             assert rank == waring_rank(Monomial(exponents, max_parts))
 
 
-def column_low(d, first, n):
-    """The low a verify column over n = first..n at degree d prunes by: per used, its cells' least generic rank."""
-    low = list(accumulate(reversed([generic_rank(m, d) for m in range(first, n + 1)]), min))[::-1]
-    return low[:1] * first + low
-
-
 @settings(max_examples=100, deadline=None)
-@given(d=st.integers(1, 24), n=st.integers(1, 10), data=st.data())
-@example(d=6, n=3, data=None)  # below four variables, x1*x2*x3^4 (rank 10) reaches the generic rank 10
-@example(d=40, n=10, data=None)  # the acceptance grid's widest column: everything is pruned
-def test_pruned_partition_walk_is_the_walk_filtered_by_low(d, n, data):
+@given(d=st.integers(1, 24), n=st.integers(1, 10))
+@example(d=6, n=3)
+@example(d=40, n=10)  # the monomial acceptance grid's widest column
+def test_partition_walk_is_the_same_for_every_tail_table(d, n):
     walk = list(_ranked_partitions(d, n))
-    lows = [column_low(d, 1, n), column_low(d, min(n, 4), n)]
-    if data is not None:
-        top = max(rank for rank, _, _ in walk)
-        lows.append(data.draw(st.lists(st.integers(0, top + 1), min_size=n + 1, max_size=n + 1), label="low"))
     # Rests read whole from the tail table, never, and around n and d, in a
     # table of their own.
     for tail in (0, 1, n, n + 1, d):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(monomials, "_TAIL", tail)
             patch.setattr(monomials, "_TAILS", monomials._Table(monomials._tail_rows))
-            for low in lows:
-                expected = [(rank, used, parts) for rank, used, parts in walk if rank >= low[used]]
-                pruned = _ranked_partitions(d, n, low)
-                assert [(rank, used, parts) for rank, used, parts in pruned if rank >= low[used]] == expected, low
+            assert list(_ranked_partitions(d, n)) == walk, tail
 
 
 def test_walk_streams_and_its_tail_table_stays_bounded():

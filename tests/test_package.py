@@ -4,6 +4,7 @@ and the immutable value classes."""
 import ast
 import importlib
 import pickle
+import random
 import re
 import sys
 from fractions import Fraction
@@ -179,6 +180,25 @@ def test_every_waring_name_the_bench_uses_resolves():
         attr = name.rpartition(".")[2]
         for holder in holders:
             assert getattr(importlib.import_module("waring." + holder), attr, None) is function, (name, holder)
+
+
+def test_every_command_line_and_grid_call_the_bench_makes_is_accepted(monkeypatch):
+    # The benchmark builds these argument lists and calls from its own
+    # modules; one that waring stopped accepting would fail only there, as
+    # a failed run. The modules are read, not run.
+    from waring import cli
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    run, checks, mix = (importlib.import_module(name) for name in ("run", "checks", "mix"))
+    specs = [run.COPRIME_SPEC] + [run.dump_spec(*dump)[0] for dump in run.DUMPS]
+    specs += [spec for seed in range(10) for spec in mix.make_batch(random.Random(seed))]
+    assert len(specs) == 1 + 6 + 10 * mix.BATCH
+    assert "--threads" in checks.build_argv(run.COPRIME_SPEC)
+    parser = cli.build_parser()
+    for spec in specs:
+        parser.parse_args(checks.build_argv(spec))
+    assert waring.verify_theorem_monomial((4, 5), (2, 3), workers=2).passed
+    assert waring.verify_theorem_coprime((4, 5), (3, 4), workers=2).passed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -55,6 +56,74 @@ def test_generic_rank_exceeds_ceiling_exactly_on_exceptions():
             assert value >= ceiling
             strict = (d == 2 and n >= 3) or (n, d) in sporadic
             assert (value > ceiling) == strict
+
+
+# Terracini's lemma: the s-th secant variety of the degree-d Veronese in n
+# variables has the dimension of the span of l_i^(d-1) * x_j over s general
+# linear forms l_i and every variable x_j, out of N = C(n+d-1, d). Ranks are
+# taken mod P at seeded random forms, where they are at most the generic ones.
+P = 2**61 - 1
+
+
+def terracini_rank(n, d, s, rng):
+    """The rank mod P of the s*n vectors l_i^(d-1) * x_j in the degree-d monomial basis, l_i drawn from rng."""
+    index = {}
+    rows = []
+    for _ in range(s):
+        coefficients = [rng.randrange(1, P) for _ in range(n)]
+        power = {(0,) * n: 1}  # l^(d-1), exponent tuple -> coefficient, one factor of l at a time
+        for _ in range(d - 1):
+            product = {}
+            for exponents, c in power.items():
+                for k, a in enumerate(coefficients):
+                    key = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1:]
+                    product[key] = (product.get(key, 0) + c * a) % P
+            power = product
+        for j in range(n):
+            row = {}
+            for exponents, c in power.items():
+                key = exponents[:j] + (exponents[j] + 1,) + exponents[j + 1:]
+                row[index.setdefault(key, len(index))] = c
+            rows.append(row)
+    basis = []  # (pivot, row with 1 at pivot and 0 at every earlier pivot), in insertion order
+    for row in rows:
+        for pivot, reduced in basis:
+            factor = row.get(pivot, 0)
+            if factor:
+                for col, c in reduced.items():
+                    row[col] = (row.get(col, 0) - factor * c) % P
+        row = {col: c for col, c in row.items() if c}
+        if row:
+            pivot = min(row)
+            inverse = pow(row[pivot], P - 2, P)
+            basis.append((pivot, {col: c * inverse % P for col, c in row.items()}))
+    return len(basis)
+
+
+TERRACINI_CELLS = [(n, d) for n in range(2, 7) for d in range(2, 8) if math.comb(n + d - 1, d) <= 130]
+
+
+@pytest.mark.parametrize("n, d", TERRACINI_CELLS)
+def test_generic_rank_agrees_with_terracini(n, d):
+    """s = generic_rank(n, d) forms span all N directions, so the generic rank is at most s.
+
+    Where (s - 1) * n < N, s - 1 forms span too few directions to fill
+    the space, so it is at least s. On the defective cells (the quadrics
+    with n >= 3 and (3, 4), (4, 4), (5, 3), (5, 4)) that count does not
+    settle it, and the rank found at s - 1 random forms is evidence only:
+    it is at most the rank at general forms, and a drop below N at one
+    point does not prove the drop at general points.
+    """
+    s, size = generic_rank(n, d), math.comb(n + d - 1, d)
+    rng = random.Random(20130)
+    assert terracini_rank(n, d, s, rng) == size
+    if (s - 1) * n >= size:
+        assert terracini_rank(n, d, s - 1, rng) < size
+
+
+def test_terracini_grid_covers_every_defective_kind():
+    assert len(TERRACINI_CELLS) == 25
+    assert {(3, 4), (4, 4), (5, 3), (5, 4), (3, 2), (6, 2)} <= set(TERRACINI_CELLS)
 
 
 def test_generic_rank_monotone_on_grid():

@@ -282,14 +282,14 @@ def count_calls(monkeypatch, name):
 
 
 def test_each_degree_is_walked_once(monkeypatch):
-    # One partition count for the whole grid, one pruned walk from the root
-    # per degree, and only violations are built: none on the monomial grid.
+    # One partition count for the whole grid; every root closes, so no
+    # partition is walked and no monomial built.
     counted = count_calls(monkeypatch, "_partition_counts")
     walked = count_calls(monkeypatch, "_ranked_partitions")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
     assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(40, 1, -1)), 10)]
-    assert [(d, n) for d, n, _ in walked] == [(d, 10) for d in range(40, 1, -1)]
+    assert walked == []
     assert built == []
 
     # One partition count for the whole grid, in 12 variables, one series
@@ -309,11 +309,17 @@ def test_each_degree_is_walked_once(monkeypatch):
     assert [v.witness for v in report.violations] == [_sum_of(*args) for args in built]
 
 
-def test_a_verify_walk_fills_no_tail_table(monkeypatch):
-    # Every subtree of the monomial acceptance grid is closed before its
-    # rows would be read from the tail table, the root's included.
+def test_monomial_roots_close_without_a_walk(monkeypatch):
+    # In n >= 4 variables the paper's construction, the top rank on each
+    # variable count, stays below the generic rank, so every monomial column
+    # is decided at its root: no walk runs and no tail table row is made.
+    def refuse(*args):
+        raise AssertionError("a partition walk ran")
+
+    monkeypatch.setattr(waring.verify, "_ranked_partitions", refuse)
     monkeypatch.setattr(waring.monomials, "_TAILS", waring.monomials._Table(waring.monomials._tail_rows))
-    assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
+    for n_range, d_range in (((4, 10), (2, 40)), ((4, 40), (2, 400))):
+        assert verify_claim("theorem-monomial", n_range, d_range).status == STATUS_PASS
     assert waring.monomials._TAILS == {}
 
 
@@ -335,48 +341,39 @@ def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypat
 
 
 @functools.cache
-def walked_partition_summaries(s, slots):
-    """summaries[cap] = (counts, tops) per used, taken from the walk of
-    _ranked_partitions(s, slots) restricted to parts of at most cap."""
-    by_largest = [[] for _ in range(s + 1)]
-    for rank, used, parts in _ranked_partitions(s, slots):
-        by_largest[parts[-1]].append((rank, used))
-    counts, tops, summaries = [0] * (slots + 1), [0] * (slots + 1), [None]
-    for largest in by_largest[1:]:
-        for rank, used in largest:
-            counts[used] += 1
-            tops[used] = max(tops[used], rank)
-        summaries.append((tuple(counts), tuple(tops)))
-    return summaries
+def walked_partition_summary(s, slots):
+    """(counts, tops) per used, taken from the walk of _ranked_partitions(s, slots)."""
+    counts, tops = [0] * (slots + 1), [0] * (slots + 1)
+    for rank, used, _ in _ranked_partitions(s, slots):
+        counts[used] += 1
+        tops[used] = max(tops[used], rank)
+    return counts, tops
 
 
 def assert_partition_tops_equal_the_walk(keys):
-    """_partition_top(s, u, cap) for each key (s, u, cap): the walk's top rank with u parts of at most cap."""
+    """_partition_top(s, u) for each key (s, u): the walk's top rank with u parts, 0 for u > s."""
     assert keys
-    for s, u, cap in keys:
-        assert _partition_top(s, u, cap) == walked_partition_summaries(s, s)[cap][1][u], (s, u, cap)
+    for s, u in keys:
+        assert _partition_top(s, u) == (walked_partition_summary(s, s)[1][u] if u <= s else 0), (s, u)
 
 
 def test_tail_summaries_count_and_top_each_used(monkeypatch):
     # Every count and top the monomial acceptance grid reads: each is that of
-    # the walk, the counts at each root and the tops at each node opened.
+    # the walk, the counts of each column and the tops its root is decided by.
     tops = []
-    monkeypatch.setattr(
-        waring.monomials, "_partition_top", lambda *key: tops.append(key) or _partition_top(*key)
-    )
+    monkeypatch.setattr(waring.verify, "_partition_top", lambda *key: tops.append(key) or _partition_top(*key))
     list(_monomial_columns([(d, range(4, 11)) for d in range(40, 1, -1)]))
     counts = _partition_counts(range(40, 1, -1), 10)
     for d in range(40, 1, -1):
-        assert counts[d] == list(walked_partition_summaries(d, min(d, 10))[d][0]), d
+        assert counts[d] == walked_partition_summary(d, min(d, 10))[0], d
+    assert set(tops) == {(d, u) for d in range(2, 41) for u in range(1, 11)}
     assert_partition_tops_equal_the_walk(set(tops))
 
 
 def test_summaries_of_any_tail_key_equal_the_walk():
-    # Every (s, u, cap) with s <= 30: the closed form's top, 0 where no
-    # partition fits, is the walk's.
-    assert_partition_tops_equal_the_walk(
-        [(s, u, cap) for s in range(1, 31) for u in range(1, s + 1) for cap in range(1, s + 1)]
-    )
+    # Every (s, u) with s <= 30: the closed form's top, 0 where no partition
+    # fits, is the walk's.
+    assert_partition_tops_equal_the_walk([(s, u) for s in range(1, 31) for u in range(1, s + 2)])
 
 
 def test_partition_counts_per_used_equal_the_walk():
@@ -398,19 +395,19 @@ def best_partition_rank(s, u, cap):
 
 
 @settings(max_examples=100, deadline=None)
-@given(s=st.integers(1, 60), u=st.integers(1, 60), cap=st.integers(1, 60))
-@example(s=60, u=1, cap=60)
-@example(s=60, u=60, cap=1)
-@example(s=60, u=7, cap=9)
-@example(s=60, u=7, cap=8)
-@example(s=59, u=2, cap=30)
-def test_partition_top_is_the_best_partition_and_the_balanced_split_reaches_it(s, u, cap):
-    top = _partition_top(s, u, cap)
-    assert top == best_partition_rank(s, u, cap)
+@given(s=st.integers(1, 60), u=st.integers(1, 60))
+@example(s=60, u=1)
+@example(s=60, u=60)
+@example(s=60, u=7)
+@example(s=59, u=2)
+@example(s=7, u=8)
+def test_partition_top_is_the_best_partition_and_the_balanced_split_reaches_it(s, u):
+    top = _partition_top(s, u)
+    assert top == best_partition_rank(s, u, s)
     if top and u > 1:
-        m, q, r = _balanced_split(s, u, cap)
-        parts = (m,) + (q,) * (u - 1 - r) + (q + 1,) * r
-        assert sum(parts) == s and parts[-1] <= cap
+        q, r = _balanced_split(s, u)
+        parts = (1,) + (q,) * (u - 1 - r) + (q + 1,) * r
+        assert sum(parts) == s
         assert waring_rank(Monomial(parts, u)) == top
 
 
@@ -443,7 +440,7 @@ def test_a_wide_coprime_column_needs_no_memory():
 def test_root_summaries_top_out_at_the_closed_forms():
     for n in range(1, 17):
         for d in range(1, 61):
-            assert max(_partition_top(d, u, d) for u in range(1, min(n, d) + 1)) == r_max(n, d), (n, d)
+            assert max(_partition_top(d, u) for u in range(1, min(n, d) + 1)) == r_max(n, d), (n, d)
     # The knapsack bounds every subtree of the coprime walk: best(u) is the
     # walk's highest rank on at most u variables, the base rank of 1 at d = 1
     # included.
