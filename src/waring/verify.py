@@ -4,22 +4,24 @@ Each claim is checked over an inclusive (n, d) grid by exhaustive, exact
 integer comparison; divisions are cleared by cross-multiplication first, so
 strict inequalities never depend on rounding. The unit of work is one
 degree column, the grid's cells with one d, and columns run in this
-process, in order; cells merge in (n, d) order. The theorem claims count
+process, in order; one pass sums their cells' counts and sorts only the
+cells with violations into (n, d) order. The theorem claims count
 each degree's objects for all its cells at once, per variable count: one
 partition-count recurrence serves every column of the grid, and a coprime
 column multiplies its block-shape counts into one series per variable
-count. A column is decided at its root by the top rank per variable
-count: the paper's construction for monomials, which closes every root
-in n >= 4 variables, and the block-size knapsack for coprime sums, which
-also prunes the walk of a root it opens. Only the objects that reach a
-generic rank are built. So every object is counted and compared exactly,
-without being enumerated.
+count. A column is decided at its root, in one mapped pass, by the top
+rank per variable count: the paper's construction for monomials, which
+closes every root in n >= 4 variables, and the block-size knapsack for
+coprime sums, which also prunes the walk of a root it opens. Only the
+objects that reach a generic rank are built. So every object is counted
+and compared exactly, without being enumerated.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from functools import partial
 from itertools import accumulate
 from operator import ge, gt, itemgetter, lt
 from typing import TYPE_CHECKING
@@ -131,10 +133,12 @@ def _theorem_column(d: int, ns: range, counts, top, walk) -> list[tuple[int, lis
     gens = [generic_rank(n, d) for n in ns]
     low = list(accumulate(reversed(gens), min))[::-1]
     low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
-    ranked, build = walk(low) if any(top(k) >= low[k] for k in range(1, ns[-1] + 1)) else ((), None)
+    ranked, build = walk(low) if any(map(ge, map(top, range(1, ns[-1] + 1)), low[1:])) else ((), None)
     kept = [(rank, k, raw) for rank, k, raw in ranked if rank >= low[k]]
     per_k = list(counts[1:]) + [0] * (ns[-1] + 1 - len(counts))
     checked = list(accumulate(per_k, initial=0))  # checked[n]: the objects on at most n variables
+    if not kept:
+        return [(checked[n], []) for n in ns]
     return [
         (
             checked[n],
@@ -154,7 +158,7 @@ def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     for d, ns in columns:
         n = ns[-1]
         yield _theorem_column(
-            d, ns, counts[d], lambda k: _partition_top(d, k), lambda low: (_ranked_partitions(d, n), Monomial)
+            d, ns, counts[d], partial(_partition_top, d), lambda low: (_ranked_partitions(d, n), Monomial)
         )
 
 
@@ -208,10 +212,13 @@ def _collect(claim_id, grid, columns, check, expected=()):
     back flagged expected. Anything else found is an unexpected violation.
     """
     start = time.perf_counter()
-    cells = [((n, d), cell) for (d, ns), column in zip(columns, check(columns)) for n, cell in zip(ns, column)]
-    merged = [cell for _, cell in sorted(cells, key=itemgetter(0))]
-    checked = sum(cell_checked for cell_checked, _ in merged)
-    found = [v for _, cell_bad in merged for v in cell_bad]
+    checked, bad = 0, []
+    for (d, ns), column in zip(columns, check(columns)):
+        for n, (cell_checked, cell_bad) in zip(ns, column):
+            checked += cell_checked
+            if cell_bad:
+                bad.append(((n, d), cell_bad))
+    found = [v for _, cell_bad in sorted(bad, key=itemgetter(0)) for v in cell_bad]
 
     n_min, n_max, d_min, d_max = grid
     in_grid = {(n, d, w) for n, d, w in expected if n_min <= n <= n_max and d_min <= d <= d_max}

@@ -23,6 +23,8 @@ from waring.verify import CLAIM_IDS
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 FORMATS = ("md", "csv", "json")
+DUMP_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "expected_dumps.json"
+DUMPS = {"monomials": "enumerate --n 10 --d 40", "sums": "enumerate --n 10 --d 12 --sums"}
 
 COMMANDS = (
     "rank --monomial 1,2,2",
@@ -166,6 +168,20 @@ def test_cli_output_matches_golden(monkeypatch):
     assert sorted(golden) == sorted(runs)
     changed = [key for key, argv in runs.items() if run(argv) != golden[key]]
     assert changed == []
+
+
+def test_enumerate_dumps_match_the_pinned_digests(tmp_path):
+    # The six files the benchmark's enumerate-dump workload writes, against
+    # the size and sha256 it pins for each; the golden matrix has none of them.
+    pinned = json.loads(DUMP_DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(pinned) == sorted(f"{name}.{fmt}" for name in DUMPS for fmt in FORMATS)
+    for name, command in DUMPS.items():
+        for fmt in FORMATS:
+            path = tmp_path / f"{name}.{fmt}"
+            assert main(command.split() + ["--format", fmt, "--deterministic", "--out", str(path)]) == 0
+            data = path.read_bytes()
+            want = pinned[path.name]
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"]), path.name
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

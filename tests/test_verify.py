@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,28 @@ def test_monomial_roots_close_without_a_walk(monkeypatch):
     for n_range, d_range in (((4, 10), (2, 40)), ((4, 40), (2, 400))):
         assert verify_claim("theorem-monomial", n_range, d_range).status == STATUS_PASS
     assert waring.monomials._TAILS == {}
+
+
+def test_a_closed_root_builds_no_violation(monkeypatch):
+    # A column whose root closes returns its cells without building any
+    # Violation; on the coprime grid only (4, 3)'s three exceptions are
+    # built, once by their column and once more flagged expected.
+    built = []
+    init = Violation.__init__
+
+    def counting_init(self, n, d, witness, lhs, rhs, expected=False):
+        built.append((n, d, witness, expected))
+        init(self, n, d, witness, lhs, rhs, expected)
+
+    monkeypatch.setattr(Violation, "__init__", counting_init)
+    for n_range, d_range in (((4, 10), (2, 40)), ((4, 40), (2, 400))):
+        assert verify_claim("theorem-monomial", n_range, d_range).status == STATUS_PASS
+    assert built == []
+    report = verify_claim("theorem-coprime", (4, 12), (3, 12))
+    assert report.status == STATUS_PASS_WITH_EXPECTED
+    found = [(v.n, v.d, v.witness) for v in report.violations]
+    assert set(found) == {(4, 3, make_sum(shapes, 4)) for shapes in EXPECTED_COPRIME_EXCEPTIONS}
+    assert built == [(*key, False) for key in found] + [(*key, True) for key in found]
 
 
 def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypatch):
@@ -676,6 +699,58 @@ def test_violation_expected_flags_exactly_the_three_exceptions():
     report = _collect("stub", (4, 4, 3, 3), [(3, (4,))], column, expected)
     assert [v.expected for v in report.violations] == [True, False, False]
     assert report.status == STATUS_FAIL
+
+
+def sort_every_cell_collect(grid, columns, outputs, expected=()):
+    """The reference merge: every cell sorted by (n, d), then classified as _collect does."""
+    cells = [((n, d), cell) for (d, ns), column in zip(columns, outputs) for n, cell in zip(ns, column)]
+    merged = [cell for _, cell in sorted(cells, key=itemgetter(0))]
+    checked = sum(cell_checked for cell_checked, _ in merged)
+    found = [v for _, cell_bad in merged for v in cell_bad]
+    n_min, n_max, d_min, d_max = grid
+    in_grid = {(n, d, w) for n, d, w in expected if n_min <= n <= n_max and d_min <= d <= d_max}
+    keys = [(v.n, v.d, v.witness) for v in found]
+    found = [Violation(*key, v.lhs, v.rhs, True) if key in in_grid else v for key, v in zip(keys, found)]
+    matched = set(keys) == in_grid
+    status = STATUS_FAIL if not matched else STATUS_PASS_WITH_EXPECTED if found else STATUS_PASS
+    return checked, found, status, matched
+
+
+FAKE_WITNESSES = (None, make_sum([[1, 2], [1, 2]], 4), make_sum([[1, 1, 1], [3]], 4), Monomial((1, 2), 4))
+
+
+@st.composite
+def fake_column_outputs(draw):
+    """(grid, columns, outputs, expected): random cells, some empty and some with several violations."""
+    degrees = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4, unique=True))
+    degrees = sorted(degrees, reverse=True) if draw(st.booleans()) else draw(st.permutations(degrees))
+    n_lo = draw(st.integers(2, 6))
+    ns = range(n_lo, draw(st.integers(n_lo, n_lo + 3)) + 1)
+    columns = [(d, ns) for d in degrees]
+    witnesses = st.lists(st.sampled_from(FAKE_WITNESSES), max_size=3)
+    outputs = [
+        [(draw(st.integers(0, 9)), [Violation(n, d, w, 5, 5) for w in draw(witnesses)]) for n in ns]
+        for d, ns in columns
+    ]
+    found = [(v.n, v.d, v.witness) for column in outputs for _, cell_bad in column for v in cell_bad]
+    expected = draw(st.lists(st.sampled_from(found), unique=True)) if found else []
+    elsewhere = st.tuples(st.integers(1, 11), st.integers(1, 9), st.sampled_from(FAKE_WITNESSES))
+    expected += draw(st.lists(elsewhere, max_size=2))
+    return (ns[0], ns[-1], min(degrees), max(degrees)), columns, outputs, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(fake_column_outputs())
+def test_collect_merges_as_the_sort_of_every_cell(case):
+    # Only the cells with violations are sorted; the report is the one the
+    # merge of every cell gives, violation for violation.
+    grid, columns, outputs, expected = case
+    report = _collect("stub", grid, columns, lambda grid_columns: outputs, expected)
+    checked, found, status, matched = sort_every_cell_collect(grid, columns, outputs, expected)
+    assert report.checked_count == checked
+    assert report.violations == found
+    assert [v.expected for v in report.violations] == [v.expected for v in found]
+    assert (report.status, report.expected_exceptions_matched) == (status, matched)
 
 
 # ---------------------------------------------------------------------------
