@@ -12,9 +12,9 @@ from ._record import Record
 from .errors import check_cell
 from .exact_math import binomial, ceil_div
 
-# Sporadic exceptional generic ranks; the quadric family (n, 2) -> n is
-# handled as a family in generic_rank.
-_SPORADIC_GENERIC = {(3, 4): 6, (4, 4): 10, (5, 3): 8, (5, 4): 15}
+# Sporadic exceptional generic ranks, as d -> {n: rank}; the quadric
+# family (n, 2) -> n is handled as a family in generic_ranks.
+_SPORADIC_GENERIC = {3: {5: 8}, 4: {3: 6, 4: 10, 5: 15}}
 
 BOUND_KINDS = (
     "span_bound",
@@ -47,17 +47,32 @@ class KnownExample(Record):
         self._set(label, n, d, rank, source_note)
 
 
-def generic_rank(n: int, d: int) -> int:
-    """Generic Waring rank for degree-d forms in n variables."""
-    check_cell("generic_rank", n, d)
+def generic_ranks(ns: range, d: int) -> list[int]:
+    """generic_rank(n, d) for each n in ns, a nonempty range of n >= 1 in steps of 1.
+
+    One binomial C(d+n0-1, n0-1) at the first n0, then each next n steps it
+    exactly: C(d+n-1, n-1) = C(d+n-2, n-2) * (d+n-1) // (n-1).
+    """
+    first = ns[0]
+    check_cell("generic_rank", first, d)
     if d == 2:
         # Quadratic forms: rank of the corresponding symmetric matrix, so
         # the generic value is n. For n <= 2 this agrees with the ceiling.
-        return n
-    sporadic = _SPORADIC_GENERIC.get((n, d))
-    if sporadic is not None:
-        return sporadic
-    return ceil_div(binomial(d + n - 1, n - 1), n)
+        return list(ns)
+    span = binomial(d + first - 1, first - 1)
+    gens = [ceil_div(span, first)]
+    for n in ns[1:]:
+        span = span * (d + n - 1) // (n - 1)
+        gens.append(ceil_div(span, n))
+    for n, sporadic in _SPORADIC_GENERIC.get(d, {}).items():
+        if n in ns:
+            gens[n - first] = sporadic
+    return gens
+
+
+def generic_rank(n: int, d: int) -> int:
+    """Generic Waring rank for degree-d forms in n variables."""
+    return generic_ranks(range(n, n + 1), d)[0]
 
 
 def upper_bounds(n: int, d: int) -> list[RankRecord]:

@@ -9,22 +9,24 @@ cells with violations into (n, d) order. The theorem claims count
 each degree's objects for all its cells at once, per variable count: one
 partition-count recurrence serves every column of the grid, and a coprime
 column multiplies its block-shape counts into one series per variable
-count. A column is decided at its root, in one mapped pass, by the top
-rank per variable count: the paper's construction for monomials, which
-closes every root in n >= 4 variables, and the block-size knapsack for
-coprime sums, which also prunes the walk of a root it opens. Only the
-objects that reach a generic rank are built. So every object is counted
-and compared exactly, without being enumerated.
+count. A column is decided at its root, cell by cell as the paper
+states its theorems: the maximum rank in n variables against the generic
+rank, all of whose values in the column come from one stepped binomial.
+The maximum is r_max from the paper's construction for monomials, which
+closes every root in n >= 4 variables, and r_max_star from the
+block-size knapsack for coprime sums, which also prunes the walk of a
+root it opens. Only a root that opens builds the suffix minima of its
+generic ranks, and only the objects that reach a generic rank are built.
+So every object is counted and compared exactly, without being
+enumerated.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import partial
 from itertools import accumulate
 from operator import ge, gt, itemgetter, lt
-from typing import TYPE_CHECKING
 
 from . import coprime_sums
 from ._record import Record
@@ -32,8 +34,9 @@ from .coprime_sums import CoprimeSum, _block_multisets, _knapsack, _multiset_cou
 from .errors import UsageError, check_cell
 from .exact_math import binomial
 from .monomials import Monomial, _partition_counts, _partition_top, _ranked_partitions, r_max
-from .rank_tables import generic_rank
+from .rank_tables import generic_rank, generic_ranks
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from collections.abc import Iterator
     from fractions import Fraction
@@ -113,39 +116,41 @@ def _check_range(name: str, rng: tuple[int, int], minimum: int) -> tuple[int, in
     return lo, hi
 
 
-def _theorem_column(d: int, ns: range, counts, top, walk) -> list[tuple[int, list[Violation]]]:
+def _theorem_column(d: int, ns: range, counts, tops, walk) -> list[tuple[int, list[Violation]]]:
     """One (checked, violations) pair per cell (n, d) for n in ns, from one count per variable count.
 
     counts[k], k >= 1, is the number of degree-d objects in max(ns)
-    variables that use k of them; entries past max(ns) are ignored. An
-    object using k variables lies in every cell with n >= k, with the
-    same rank in each, so it is kept only if ranked at least low[k], the
-    smallest generic rank of those cells. top(k) bounds the ranks on k
-    variables: unless some top(k) reaches low[k], nothing is walked.
-    Otherwise walk(low) gives (ranked, build): ranked is the kind's walk,
-    _ranked_partitions or _block_multisets, yielding (rank, used, raw) in
-    walk order for a superset of the objects ranked at least low[used],
-    and build(raw, n) makes the object raw stands for in n variables.
-    Restricted to k <= n, the walk is cell n's own, so cell n's
+    variables that use k of them; entries past max(ns) are ignored.
+    tops[i] is the highest rank of an object in ns[i] variables, so the
+    column holds a violation only if some cell's top reaches its generic
+    rank: unless one does, nothing is walked. An object using k variables
+    lies in every cell with n >= k, with the same rank in each, so it is
+    kept only if ranked at least low[k], the smallest generic rank of
+    those cells. walk(low) gives (ranked, build): ranked is the kind's
+    walk, _ranked_partitions or _block_multisets, yielding (rank, used,
+    raw) in walk order for a superset of the objects ranked at least
+    low[used], and build(raw, n) makes the object raw stands for in n
+    variables. Restricted to k <= n, the walk is cell n's own, so cell n's
     violations are the kept objects with k <= n that reach its generic
     rank, in walk order, and only they are built.
     """
-    gens = [generic_rank(n, d) for n in ns]
-    low = list(accumulate(reversed(gens), min))[::-1]
-    low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
-    ranked, build = walk(low) if any(map(ge, map(top, range(1, ns[-1] + 1)), low[1:])) else ((), None)
-    kept = [(rank, k, raw) for rank, k, raw in ranked if rank >= low[k]]
     per_k = list(counts[1:]) + [0] * (ns[-1] + 1 - len(counts))
-    checked = list(accumulate(per_k, initial=0))  # checked[n]: the objects on at most n variables
-    if not kept:
-        return [(checked[n], []) for n in ns]
-    return [
-        (
-            checked[n],
-            [Violation(n, d, build(raw, n), rank, gen) for rank, k, raw in kept if k <= n and rank >= gen],
-        )
-        for n, gen in zip(ns, gens)
-    ]
+    checked = list(accumulate(per_k, initial=0))[ns[0] :]  # checked[i]: the objects on at most ns[i] variables
+    gens = generic_ranks(ns, d)
+    if any(map(ge, tops, gens)):
+        low = list(accumulate(reversed(gens), min))[::-1]
+        low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
+        ranked, build = walk(low)
+        kept = [(rank, k, raw) for rank, k, raw in ranked if rank >= low[k]]
+        if kept:
+            return [
+                (
+                    cell_checked,
+                    [Violation(n, d, build(raw, n), rank, gen) for rank, k, raw in kept if k <= n and rank >= gen],
+                )
+                for n, gen, cell_checked in zip(ns, gens, checked)
+            ]
+    return [(cell_checked, []) for cell_checked in checked]
 
 
 def _grid_partition_counts(columns) -> dict[int, list[int]]:
@@ -157,9 +162,8 @@ def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
         n = ns[-1]
-        yield _theorem_column(
-            d, ns, counts[d], partial(_partition_top, d), lambda low: (_ranked_partitions(d, n), Monomial)
-        )
+        tops = [_partition_top(d, m if m < d else d) for m in ns]  # r_max(m, d)
+        yield _theorem_column(d, ns, counts[d], tops, lambda low: (_ranked_partitions(d, n), Monomial))
 
 
 def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
@@ -171,7 +175,8 @@ def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
             pool = coprime_sums._block_pool(n, d)
             return _block_multisets(pool, n, low=low), lambda picked, m: _sum_of(pool, picked, m)
 
-        yield _theorem_column(d, ns, _multiset_counts(counts[d], n), _knapsack(n, d)[1], walk)
+        tops = list(map(_knapsack(n, d)[1], ns))  # r_max_star(m, d)
+        yield _theorem_column(d, ns, _multiset_counts(counts[d], n), tops, walk)
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
@@ -393,9 +398,10 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
     if n_max < d:
         raise UsageError(f"n_max must be at least d, got n_max={n_max} < d={d}")
     best = _knapsack(n_max, d)[1]
+    ns = range(d, n_max + 1)
     zero = Fraction(0)
     points = []
-    for n in range(d, n_max + 1):
-        ratio = Fraction(best(n), generic_rank(n, d))
+    for n, gen in zip(ns, generic_ranks(ns, d)):
+        ratio = Fraction(best(n), gen)
         points.append(RatioPoint(n, d, ratio, zero, ratio))
     return points

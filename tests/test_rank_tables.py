@@ -1,15 +1,18 @@
 import math
 import random
+import re
 
 import pytest
 
 from waring.coprime_sums import r_max_star
+from waring.errors import UsageError
 from waring.monomials import r_max
 from waring.rank_tables import (
     BOUND_KINDS,
     KnownExample,
     RankRecord,
     generic_rank,
+    generic_ranks,
     known_examples,
     upper_bounds,
 )
@@ -140,6 +143,30 @@ def test_generic_rank_rejects_bad_args():
         generic_rank(0, 3)
     with pytest.raises(ValueError):
         generic_rank(3, 0)
+
+
+def test_generic_ranks_step_each_column_as_the_cells_do():
+    # Every start n0, ending at n0 itself, at each sporadic n and at 60:
+    # the stepped binomials, the quadrics and the sporadic cells, inside a
+    # range and at either end of it, are the one-cell values.
+    cells = {d: [generic_rank(n, d) for n in range(1, 61)] for d in range(1, 61)}
+    for d, column in cells.items():
+        for first in range(1, 61):
+            for last in {first, 3, 4, 5, 60} - set(range(first)):
+                assert generic_ranks(range(first, last + 1), d) == column[first - 1 : last], (first, last, d)
+    assert generic_ranks(range(1, 201), 200) == [generic_rank(n, 200) for n in range(1, 201)]
+    assert generic_ranks(range(1, 201), 200)[-1] == ceiling_formula(200, 200)
+
+
+@pytest.mark.parametrize(
+    "ns, d, cell", [(range(0, 4), 3, (0, 3)), (range(-2, 3), 5, (-2, 5)), (range(1, 9), 0, (1, 0))]
+)
+def test_generic_ranks_reject_a_column_off_the_domain_as_generic_rank_does(ns, d, cell):
+    message = f"generic_rank needs n >= 1 and d >= 1, got {cell}"
+    with pytest.raises(UsageError, match=re.escape(message)):
+        generic_ranks(ns, d)
+    with pytest.raises(UsageError, match=re.escape(message)):
+        generic_rank(*cell)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from waring.monomials import (
     r_max,
     waring_rank,
 )
-from waring.rank_tables import generic_rank
+from waring.rank_tables import generic_rank, generic_ranks
 from waring.verify import (
     CLAIMS,
     EXPECTED_COPRIME_EXCEPTIONS,
@@ -264,9 +264,74 @@ def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, 
     # never do within one cell.
     ns = range(min(k, n), n + 1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(waring.verify, "generic_rank", lambda m, e: generic_rank(m, e) - cut)
+        patch.setattr(waring.verify, "generic_ranks", lambda ms, e: [g - cut for g in generic_ranks(ms, e)])
         [column] = CLAIMS[claim_id].columns([(d, ns)])
     assert column == [cell_walk(claim_id, m, d, cut) for m in ns]
+
+
+def root_decisions(claim_id, columns, cut=0):
+    """(tops, opened) per column of the claim's check: the per-cell tops its
+    root was decided by, and whether it opened, with every generic rank
+    lowered by cut. No walk runs."""
+    decisions = []
+    check = waring.verify._theorem_column
+
+    def recording(d, ns, counts, tops, walk):
+        opened = []
+        check(d, ns, counts, tops, lambda low: opened.append(low) or ((), None))
+        decisions.append((tops, bool(opened)))
+        return []
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waring.verify, "_theorem_column", recording)
+        patch.setattr(waring.verify, "generic_ranks", lambda ms, e: [g - cut for g in generic_ranks(ms, e)])
+        list(CLAIMS[claim_id].columns(columns))
+    return decisions
+
+
+def suffix_minimum_root_opens(top, gens, ns):
+    """The reference root rule: some k has top(k), the top rank on k
+    variables, at least low[k], the smallest generic rank of the cells
+    with n >= k (all of them for k < ns[0])."""
+    low = list(accumulate(reversed(gens), min))[::-1]
+    low = low[:1] * ns[0] + low
+    return any(top(k) >= low[k] for k in range(1, ns[-1] + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    claim_id=st.sampled_from(THEOREMS),
+    first=st.integers(1, 12),
+    width=st.integers(0, 12),
+    d=st.integers(1, 30),
+    cut=st.sampled_from([0, 0, 1, 2, 6, 40, 1000]),
+)
+@example(claim_id="theorem-coprime", first=4, width=8, d=3, cut=0)
+@example(claim_id="theorem-monomial", first=1, width=3, d=5, cut=0)
+def test_the_per_cell_root_rule_is_the_suffix_minimum_rule(claim_id, first, width, d, cut):
+    # A cell's top is the most any k <= n reaches, so some cell's top meets
+    # its generic rank exactly when some top(k) meets the smallest generic
+    # rank at or past k. Lowered generic ranks open roots on any kind.
+    ns = range(first, first + width + 1)
+    [(_, opened)] = root_decisions(claim_id, [(d, ns)], cut)
+    if claim_id == "theorem-monomial":
+        top = functools.partial(_partition_top, d)  # exactly k parts
+    else:
+        top = _knapsack(ns[-1], d)[1]
+    gens = [g - cut for g in generic_ranks(ns, d)]
+    assert opened == suffix_minimum_root_opens(top, gens, ns)
+
+
+@pytest.mark.parametrize("claim_id", THEOREMS)
+def test_each_cell_top_is_the_walks_maximum_on_at_most_n_variables(claim_id):
+    ns = range(1, 10)
+    columns = [(d, ns) for d in range(9, 0, -1)]
+    for (d, _), (tops, _) in zip(columns, root_decisions(claim_id, columns)):
+        if claim_id == "theorem-monomial":
+            walks = [_ranked_partitions(d, n) for n in ns]
+        else:
+            walks = [_block_multisets(_block_pool(n, d), n) for n in ns]
+        assert tops == [max(rank for rank, _, _ in walk) for walk in walks], d
 
 
 def count_calls(monkeypatch, name):
@@ -382,14 +447,15 @@ def assert_partition_tops_equal_the_walk(keys):
 
 def test_tail_summaries_count_and_top_each_used(monkeypatch):
     # Every count and top the monomial acceptance grid reads: each is that of
-    # the walk, the counts of each column and the tops its root is decided by.
+    # the walk, the counts of each column and the tops its root is decided by,
+    # one per cell, r_max(n, d) = _partition_top(d, min(n, d)).
     tops = []
     monkeypatch.setattr(waring.verify, "_partition_top", lambda *key: tops.append(key) or _partition_top(*key))
     list(_monomial_columns([(d, range(4, 11)) for d in range(40, 1, -1)]))
     counts = _partition_counts(range(40, 1, -1), 10)
     for d in range(40, 1, -1):
         assert counts[d] == walked_partition_summary(d, min(d, 10))[0], d
-    assert set(tops) == {(d, u) for d in range(2, 41) for u in range(1, 11)}
+    assert sorted(tops) == sorted((d, min(n, d)) for d in range(2, 41) for n in range(4, 11))
     assert_partition_tops_equal_the_walk(set(tops))
 
 
@@ -530,11 +596,11 @@ def test_import_loads_no_process_pool(module):
     assert run.stdout == "[]\n"
 
 
-def _fresh_modules(code: str) -> set[str]:
-    """The names in sys.modules after running code in a fresh interpreter."""
+def _fresh_modules(code: str, site: bool = True) -> set[str]:
+    """The names in sys.modules after running code in a fresh interpreter, without site (-S) unless site."""
     src = str(Path(waring.__file__).resolve().parents[1])
     run = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        [sys.executable, *([] if site else ["-S"]), "-c", code + "\nimport sys; print(*sys.modules)"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
@@ -557,18 +623,27 @@ def test_rank_call_loads_no_verify_tables_dataclasses_fractions_or_csv():
     assert sorted(_fresh_modules(code) & heavy) == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--claim", "theorem-coprime", "--n-range", "4:4", "--d-range", "3:3"],
-        ["asymptotics", "--mode", "d-limit", "--n", "4", "--d-samples", "10"],
-        ["asymptotics", "--mode", "n-limit", "--d", "4", "--n-max", "8"],
-    ],
-)
+VERIFY_AND_ASYMPTOTICS = [
+    ["verify", "--claim", "theorem-coprime", "--n-range", "4:4", "--d-range", "3:3"],
+    ["asymptotics", "--mode", "d-limit", "--n", "4", "--d-samples", "10"],
+    ["asymptotics", "--mode", "n-limit", "--d", "4", "--n-max", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", VERIFY_AND_ASYMPTOTICS)
 def test_verify_and_asymptotics_load_no_dataclasses(argv):
     modules = _fresh_modules(f"import os, waring.cli\nwaring.cli.main({argv!r} + ['--out', os.devnull])")
     assert "waring.verify" in modules
     assert sorted(modules & {"dataclasses", "inspect"}) == []
+
+
+@pytest.mark.parametrize("argv", VERIFY_AND_ASYMPTOTICS)
+def test_verify_and_asymptotics_load_no_typing(argv):
+    # Without site: a .pth hook run by site may load typing first, which
+    # would hide an import of it here.
+    modules = _fresh_modules(f"import os, waring.cli\nwaring.cli.main({argv!r} + ['--out', os.devnull])", site=False)
+    assert "waring.verify" in modules
+    assert "typing" not in modules
 
 
 @pytest.mark.parametrize("claim_id", ["theorem-monomial", "theorem-coprime"])
