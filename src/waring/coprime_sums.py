@@ -134,9 +134,9 @@ _TAIL = 6
 
 
 def _block_groups(
-    pool: list[Monomial], n: int, low: list[int] | None = None, spanning: bool = False
+    pool: list[Monomial], n: int, spanning: bool = False
 ) -> Iterator[tuple[int, int, tuple[int, ...], list]]:
-    """The walk of _block_multisets(pool, n, spanning, low), up to two groups per walked prefix.
+    """The walk of _block_multisets(pool, n, spanning), up to two groups per walked prefix.
 
     Yields (rank, used, picked, rows) for the prefix alone, with rows
     [(0, 0, ())], and then, if 1 to _TAIL variables are left, for its
@@ -147,23 +147,9 @@ def _block_groups(
     (r, u, p) in rows, in that order. full[b] is the walk in b variables
     less the base rank, built once per call by the recursion for the
     pool, and starts[b][j] is where its part whose first index is j or
-    more begins.
-
-    Depth first, a lazy range of pool indices per level. With low,
-    indexed by used, each prefix whose subtree's bound misses
-    low[used + u] for every u is skipped, itself and its completions,
-    before their rows are read: a sum on u more variables adds at most
-    best(u) - base to the prefix's rank, best from _knapsack, which
-    counts the base too. So the groups hold every multiset ranked at
-    least low[used]. The root is not tested: its caller has.
+    more begins. Depth first, a lazy range of pool indices per level.
     """
     sizes, ranks, base = _block_ranks(pool)
-    if low is not None:
-        gain = [0] + [top - base for top in map(_knapsack(n, pool[0].degree)[1], range(1, n + 1))]
-
-    def reaches(rank: int, used: int) -> bool:
-        return any(rank + gain[u] >= low[used + u] for u in range(n - used + 1))
-
     count = len(sizes)
     full, starts = [[]], [[0] * count]
     for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
@@ -178,8 +164,6 @@ def _block_groups(
         indices, rank, used, picked = stack[-1]
         for j in indices:
             rank_j, used_j, picked_j = rank + ranks[j], used + sizes[j], picked + (j,)
-            if low is not None and not reaches(rank_j, used_j):
-                continue
             rest = n - used_j
             if not (spanning and rest):
                 yield rank_j, used_j, picked_j, alone
@@ -198,7 +182,7 @@ def _block_groups(
 
 
 def _block_multisets(
-    pool: list[Monomial], n: int, spanning: bool = False, low: list[int] | None = None
+    pool: list[Monomial], n: int, spanning: bool = False
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Ranked multisets of pool blocks using at most n variables (exactly n when spanning).
 
@@ -214,10 +198,9 @@ def _block_multisets(
 
     The groups of _block_groups, expanded: with at most _TAIL variables
     left, each completion costs two adds and a tuple concatenation. With
-    low, only the groups left by its prune are expanded, and with
-    spanning only the rows its filter keeps.
+    spanning, only the rows its filter keeps are expanded.
     """
-    for rank, used, picked, rows in _block_groups(pool, n, low, spanning):
+    for rank, used, picked, rows in _block_groups(pool, n, spanning):
         for r, u, p in rows:
             yield rank + r, used + u, picked + p
 

@@ -14,11 +14,12 @@ states its theorems: the maximum rank in n variables against the generic
 rank, all of whose values in the column come from one stepped binomial.
 The maximum is r_max from the paper's construction for monomials, which
 closes every root in n >= 4 variables, and r_max_star from the
-block-size knapsack for coprime sums, which also prunes the walk of a
-root it opens. Only a root that opens builds the suffix minima of its
-generic ranks, and only the objects that reach a generic rank are built.
-So every object is counted and compared exactly, without being
-enumerated.
+block-size knapsack for coprime sums, which stays below the generic rank
+in every cell with n >= 4 and d >= 3 but (4, 3). A cell is open when its
+maximum reaches its generic rank; a column with an open cell walks once,
+in its largest open cell's n, and only the objects that reach a generic
+rank are built. So every object is counted and compared exactly,
+without being enumerated.
 """
 
 from __future__ import annotations
@@ -121,36 +122,31 @@ def _theorem_column(d: int, ns: range, counts, tops, walk) -> list[tuple[int, li
 
     counts[k], k >= 1, is the number of degree-d objects in max(ns)
     variables that use k of them; entries past max(ns) are ignored.
-    tops[i] is the highest rank of an object in ns[i] variables, so the
-    column holds a violation only if some cell's top reaches its generic
-    rank: unless one does, nothing is walked. An object using k variables
-    lies in every cell with n >= k, with the same rank in each, so it is
-    kept only if ranked at least low[k], the smallest generic rank of
-    those cells. walk(low) gives (ranked, build): ranked is the kind's
-    walk, _ranked_partitions or _block_multisets, yielding (rank, used,
-    raw) in walk order for a superset of the objects ranked at least
-    low[used], and build(raw, n) makes the object raw stands for in n
-    variables. Restricted to k <= n, the walk is cell n's own, so cell n's
-    violations are the kept objects with k <= n that reach its generic
-    rank, in walk order, and only they are built.
+    tops[i] is the highest rank of an object in ns[i] variables, so only
+    an open cell, one whose top reaches its generic rank, can hold a
+    violation: unless one does, nothing is walked. walk(n) gives (ranked,
+    build): ranked is the kind's walk in n variables, _ranked_partitions
+    or _block_multisets, yielding (rank, used, raw) in walk order, and
+    build(raw, m) makes the object raw stands for in m variables. The
+    walk runs once, in the largest open cell's n, and keeps the objects
+    ranked at least the smallest generic rank of the open cells.
+    Restricted to used <= m, it is cell m's own walk, so cell m's
+    violations are the kept objects on at most m variables that reach
+    its generic rank, in walk order, and only they are built.
     """
     per_k = list(counts[1:]) + [0] * (ns[-1] + 1 - len(counts))
     checked = list(accumulate(per_k, initial=0))[ns[0] :]  # checked[i]: the objects on at most ns[i] variables
     gens = generic_ranks(ns, d)
-    if any(map(ge, tops, gens)):
-        low = list(accumulate(reversed(gens), min))[::-1]
-        low = low[:1] * ns[0] + low  # objects on fewer than ns[0] variables lie in every cell
-        ranked, build = walk(low)
-        kept = [(rank, k, raw) for rank, k, raw in ranked if rank >= low[k]]
-        if kept:
-            return [
-                (
-                    cell_checked,
-                    [Violation(n, d, build(raw, n), rank, gen) for rank, k, raw in kept if k <= n and rank >= gen],
-                )
-                for n, gen, cell_checked in zip(ns, gens, checked)
-            ]
-    return [(cell_checked, []) for cell_checked in checked]
+    opened = [(n, gen) for n, top, gen in zip(ns, tops, gens) if top >= gen]
+    if not opened:
+        return [(cell_checked, []) for cell_checked in checked]
+    floor = min(gen for _, gen in opened)
+    ranked, build = walk(opened[-1][0])
+    kept = [(rank, k, raw) for rank, k, raw in ranked if rank >= floor]
+    return [
+        (cell_checked, [Violation(n, d, build(raw, n), rank, gen) for rank, k, raw in kept if k <= n and rank >= gen])
+        for n, gen, cell_checked in zip(ns, gens, checked)
+    ]
 
 
 def _grid_partition_counts(columns) -> dict[int, list[int]]:
@@ -161,22 +157,20 @@ def _grid_partition_counts(columns) -> dict[int, list[int]]:
 def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
-        n = ns[-1]
-        tops = [_partition_top(d, m if m < d else d) for m in ns]  # r_max(m, d)
-        yield _theorem_column(d, ns, counts[d], tops, lambda low: (_ranked_partitions(d, n), Monomial))
+        tops = [_partition_top(d, n if n < d else d) for n in ns]  # r_max(n, d)
+        yield _theorem_column(d, ns, counts[d], tops, lambda n: (_ranked_partitions(d, n), Monomial))
 
 
 def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
-        n = ns[-1]
 
-        def walk(low):
+        def walk(n):
             pool = coprime_sums._block_pool(n, d)
-            return _block_multisets(pool, n, low=low), lambda picked, m: _sum_of(pool, picked, m)
+            return _block_multisets(pool, n), lambda picked, m: _sum_of(pool, picked, m)
 
-        tops = list(map(_knapsack(n, d)[1], ns))  # r_max_star(m, d)
-        yield _theorem_column(d, ns, _multiset_counts(counts[d], n), tops, walk)
+        tops = list(map(_knapsack(ns[-1], d)[1], ns))  # r_max_star(n, d)
+        yield _theorem_column(d, ns, _multiset_counts(counts[d], ns[-1]), tops, walk)
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:

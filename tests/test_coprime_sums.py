@@ -1,6 +1,6 @@
 import time
 import tracemalloc
-from itertools import accumulate, islice
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -246,39 +246,26 @@ def test_block_multiset_counts_match_generating_function(n, d):
     assert predicted_walk(d, n) == sum(coeffs[1:])
 
 
-def column_low(d, first, n):
-    """The low a verify column over n = first..n at degree d prunes by: per used, its cells' least generic rank."""
-    low = list(accumulate(reversed([generic_rank(m, d) for m in range(first, n + 1)]), min))[::-1]
-    return low[:1] * first + low
-
-
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 12), d=st.integers(1, 8), data=st.data())
-@example(n=4, d=3, data=None)
-def test_pruned_block_walk_is_the_walk_filtered_by_low(n, d, data):
+@given(n=st.integers(1, 12), d=st.integers(1, 8))
+@example(n=4, d=3)
+def test_block_walk_is_one_walk_under_any_table_size(n, d):
     pool = _block_pool(n, d)
     walk = list(_block_multisets(pool, n))
-    lows = [column_low(d, 1, n), column_low(d, min(n, 4), n)]
-    if data is not None:
-        top = max(rank for rank, _, _ in walk)
-        lows.append(data.draw(st.lists(st.integers(0, top + 1), min_size=n + 1, max_size=n + 1), label="low"))
     for tail in (0, 1, n, n + 1):  # every prefix's completions read from its table, none, and between
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(coprime_sums, "_TAIL", tail)
-            for low in lows:
-                expected = [(rank, used, picked) for rank, used, picked in walk if rank >= low[used]]
-                pruned = _block_multisets(pool, n, low=low)
-                assert [(rank, used, picked) for rank, used, picked in pruned if rank >= low[used]] == expected, low
+            assert list(_block_multisets(pool, n)) == walk, tail
+    # Restricted to used <= k, the walk is the walk in k variables, sum for sum.
+    for k in range(1, n + 1):
+        small = _block_pool(k, d)
+        assert [(rank, used, [pool[i] for i in picked]) for rank, used, picked in walk if used <= k] == [
+            (rank, used, [small[i] for i in picked]) for rank, used, picked in _block_multisets(small, k)
+        ], k
     per_used = [1] + [0] * n
     for _, used, _ in walk:
         per_used[used] += 1
     assert multiset_counts(d, n) == shape_multiset_counts(n, d) == per_used
-
-
-def test_block_walk_prune_counts_the_linear_base_once():
-    # At d = 1 every sum is one linear form, of rank 1: a low of 2 everywhere leaves no subtree.
-    for n in range(1, 7):
-        assert list(_block_multisets(_block_pool(n, 1), n, low=[2] * (n + 1))) == [], n
 
 
 def test_multiset_counts_equal_the_per_shape_passes():

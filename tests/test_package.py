@@ -71,11 +71,16 @@ def test_unknown_name_raises_attribute_error():
         exec("from waring import no_such_name", {})
 
 
-def _absolute_imports():
-    """(file name, top-level module) for each absolute import in src/waring."""
+def _sources():
+    """Every module file of src/waring."""
     sources = sorted((Path(__file__).resolve().parents[1] / "src" / "waring").glob("*.py"))
     assert sources
-    for path in sources:
+    return sources
+
+
+def _absolute_imports():
+    """(file name, top-level module) for each absolute import in src/waring."""
+    for path in _sources():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -95,6 +100,13 @@ def test_package_imports_only_the_standard_library():
 def test_no_module_imports_dataclasses():
     # Every value class is a _record.Record; one mechanism, not two.
     assert [(name, top) for name, top in _absolute_imports() if top == "dataclasses"] == []
+
+
+@pytest.mark.parametrize("path", _sources(), ids=lambda path: path.name)
+def test_every_module_parses_as_python_3_10(path):
+    # pyproject.toml requires Python 3.10.7 or later. This checks syntax only:
+    # a 3.11-only library call or behaviour would still pass.
+    ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,8 @@ def test_theorem_reports_equal_the_cell_walks_on_any_subgrid(claim_id, n_range, 
 def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, n, d, cut):
     # Here cells reach the generic rank through objects on fewer than n
     # variables, e.g. x1 at (2, 1). Objects on fewer than k variables lie
-    # in every cell of the column, so they are kept against the smallest
-    # generic rank of all its cells. Generic ranks lowered by cut make
+    # in every cell of the column, and the one walk, in the largest open
+    # cell's n, serves every open cell. Generic ranks lowered by cut make
     # violators on several variable counts at once, which the true ranks
     # never do within one cell.
     ns = range(min(k, n), n + 1)
@@ -270,16 +270,16 @@ def test_theorem_columns_equal_the_cell_walks_below_four_variables(claim_id, k, 
 
 
 def root_decisions(claim_id, columns, cut=0):
-    """(tops, opened) per column of the claim's check: the per-cell tops its
-    root was decided by, and whether it opened, with every generic rank
-    lowered by cut. No walk runs."""
+    """(tops, walked) per column of the claim's check: the per-cell tops its
+    root was decided by, and the n of each walk it asked for, with every
+    generic rank lowered by cut. No walk runs."""
     decisions = []
     check = waring.verify._theorem_column
 
     def recording(d, ns, counts, tops, walk):
-        opened = []
-        check(d, ns, counts, tops, lambda low: opened.append(low) or ((), None))
-        decisions.append((tops, bool(opened)))
+        walked = []
+        check(d, ns, counts, tops, lambda n: walked.append(n) or ((), None))
+        decisions.append((tops, walked))
         return []
 
     with pytest.MonkeyPatch.context() as patch:
@@ -311,15 +311,18 @@ def suffix_minimum_root_opens(top, gens, ns):
 def test_the_per_cell_root_rule_is_the_suffix_minimum_rule(claim_id, first, width, d, cut):
     # A cell's top is the most any k <= n reaches, so some cell's top meets
     # its generic rank exactly when some top(k) meets the smallest generic
-    # rank at or past k. Lowered generic ranks open roots on any kind.
+    # rank at or past k. Lowered generic ranks open roots on any kind. An
+    # open root is walked once, in its largest open cell's n.
     ns = range(first, first + width + 1)
-    [(_, opened)] = root_decisions(claim_id, [(d, ns)], cut)
+    [(_, walked)] = root_decisions(claim_id, [(d, ns)], cut)
     if claim_id == "theorem-monomial":
         top = functools.partial(_partition_top, d)  # exactly k parts
     else:
         top = _knapsack(ns[-1], d)[1]
     gens = [g - cut for g in generic_ranks(ns, d)]
-    assert opened == suffix_minimum_root_opens(top, gens, ns)
+    opened = [n for n, gen in zip(ns, gens) if max(map(top, range(1, n + 1))) >= gen]
+    assert walked == opened[-1:]
+    assert bool(walked) == suffix_minimum_root_opens(top, gens, ns)
 
 
 @pytest.mark.parametrize("claim_id", THEOREMS)
@@ -358,9 +361,10 @@ def test_each_degree_is_walked_once(monkeypatch):
     assert walked == []
     assert built == []
 
-    # One partition count for the whole grid, in 12 variables, one series
-    # per degree made from it, and one pruned walk: (4, 3)'s witnesses come
-    # from it, and they are the only sums built.
+    # One partition count for the whole grid, in 12 variables, and one
+    # series per degree made from it. Only (4, 3) opens, so one walk runs,
+    # in 4 variables: (4, 3)'s witnesses come from it, and they are the only
+    # sums built.
     counted = count_calls(monkeypatch, "_partition_counts")
     series = count_calls(monkeypatch, "_multiset_counts")
     walked = count_calls(monkeypatch, "_block_multisets")
@@ -370,9 +374,14 @@ def test_each_degree_is_walked_once(monkeypatch):
     assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(12, 2, -1)), 12)]
     grid_counts = _partition_counts(range(12, 2, -1), 12)
     assert series == [(grid_counts[d], 12) for d in range(12, 2, -1)]
-    assert [(pool[0].degree, n) for pool, n in walked] == [(3, 12)]
+    assert [(pool[0].degree, n) for pool, n in walked] == [(3, 4)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
     assert [v.witness for v in report.violations] == [_sum_of(*args) for args in built]
+
+    # The walk does not grow with the grid's largest n.
+    walked = count_calls(monkeypatch, "_block_multisets")
+    assert verify_claim("theorem-coprime", (4, 400), (3, 3)).status == STATUS_PASS_WITH_EXPECTED
+    assert [(pool[0].degree, n) for pool, n in walked] == [(3, 4)]
 
 
 def test_monomial_roots_close_without_a_walk(monkeypatch):
@@ -387,6 +396,21 @@ def test_monomial_roots_close_without_a_walk(monkeypatch):
     for n_range, d_range in (((4, 10), (2, 40)), ((4, 40), (2, 400))):
         assert verify_claim("theorem-monomial", n_range, d_range).status == STATUS_PASS
     assert waring.monomials._TAILS == {}
+
+
+def test_only_the_cell_4_3_opens():
+    # Why a theorem walk stays small: in n >= 4 variables the only cell whose
+    # top reaches its generic rank is the coprime (4, 3), so a walk runs only
+    # in the d = 3 column, in 4 variables. The tops are the closed forms.
+    ns = range(4, 61)
+    opened = []
+    for d in range(2, 61):
+        gens = generic_ranks(ns, d)
+        assert all(_partition_top(d, min(n, d)) < gen for n, gen in zip(ns, gens)), d
+        if d >= 3:
+            best = _knapsack(ns[-1], d)[1]
+            opened += [(n, d) for n, gen in zip(ns, gens) if best(n) >= gen]
+    assert opened == [(4, 3)]
 
 
 def test_a_closed_root_builds_no_violation(monkeypatch):
@@ -413,7 +437,8 @@ def test_a_closed_root_builds_no_violation(monkeypatch):
 
 def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypatch):
     # Past (4, 3), no sum in the claim's domain reaches a generic rank, so
-    # the knapsack closes the root of every column with d >= 4.
+    # the knapsack closes the root of every column with d >= 4, and the
+    # d = 3 column builds only (4, 3)'s pool.
     built = []
     original = waring.coprime_sums._block_pool
 
@@ -425,7 +450,7 @@ def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypat
     assert verify_claim("theorem-coprime", (4, 40), (40, 40)).status == STATUS_PASS
     assert built == []
     assert verify_claim("theorem-coprime", (4, 12), (3, 12)).status == STATUS_PASS_WITH_EXPECTED
-    assert built == [(12, 3)]
+    assert built == [(4, 3)]
 
 
 @functools.cache
@@ -530,9 +555,8 @@ def test_root_summaries_top_out_at_the_closed_forms():
     for n in range(1, 17):
         for d in range(1, 61):
             assert max(_partition_top(d, u) for u in range(1, min(n, d) + 1)) == r_max(n, d), (n, d)
-    # The knapsack bounds every subtree of the coprime walk: best(u) is the
-    # walk's highest rank on at most u variables, the base rank of 1 at d = 1
-    # included.
+    # The knapsack tops every coprime cell: best(u) is the walk's highest
+    # rank on at most u variables, the base rank of 1 at d = 1 included.
     for n in range(1, 15):
         for d in range(1, 15):
             best = _knapsack(n, d)[1]
