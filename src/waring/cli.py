@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from operator import getitem, itemgetter
+from operator import getitem
 
 from . import coprime_sums as cs
 from . import monomials as mono
@@ -194,11 +194,6 @@ def _object_row(obj: mono.Monomial | cs.CoprimeSum, kind: str) -> tuple[str, ...
     return next(rows)
 
 
-def _one_per_group(ranked: Iterable[tuple[int, int, tuple[int, ...]]], empty: tuple) -> Iterator[tuple]:
-    """The (rank, used, raw) objects as one group each, whose one row is the empty completion."""
-    return ((rank, used, parts, [empty]) for rank, used, parts in ranked)
-
-
 def _sparse_row(columns: list[str], /, **cells: str) -> tuple[str, ...]:
     """The row of the named cells in column order: a column they leave out is ''."""
     return tuple([cells.get(col, "") for col in columns])
@@ -219,6 +214,23 @@ class _CountedRows:
 
     def __len__(self) -> int:
         return self._count
+
+
+def _cell_rows(n: int, d: int, sums: bool = False, spanning: bool = False) -> _CountedRows:
+    """The rank rows of cell (n, d)'s monomials, or of its coprime sums (only
+    those on all n variables when spanning), in enumerate order, and their
+    number, from the count recurrences without a walk."""
+    if sums:
+        check_cell("enumerate_coprime_sums", n, d)
+        pool = cs._block_pool(n, d)
+        rows = _sum_rows(n, d, "coprime_sum", pool, cs._block_groups(pool, n, spanning=spanning))
+        counts = cs._multiset_counts(mono._partition_counts([d], min(n, d))[d], n)
+        count = counts[n] if spanning else sum(counts) - 1  # less the empty sum
+    else:
+        check_cell("enumerate_monomials", n, d)
+        rows = _monomial_rows(n, d, "monomial", mono._partition_groups(d, n))
+        count = sum(mono._partition_counts([d], min(n, d))[d])
+    return _CountedRows(rows, count)
 
 
 def _document(args, columns: list[str], rows, parameters) -> ReportDocument:
@@ -300,24 +312,14 @@ def cmd_bounds(args) -> tuple[ReportDocument, int]:
 def cmd_enumerate(args) -> tuple[ReportDocument, int]:
     if args.spanning and not args.sums:
         raise UsageError("--spanning applies only to --sums")
-    if args.sums:
-        check_cell("enumerate_coprime_sums", args.n, args.d)
-        pool = cs._block_pool(args.n, args.d)
-        rows = _sum_rows(args.n, args.d, "coprime_sum", pool, cs._block_groups(pool, args.n, spanning=args.spanning))
-        shapes = mono._partition_counts([args.d], min(args.n, args.d))[args.d]
-        counts = cs._multiset_counts(shapes, args.n)  # by the count recurrences, without a walk
-        count = counts[args.n] if args.spanning else sum(counts) - 1  # less the empty sum
-    else:
-        check_cell("enumerate_monomials", args.n, args.d)
-        rows = _monomial_rows(args.n, args.d, "monomial", mono._partition_groups(args.d, args.n))
-        count = sum(mono._partition_counts([args.d], min(args.n, args.d))[args.d])
+    rows = _cell_rows(args.n, args.d, args.sums, args.spanning)
     params = {
         "n": str(args.n),
         "d": str(args.d),
         "sums": str(bool(args.sums)).lower(),
         "spanning": str(bool(args.spanning)).lower(),
     }
-    return _document(args, RANK_COLUMNS, _CountedRows(rows, count), params), 0
+    return _document(args, RANK_COLUMNS, rows, params), 0
 
 
 VERIFY_COLUMNS = ["kind", "n", "d", "witness", "label", "lhs", "rhs", "value"]
@@ -421,20 +423,14 @@ def cmd_table(args) -> tuple[ReportDocument, int]:
     from . import rank_tables as rt
 
     rows = []
-    if args.name == "exceptional-44-53":
-        # Each cell's monomials by rank, highest first, ties in enumerate order.
-        for n, d in ((4, 4), (5, 3)):
-            ranked = sorted(mono._ranked_partitions(d, n), key=itemgetter(0), reverse=True)
+    if args.name in ("exceptional-44-53", "coprime-43"):
+        # The monomials at (4, 4) and (5, 3) by rank (the value column), highest
+        # first, or the spanning sums at (4, 3), lowest first; ties in enumerate order.
+        sums = args.name == "coprime-43"
+        for n, d in [(4, 3)] if sums else [(4, 4), (5, 3)]:
             gen = str(rt.generic_rank(n, d))
-            groups = _one_per_group(ranked, (1, 0, ()))
-            rows += [_table_row(row, gen) for row in _monomial_rows(n, d, "monomial", groups)]
-    elif args.name == "coprime-43":
-        # The spanning sums at (4, 3) by rank, lowest first, ties in enumerate order.
-        pool = cs._block_pool(4, 3)
-        ranked = sorted(cs._block_multisets(pool, 4, spanning=True), key=itemgetter(0))
-        gen = str(rt.generic_rank(4, 3))
-        groups = _one_per_group(ranked, (0, 0, ()))
-        rows += [_table_row(row, gen) for row in _sum_rows(4, 3, "coprime_sum", pool, groups)]
+            ranked = sorted(_cell_rows(n, d, sums, sums), key=lambda row: int(row[4]), reverse=not sums)
+            rows += [_table_row(row, gen) for row in ranked]
     elif args.name == "known-examples":
         for ex in rt.known_examples():
             rows.append(

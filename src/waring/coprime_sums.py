@@ -19,6 +19,7 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
+    _Table,
     _partition_top,
     _ranked_partitions,
     canonicalize,
@@ -251,10 +252,10 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
         yield _sum_of(pool, picked, n)
 
 
-def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int]]:
-    """The best rank of each block size and the maximum rank for each variable budget.
+def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
+    """The best rank of each block size, the maximum rank for each variable budget, and its first block.
 
-    Returns (ranks, best): ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
+    Returns (ranks, best, pick): ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
     (index 0 unused), the rank of max_rank_monomial(k, d) read from
     _partition_top(d, k) without building it; best(b) is the maximum
     rank of a coprime sum in b <= n variables: ranks add across coprime
@@ -266,11 +267,15 @@ def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int]]:
     So some maximum has fewer than k other blocks, on at most (k - 1) * m
     variables: beyond that best(b) = best(b - k) + ranks[k], so the table
     stops there, O(m^3) time for any n. At d = 1, best(b) = 1 for b >= 1.
+    pick(b) is the first maximum's first block size: the largest j with
+    ranks[j] + best(b - j) == best(b) (1, for x1, at d = 1). Past top + d,
+    best(b) and each best(b - j) exceed their values at b - k by ranks[k],
+    so pick(b) = pick(b - k).
     """
     m = min(n, d)
     ranks = [0] + [_partition_top(d, k) for k in range(1, m + 1)]
     if d == 1:
-        return ranks, lambda b: min(b, 1)
+        return ranks, lambda b: min(b, 1), lambda b: 1
     step = 1
     for k in range(2, m + 1):
         if ranks[k] * step >= ranks[step] * k:
@@ -284,7 +289,9 @@ def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int]]:
         steps = max(0, -(-(b - top) // step))
         return table[b - steps * step] + steps * ranks[step]
 
-    return ranks, best
+    picks = _Table(lambda b: max(k for k in range(1, min(b, d) + 1) if ranks[k] + best(b - k) == best(b)))
+    # Each budget is read in the window of step budgets past top + d, and decided once there.
+    return ranks, best, lambda b: picks[b - max(0, -(-(b - top - d - step) // step)) * step]
 
 
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
@@ -310,7 +317,7 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
 
     oracle ranks every multiset of blocks, in enumerate_coprime_sums order,
     and returns the first maximum; only that witness is built and validated.
-    closed_form backtracks the knapsack, taking at each step the
+    closed_form backtracks the knapsack by its pick: at each step the
     largest block size that still leads to a maximum. Every maximum uses
     the best block of each size and the pool lists larger blocks first, so
     this is the same sum. At d = 1 every sum has rank 1, and the first one
@@ -323,14 +330,13 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
         return _sum_of(pool, picked, n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
-    ranks, best = _knapsack(n, d)
     if d == 1:
         return CoprimeSum((max_rank_monomial(1, 1),), n)
+    pick = _knapsack(n, d)[2]
     sizes, b = [], n
     while b:
-        k = max(k for k in range(1, min(b, d) + 1) if ranks[k] + best(b - k) == best(b))
-        sizes.append(k)
-        b -= k
+        sizes.append(pick(b))
+        b -= sizes[-1]
     blocks = {k: max_rank_monomial(k, d) for k in set(sizes)}
     return CoprimeSum(tuple(map(blocks.get, sizes)), n)
 

@@ -363,6 +363,25 @@ def test_table_coprime_43(capsys):
     assert [r["value"] for r in doc["rows"]] == ["4", "5", "5", "6"]
 
 
+@pytest.mark.parametrize(
+    "name, cells, descending",
+    [
+        ("exceptional-44-53", [("4", "4"), ("5", "3")], True),
+        ("coprime-43", [("4", "3", "--sums", "--spanning")], False),  # two sums tie at rank 5
+    ],
+)
+def test_table_rows_are_the_enumerate_rows_stably_sorted_by_rank(capsys, name, cells, descending):
+    keys = ("n", "d", "kind", "witness", "label", "value")
+    expected = []
+    for n, d, *flags in cells:
+        _, doc = run_json(capsys, "enumerate", "--n", n, "--d", d, *flags)
+        ranked = sorted(doc["rows"], key=lambda row: int(row["value"]), reverse=descending)
+        expected += [[row[key] for key in keys] for row in ranked]
+    code, doc = run_json(capsys, "table", "--name", name)
+    assert code == 0
+    assert [[row[key] for key in keys] for row in doc["rows"]] == expected
+
+
 def test_table_known_examples(capsys):
     code, doc = run_json(capsys, "table", "--name", "known-examples")
     assert code == 0
@@ -504,6 +523,23 @@ def test_threads_below_one_is_usage_error(capsys, value):
     assert "--threads" in err
 
 
+def test_threads_not_an_int_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--claim", "ineq-agm", "--threads", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("waring verify: error: argument --threads: invalid int value: 'x'\n")
+
+
+def test_verify_reports_elapsed_ms_unless_deterministic(capsys):
+    args = ("verify", "--claim", "theorem-monomial", "--n-range", "4:4", "--d-range", "2:3", "--format", "json")
+    code, out, err = run_cli(capsys, *args)
+    summary = {row["kind"]: row["value"] for row in json.loads(out)["rows"]}
+    assert (code, err) == (0, "")
+    assert list(summary) == ["status", "checked_count", "expected_exceptions_matched", "elapsed_ms"]
+    assert summary["elapsed_ms"].isdigit()
+    _, doc = run_json(capsys, *args[:-2])
+    assert "elapsed_ms" not in {row["kind"] for row in doc["rows"]}
+
+
 def test_threads_only_on_verify(capsys):
     code, out, err = run_cli(capsys, "rank", "--monomial", "1,2", "--threads", "2")
     assert code == 2
@@ -558,6 +594,11 @@ def test_asymptotics_bad_mode_exits_two(capsys):
 def test_asymptotics_missing_n_exits_two(capsys):
     code, out, err = run_cli(capsys, "asymptotics", "--mode", "d-limit")
     assert code == 2
+
+
+def test_asymptotics_missing_d_exits_two(capsys):
+    code, out, err = run_cli(capsys, "asymptotics", "--mode", "n-limit")
+    assert (code, out, err) == (2, "", "error: --mode n-limit requires --d\n")
 
 
 @pytest.mark.parametrize(
@@ -713,8 +754,8 @@ def _cli_process(*args: str, stdout, unbuffered: str) -> subprocess.Popen:
 def test_full_stdout_exits_two_with_one_error_line(unbuffered):
     with open("/dev/full", "w") as full:
         proc = _cli_process("rank", "--monomial", "1,2", stdout=full, unbuffered=unbuffered)
-        err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
+        _, err = proc.communicate(timeout=60)  # reads stderr to the end and closes it
+    assert proc.returncode == 2
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
@@ -726,8 +767,8 @@ def test_closed_stdout_pipe_exits_two_with_one_error_line(unbuffered):
     proc = _cli_process(*args, stdout=subprocess.PIPE, unbuffered=unbuffered)
     assert proc.stdout.readline() == "# enumerate\n"
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
     assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 

@@ -126,6 +126,10 @@ def test_monomial_invariants_enforced():
         Monomial((1, 1, 1), 2)
     with pytest.raises(DegenerateInputError):
         Monomial((), 2)
+    with pytest.raises(ValueError, match=r"^exponents must be positive: \(0, 1\)$"):
+        Monomial((0, 1), 2)
+    with pytest.raises(ValueError, match="^ambient_vars must be positive$"):
+        Monomial((1,), 0)
 
 
 def test_permutation_invariance_randomized():
