@@ -1,9 +1,11 @@
 """The package's one immutable value-class base, cheap to import.
 
-A subclass names its fields in FIELDS and, after validating them in its
-own __init__, stores them with _set, which writes the instance __dict__
-past the refusing __setattr__. Instances keep a __dict__ rather than
-__slots__, so pickle restores them without calling __setattr__.
+A subclass names its fields in FIELDS. Its __init__, the public
+constructor, validates them and stores them with _set, which writes the
+instance __dict__ past the refusing __setattr__. waring's own walks,
+whose values are canonical by construction, build through _of instead,
+which binds the fields past __init__. Instances keep a __dict__ rather
+than __slots__, so pickle restores them without calling __setattr__.
 """
 
 
@@ -16,6 +18,13 @@ class Record:
     def _set(self, *values: object) -> None:
         """Bind values to FIELDS, in order."""
         vars(self).update(zip(self.FIELDS, values))
+
+    @classmethod
+    def _of(cls, *values: object):
+        """An instance with values bound to FIELDS past __init__ and its checks: for values known valid."""
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.FIELDS])

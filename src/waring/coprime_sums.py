@@ -35,13 +35,6 @@ def _block_key(m: Monomial) -> tuple[int, tuple[int, ...]]:
     return (-m.nvars, tuple(-e for e in m.exponents))
 
 
-def _as_block(m: Monomial) -> Monomial:
-    """Strip a monomial to exactly its own variables (block form)."""
-    if m.ambient_vars == m.nvars:
-        return m
-    return Monomial(m.exponents, m.nvars)
-
-
 class CoprimeSum(Record):
     """Multiset of equal-degree blocks on disjoint variables, canonically ordered."""
 
@@ -102,7 +95,7 @@ def make_sum(block_exponents: Iterable[Iterable[int]], ambient_vars: int | None 
     raw_blocks = [list(b) for b in block_exponents]
     if ambient_vars is None:
         ambient_vars = sum(len(b) for b in raw_blocks)
-    blocks = sorted((_as_block(canonicalize(b)) for b in raw_blocks), key=_block_key)
+    blocks = sorted((Monomial._of(m.exponents, m.nvars) for m in map(canonicalize, raw_blocks)), key=_block_key)
     return CoprimeSum(tuple(blocks), ambient_vars)
 
 
@@ -114,7 +107,7 @@ def sum_rank(f: CoprimeSum) -> int:
 
 def _block_pool(n: int, d: int) -> list[Monomial]:
     """Every possible block shape for degree d within n variables, canonically ordered."""
-    pool = [Monomial(exponents, used) for _, used, exponents in _ranked_partitions(d, min(n, d))]
+    pool = [Monomial._of(exponents, used) for _, used, exponents in _ranked_partitions(d, min(n, d))]
     pool.sort(key=_block_key)
     return pool
 
@@ -235,7 +228,7 @@ def _multiset_counts(shapes: list[int], n: int) -> list[int]:
 
 def _sum_of(pool: list[Monomial], picked: Iterable[int], n: int) -> CoprimeSum:
     """The CoprimeSum in n variables of the pool blocks that picked indexes, in canonical order."""
-    return CoprimeSum(tuple(pool[i] for i in picked), n)
+    return CoprimeSum._of(tuple(pool[i] for i in picked), n)
 
 
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:
@@ -316,7 +309,7 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     enumerate_coprime_sums order, in both modes.
 
     oracle ranks every multiset of blocks, in enumerate_coprime_sums order,
-    and returns the first maximum; only that witness is built and validated.
+    and returns the first maximum; only that witness is built.
     closed_form backtracks the knapsack by its pick: at each step the
     largest block size that still leads to a maximum. Every maximum uses
     the best block of each size and the pool lists larger blocks first, so
@@ -331,14 +324,14 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     if d == 1:
-        return CoprimeSum((max_rank_monomial(1, 1),), n)
+        return CoprimeSum._of((max_rank_monomial(1, 1),), n)
     pick = _knapsack(n, d)[2]
     sizes, b = [], n
     while b:
         sizes.append(pick(b))
         b -= sizes[-1]
     blocks = {k: max_rank_monomial(k, d) for k in set(sizes)}
-    return CoprimeSum(tuple(map(blocks.get, sizes)), n)
+    return CoprimeSum._of(tuple(map(blocks.get, sizes)), n)
 
 
 def greedy_construction(n: int, d: int) -> CoprimeSum:
@@ -349,9 +342,5 @@ def greedy_construction(n: int, d: int) -> CoprimeSum:
     r variables. Not always rank-maximal.
     """
     check_cell("greedy_construction", n, d, min_d=2)
-    blocks = [Monomial((1,) * d, d) for _ in range(n // d)]
-    remainder = n % d
-    if remainder:
-        blocks.append(max_rank_monomial(remainder, d))
-    blocks.sort(key=_block_key)
-    return CoprimeSum(tuple(blocks), n)
+    rest = (max_rank_monomial(n % d, d),) if n % d else ()  # on fewer than d variables: last in canonical order
+    return CoprimeSum._of((Monomial._of((1,) * d, d),) * (n // d) + rest, n)

@@ -81,7 +81,7 @@ def canonicalize(raw_exponents: Iterable[int], ambient_vars: int | None = None) 
         raise DimensionError(
             f"{len(raw)} exponent slots exceed ambient_vars={ambient_vars}"
         )
-    return Monomial(positive, ambient_vars)
+    return Monomial._of(positive, ambient_vars)
 
 
 def waring_rank(m: Monomial) -> int:
@@ -237,7 +237,7 @@ def enumerate_monomials(n: int, d: int) -> Iterator[Monomial]:
     """
     check_cell("enumerate_monomials", n, d)
     for _, _, exponents in _ranked_partitions(d, n):
-        yield Monomial(exponents, n)
+        yield Monomial._of(exponents, n)
 
 
 def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
@@ -249,19 +249,19 @@ def max_rank_monomial(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> Monomial:
     q = (d-1) div (n'-1) and r = (d-1) mod (n'-1) the rank is
     (1+q)^(n'-r-1) * (2+q)^r, _partition_top(d, n'). oracle
     instead walks every ranked partition in enumerate_monomials order and
-    returns the first maximum; only that witness is built and validated.
+    returns the first maximum; only that witness is built.
     """
     check_cell("max_rank_monomial", n, d)
     if mode == MODE_ORACLE:
         _, _, exponents = max(_ranked_partitions(d, n), key=itemgetter(0))
-        return Monomial(exponents, n)
+        return Monomial._of(exponents, n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     used = min(n, d)
     if used == 1:
-        return Monomial((d,), n)
+        return Monomial._of((d,), n)
     q, r = _balanced_split(d, used)
-    return Monomial((1,) + (q,) * (used - 1 - r) + (q + 1,) * r, n)
+    return Monomial._of((1,) + (q,) * (used - 1 - r) + (q + 1,) * r, n)
 
 
 def r_max(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:

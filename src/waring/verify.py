@@ -158,7 +158,7 @@ def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
         tops = [_partition_top(d, n if n < d else d) for n in ns]  # r_max(n, d)
-        yield _theorem_column(d, ns, counts[d], tops, lambda n: (_ranked_partitions(d, n), Monomial))
+        yield _theorem_column(d, ns, counts[d], tops, lambda n: (_ranked_partitions(d, n), Monomial._of))
 
 
 def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:

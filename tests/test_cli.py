@@ -234,15 +234,16 @@ def test_enumerate_rows_equal_object_rows(n, d, sums, spanning):
 @pytest.mark.parametrize("sums", [False, True])
 def test_enumerate_builds_no_object_per_row(monkeypatch, sums):
     # enumerate rows come from raw partitions and block-index multisets:
-    # at most the block pool is built, never one object per row.
+    # at most the block pool is built, never one object per row. Both the
+    # checked and the trusted route bind fields with _set, so it counts each.
     pool_size = len(cs._block_pool(8, 8))
     built = {Monomial: 0, CoprimeSum: 0}
     for cls in built:
-        def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+        def counting_set(self, *values, _cls=cls, _set=cls._set):
             built[_cls] += 1
-            _init(self, *args, **kwargs)
+            _set(self, *values)
 
-        monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(cls, "_set", counting_set)
     rows = handler_rows(*enumerate_argv(8, 8, sums, False))
     assert len(rows) == (764 if sums else 22)
     assert built[CoprimeSum] == 0

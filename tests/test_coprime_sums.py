@@ -1,3 +1,4 @@
+import pickle
 import time
 import tracemalloc
 from itertools import islice
@@ -22,9 +23,18 @@ from waring.coprime_sums import (
     sum_rank,
 )
 from waring.errors import DimensionError, UsageError
-from waring.monomials import Monomial, _partition_counts, partitions, r_max, waring_rank
+from waring.monomials import (
+    Monomial,
+    _partition_counts,
+    canonicalize,
+    enumerate_monomials,
+    max_rank_monomial,
+    partitions,
+    r_max,
+    waring_rank,
+)
 from waring.rank_tables import generic_rank
-from waring.verify import ratio_decay_fixed_d
+from waring.verify import STATUS_PASS_WITH_EXPECTED, ratio_decay_fixed_d, verify_claim
 
 
 def multiset_counts(d, n):
@@ -342,13 +352,13 @@ def test_r_max_star_builds_no_monomial(monkeypatch):
     assert closed_form_r_max_star(30, 10**200) == r_max(30, 10**200)
     expected = [closed_form_r_max_star(n, d) if d > 1 else 1 for n, d in cells]
     built = []
-    init = Monomial.__init__
+    bind = Monomial._set
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_set(self, *values):  # both the checked and the trusted route bind with _set
+        built.append(values)
+        bind(self, *values)
 
-    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    monkeypatch.setattr(Monomial, "_set", counting_set)
     assert [r_max_star(n, d) for n, d in cells] == expected
     assert built == []
 
@@ -558,3 +568,87 @@ def test_greedy_rejects_bad_args():
         greedy_construction(0, 3)
     with pytest.raises(UsageError):
         greedy_construction(4, 1)
+
+
+def test_greedy_is_its_shapes_made_canonical():
+    # The squarefree blocks come first and the remainder, on fewer than d
+    # variables, last: already canonical, so no sort is needed.
+    for n in range(1, 80):
+        for d in range(2, 14):
+            g = greedy_construction(n, d)
+            shapes = [(1,) * d] * (n // d) + ([max_rank_monomial(n % d, d).exponents] if n % d else [])
+            assert g == make_sum(shapes, n) == CoprimeSum(g.blocks, n)
+
+
+# ---------------------------------------------------------------------------
+# trusted construction: waring's own walks build past the public checks
+
+
+def rechecked(obj):
+    """obj passed again through the public constructors, every check run."""
+    if isinstance(obj, Monomial):
+        return Monomial(obj.exponents, obj.ambient_vars)
+    return CoprimeSum(tuple(Monomial(b.exponents, b.nvars) for b in obj.blocks), obj.ambient_vars)
+
+
+def assert_as_if_checked(objects):
+    """Each object equals its rechecked self, with the same fields, hash, repr and pickle round trip."""
+    count = 0
+    for obj in objects:
+        checked = rechecked(obj)
+        assert checked == obj
+        assert list(vars(checked).items()) == list(vars(obj).items())
+        assert hash(checked) == hash(obj)
+        assert repr(checked) == repr(obj)
+        assert pickle.loads(pickle.dumps(obj)) == obj == pickle.loads(pickle.dumps(checked))
+        if isinstance(obj, Monomial):
+            assert pickle.dumps(obj) == pickle.dumps(checked)
+        count += 1
+    assert count
+
+
+def test_every_trusted_route_builds_what_the_public_constructors_accept():
+    for n in range(1, 9):
+        for d in range(1, 9):
+            monomials = list(enumerate_monomials(n, d))
+            assert_as_if_checked(monomials)
+            assert_as_if_checked(canonicalize(m.exponents[::-1] + (0,) * (n - m.nvars), n) for m in monomials)
+            assert_as_if_checked(max_rank_monomial(n, d, mode) for mode in ("closed_form", "oracle"))
+            for spanning in (False, True):
+                sums = list(enumerate_coprime_sums(n, d, spanning))
+                if sums:
+                    assert_as_if_checked(sums)
+                    assert_as_if_checked(make_sum([b.exponents[::-1] for b in f.blocks[::-1]], n) for f in sums)
+            assert_as_if_checked(max_rank_sum(n, d, mode) for mode in ("closed_form", "oracle"))
+            if d >= 2:
+                assert_as_if_checked([greedy_construction(n, d)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 40))
+@example(10**5, 40)
+@example(79, 13)
+def test_trusted_witnesses_in_many_variables_pass_the_public_constructors(n, d):
+    witnesses = [max_rank_monomial(n, d), max_rank_sum(n, d)]
+    if d >= 2:
+        witnesses.append(greedy_construction(n, d))
+    assert_as_if_checked(witnesses)
+
+
+def test_waring_builds_through_the_public_constructors_only_for_user_input(monkeypatch):
+    checked = []
+    for cls in (Monomial, CoprimeSum):
+        def counting_init(self, *args, _init=cls.__init__):
+            checked.append(args)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    assert len(list(enumerate_monomials(6, 8))) == 20
+    assert len(list(enumerate_coprime_sums(6, 4))) == predicted_walk(4, 6)
+    assert max_rank_sum(10**5, 40).vars_used == 10**5
+    assert greedy_construction(50, 7).vars_used == 50
+    report = verify_claim("theorem-coprime", (4, 6), (3, 4))
+    assert report.status == STATUS_PASS_WITH_EXPECTED and report.violations
+    assert checked == []
+    make_sum([[1, 2], [3]])
+    assert checked

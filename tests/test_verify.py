@@ -878,13 +878,13 @@ def test_r_max_builds_no_monomial(monkeypatch):
     # The closed form reads the balanced construction's rank from
     # _partition_top, so neither r_max nor the slope lemma builds one.
     built = []
-    init = Monomial.__init__
+    bind = Monomial._set
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_set(self, *values):  # both the checked and the trusted route bind with _set
+        built.append(values)
+        bind(self, *values)
 
-    monkeypatch.setattr(Monomial, "__init__", counting_init)
+    monkeypatch.setattr(Monomial, "_set", counting_set)
     value = r_max(30, 10**200)
     assert verify_claim("lemma-slope", None, (4, 40)).status == STATUS_PASS
     assert built == []
