@@ -226,9 +226,12 @@ def _multiset_counts(shapes: list[int], n: int) -> list[int]:
     return counts
 
 
-def _sum_of(pool: list[Monomial], picked: Iterable[int], n: int) -> CoprimeSum:
-    """The CoprimeSum in n variables of the pool blocks that picked indexes, in canonical order."""
-    return CoprimeSum._of(tuple(pool[i] for i in picked), n)
+def _sum_walk(n: int, d: int, spanning: bool = False) -> tuple[Iterator[tuple[int, int, tuple[int, ...]]], Callable]:
+    """(ranked, build): _block_multisets over _block_pool(n, d), and build(picked, m), the
+    CoprimeSum in m variables of the pool blocks that picked indexes, in canonical order."""
+    pool = _block_pool(n, d)
+    ranked = _block_multisets(pool, n, spanning)
+    return ranked, lambda picked, m: CoprimeSum._of(tuple(map(pool.__getitem__, picked)), m)
 
 
 def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[CoprimeSum]:
@@ -240,9 +243,9 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
     duplicates and fixes a deterministic output order.
     """
     check_cell("enumerate_coprime_sums", n, d)
-    pool = _block_pool(n, d)
-    for _, _, picked in _block_multisets(pool, n, spanning):
-        yield _sum_of(pool, picked, n)
+    ranked, build = _sum_walk(n, d, spanning)
+    for _, _, picked in ranked:
+        yield build(picked, n)
 
 
 def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
@@ -318,9 +321,8 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
     """
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
-        pool = _block_pool(n, d)
-        _, _, picked = max(_block_multisets(pool, n), key=itemgetter(0))
-        return _sum_of(pool, picked, n)
+        ranked, build = _sum_walk(n, d)
+        return build(max(ranked, key=itemgetter(0))[2], n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
     if d == 1:

@@ -17,9 +17,9 @@ closes every root in n >= 4 variables, and r_max_star from the
 block-size knapsack for coprime sums, which stays below the generic rank
 in every cell with n >= 4 and d >= 3 but (4, 3). A cell is open when its
 maximum reaches its generic rank; a column with an open cell walks once,
-in its largest open cell's n, and only the objects that reach a generic
-rank are built. So every object is counted and compared exactly,
-without being enumerated.
+in its largest open cell's n (coprime_sums._sum_walk, for sums), and only
+the objects that reach a generic rank are built. So every object is
+counted and compared exactly, without being enumerated.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ import time
 from itertools import accumulate
 from operator import ge, gt, itemgetter, lt
 
-from . import coprime_sums
 from ._record import Record
-from .coprime_sums import CoprimeSum, _block_multisets, _knapsack, _multiset_counts, _sum_of, make_sum, r_max_star
+from .coprime_sums import CoprimeSum, _knapsack, _multiset_counts, _sum_walk, make_sum, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
 from .monomials import Monomial, _partition_counts, _partition_top, _ranked_partitions, r_max
@@ -126,10 +125,10 @@ def _theorem_column(d: int, ns: range, counts, tops, walk) -> list[tuple[int, li
     an open cell, one whose top reaches its generic rank, can hold a
     violation: unless one does, nothing is walked. walk(n) gives (ranked,
     build): ranked is the kind's walk in n variables, _ranked_partitions
-    or _block_multisets, yielding (rank, used, raw) in walk order, and
-    build(raw, m) makes the object raw stands for in m variables. The
-    walk runs once, in the largest open cell's n, and keeps the objects
-    ranked at least the smallest generic rank of the open cells.
+    or _sum_walk's block multisets, yielding (rank, used, raw) in walk
+    order, and build(raw, m) makes the object raw stands for in m
+    variables. The walk runs once, in the largest open cell's n, and keeps
+    the objects ranked at least the smallest generic rank of the open cells.
     Restricted to used <= m, it is cell m's own walk, so cell m's
     violations are the kept objects on at most m variables that reach
     its generic rank, in walk order, and only they are built.
@@ -164,13 +163,8 @@ def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
 def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
-
-        def walk(n):
-            pool = coprime_sums._block_pool(n, d)
-            return _block_multisets(pool, n), lambda picked, m: _sum_of(pool, picked, m)
-
         tops = list(map(_knapsack(ns[-1], d)[1], ns))  # r_max_star(n, d)
-        yield _theorem_column(d, ns, _multiset_counts(counts[d], ns[-1]), tops, walk)
+        yield _theorem_column(d, ns, _multiset_counts(counts[d], ns[-1]), tops, lambda n: _sum_walk(n, d))
 
 
 def _inequality(n: int, d: int, lhs: int, rhs: int, holds) -> tuple[int, list[Violation]]:
@@ -304,16 +298,13 @@ def verify_claim(
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     check_n_range(claim_id, n_range)
-    if d_range is None:
-        d_range = claim.default_d
-    if claim.default_n is None:
-        d_lo, d_hi = _check_range("d", d_range, claim.min_d)
-        n_lo, n_hi = 2, d_hi
-    else:
+    if claim.default_n is not None:
         n_lo, n_hi = _check_range("n", claim.default_n if n_range is None else n_range, claim.min_n)
-        d_lo, d_hi = _check_range("d", d_range, claim.min_d)
+    d_lo, d_hi = _check_range("d", claim.default_d if d_range is None else d_range, claim.min_d)
+    if claim.default_n is None:
+        n_lo, n_hi = 2, d_hi
     columns = []
-    for d in range(d_hi, d_lo - 1, -1):  # largest first
+    for d in range(d_lo, d_hi + 1):
         first = max(n_lo, d) if claim.n_at_least_d else n_lo
         last = d if claim.default_n is None else n_hi
         if first <= last:

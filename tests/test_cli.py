@@ -231,6 +231,21 @@ def test_enumerate_rows_equal_object_rows(n, d, sums, spanning):
     assert handler_rows(*enumerate_argv(n, d, sums, spanning)) == expected
 
 
+@pytest.mark.parametrize("sums, spanning", [(False, False), (True, False), (True, True)])
+def test_cell_rows_count_is_the_rows_it_yields(sums, spanning):
+    # Every cell in 1..8 variables and degrees, not only the golden ones:
+    # the count from the recurrences is the walk's row count, and each row
+    # uses at most n variables (exactly n when spanning).
+    vars_used = cli.RANK_COLUMNS.index("vars_used")
+    for n in range(1, 9):
+        for d in range(1, 9):
+            rows = cli._cell_rows(n, d, sums, spanning)
+            count = len(rows)
+            used = [int(row[vars_used]) for row in rows]
+            assert len(used) == count, (n, d)
+            assert all(u == n if spanning else 1 <= u <= n for u in used), (n, d)
+
+
 @pytest.mark.parametrize("sums", [False, True])
 def test_enumerate_builds_no_object_per_row(monkeypatch, sums):
     # enumerate rows come from raw partitions and block-index multisets:

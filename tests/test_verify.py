@@ -19,7 +19,6 @@ from waring.coprime_sums import (
     _block_multisets,
     _block_pool,
     _knapsack,
-    _sum_of,
     enumerate_coprime_sums,
     make_sum,
     max_rank_sum,
@@ -350,6 +349,26 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_sum_walks(monkeypatch):
+    """(walked, built): the arguments of every call verify makes to _sum_walk from here on, and the sums
+    each call's build returns."""
+    walked, built = [], []
+    original = waring.verify._sum_walk
+
+    def counted(*args):
+        walked.append(args)
+        ranked, build = original(*args)
+
+        def counted_build(*build_args):
+            built.append(build(*build_args))
+            return built[-1]
+
+        return ranked, counted_build
+
+    monkeypatch.setattr(waring.verify, "_sum_walk", counted)
+    return walked, built
+
+
 def test_each_degree_is_walked_once(monkeypatch):
     # One partition count for the whole grid; every root closes, so no
     # partition is walked and no monomial built.
@@ -357,7 +376,7 @@ def test_each_degree_is_walked_once(monkeypatch):
     walked = count_calls(monkeypatch, "_ranked_partitions")
     built = count_calls(monkeypatch, "Monomial")
     assert verify_claim("theorem-monomial", (4, 10), (2, 40)).status == STATUS_PASS
-    assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(40, 1, -1)), 10)]
+    assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(2, 41)), 10)]
     assert walked == []
     assert built == []
 
@@ -367,21 +386,25 @@ def test_each_degree_is_walked_once(monkeypatch):
     # sums built.
     counted = count_calls(monkeypatch, "_partition_counts")
     series = count_calls(monkeypatch, "_multiset_counts")
-    walked = count_calls(monkeypatch, "_block_multisets")
-    built = count_calls(monkeypatch, "_sum_of")
+    walked, built = count_sum_walks(monkeypatch)
     report = verify_claim("theorem-coprime", (4, 12), (3, 12))
     assert report.status == STATUS_PASS_WITH_EXPECTED
-    assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(12, 2, -1)), 12)]
-    grid_counts = _partition_counts(range(12, 2, -1), 12)
-    assert series == [(grid_counts[d], 12) for d in range(12, 2, -1)]
-    assert [(pool[0].degree, n) for pool, n in walked] == [(3, 4)]
+    assert [(list(degrees), slots) for degrees, slots in counted] == [(list(range(3, 13)), 12)]
+    grid_counts = _partition_counts(range(3, 13), 12)
+    assert series == [(grid_counts[d], 12) for d in range(3, 13)]
+    assert walked == [(4, 3)]
     assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS) == len(report.violations)
-    assert [v.witness for v in report.violations] == [_sum_of(*args) for args in built]
+    assert [v.witness for v in report.violations] == built
 
     # The walk does not grow with the grid's largest n.
-    walked = count_calls(monkeypatch, "_block_multisets")
+    walked, built = count_sum_walks(monkeypatch)
     assert verify_claim("theorem-coprime", (4, 400), (3, 3)).status == STATUS_PASS_WITH_EXPECTED
-    assert [(pool[0].degree, n) for pool, n in walked] == [(3, 4)]
+    assert walked == [(4, 3)]
+    assert len(built) == len(EXPECTED_COPRIME_EXCEPTIONS)
+
+    # verify reaches the block walk only through _sum_walk.
+    for name in ("coprime_sums", "_block_pool", "_block_groups", "_block_multisets", "_sum_of"):
+        assert not hasattr(waring.verify, name), name
 
 
 def test_monomial_roots_close_without_a_walk(monkeypatch):
