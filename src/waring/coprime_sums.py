@@ -19,7 +19,6 @@ from .monomials import (
     MODE_CLOSED_FORM,
     MODE_ORACLE,
     Monomial,
-    _Table,
     _partition_top,
     _ranked_partitions,
     canonicalize,
@@ -248,62 +247,68 @@ def enumerate_coprime_sums(n: int, d: int, spanning: bool = False) -> Iterator[C
         yield build(picked, n)
 
 
-def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
-    """The best rank of each block size, the maximum rank for each variable budget, and its first block.
+# At d = 3, 4 and 5: the block size of most rank per variable, and the blocks
+# that one such block and x1 give way to in the first maximum (_top_sizes).
+_EXCHANGES = {3: (2, {3: 1}), 4: (4, {3: 1, 2: 1}), 5: (5, {3: 2})}
 
-    Returns (ranks, best, pick): ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
-    (index 0 unused), the rank of max_rank_monomial(k, d) read from
-    _partition_top(d, k) without building it; best(b) is the maximum
-    rank of a coprime sum in b <= n variables: ranks add across coprime
-    blocks and a maximum uses only rank-maximal blocks, so best is an
-    unbounded knapsack over block sizes.
-    Let k have the most rank per variable (the largest on ties). Among any k
-    other blocks some add up to a multiple of k variables (two of their k + 1
-    prefix sums agree mod k), and copies of the k block there rank no lower.
-    So some maximum has fewer than k other blocks, on at most (k - 1) * m
-    variables: beyond that best(b) = best(b - k) + ranks[k], so the table
-    stops there, O(m^3) time for any n. At d = 1, best(b) = 1 for b >= 1.
-    pick(b) is the first maximum's first block size: the largest j with
-    ranks[j] + best(b - j) == best(b) (1, for x1, at d = 1). Past top + d,
-    best(b) and each best(b - j) exceed their values at b - k by ranks[k],
-    so pick(b) = pick(b - k).
+
+def _top_sizes(n: int, d: int) -> dict[int, int]:
+    """{k: copies}, largest k first: the block sizes of the first maximum-rank sum in n variables.
+
+    Each block is max_rank_monomial(k, d), of rank r(k) = _partition_top(d, k),
+    and no size has zero copies. At d = 1 every sum has rank 1 and the first
+    one listed is x1. Let step be d, or 2, 4, 5 at d = 3, 4, 5, and q, s =
+    divmod(n, step): the sizes are q blocks of step and one of s, but at
+    d = 3, 4, 5, when s = 1 and q >= 1, one step block and x1 give way to
+    _EXCHANGES[d]. Proof, with F = r(d) = 2^(d-1) and r(0) = 0:
+    L1: r(k+1) >= 4r(k)/3 for 1 <= k < d: r(2) = d >= 2, and for k >= 2
+      splitting a part p >= 2 of the balanced split into 1 and p - 1 turns
+      its factor p + 1 into 2p. L2: r(k) = F(3/4)^(d-k) when 2k >= d + 1,
+      since the parts are then all 1s and 2s. (0) r is nondecreasing, by L1.
+    (i) r(a) + r(b) <= r(a+b) when a >= b, a + b <= d: r(a+b) >= (4/3)^b r(a),
+      at least 2r(a) if b >= 3. b = 1 needs r(a) >= 3, true for a >= 2 as
+      r(a) >= r(2) = d >= 3, and a = 1 needs r(2) = d >= 2. b = 2 needs
+      r(a) >= 9d/7, true for a >= 3 as r(3) >= d(d+2)/4, and a = 2 needs
+      r(4) >= 2d, true as r(4) >= 4r(3)/3 >= d(d+2)/3 and d >= 4.
+    (ii) r(a) + r(b) <= F + r(c) when a >= b, a < d, c = a + b - d >= 1,
+      for d >= 11. With t = d - a = b - c, 2a >= d + 1 and L2 give
+      r(a) = F(3/4)^t, so the claim is r(b) - r(c) <= F(1 - (3/4)^t). If
+      2c >= d + 1, L2 gives it for b and c. If 2c <= d < 2b, r(b) = F(3/4)^x
+      with x = d - b >= 1 and x + t = d - c >= 6, and (3/4)^x + (3/4)^t <=
+      3/4 + (3/4)^5 < 1. If 2b <= d, L1 gives r(b) <= F(3/4)^6 < F/4.
+    For d <= 10 the tests check (0)-(ii) cell by cell: they hold at d = 2
+    and 6..10 and fail only at 3, 4, 5. Given them, (i) merges two blocks
+    and (ii) trades two below d for a block of d and one of c, losing no
+    rank, until at most one block is below d; by (0) that block can grow
+    to all n variables, so some maximum is q blocks of d and one of s. It
+    is the first: a maximum uses rank-maximal blocks, the walk lists
+    larger blocks first, and no maximum has more than q blocks of d or,
+    after q, a block of more than s. At d = 3, 4, 5 the rule gains one
+    step block per step variables, and so does the block-size knapsack
+    past its first step * (d + 1) budgets, so the tests match the two on
+    every n <= 3d^2 + 2d.
     """
-    m = min(n, d)
-    ranks = [0] + [_partition_top(d, k) for k in range(1, m + 1)]
     if d == 1:
-        return ranks, lambda b: min(b, 1), lambda b: 1
-    step = 1
-    for k in range(2, m + 1):
-        if ranks[k] * step >= ranks[step] * k:
-            step = k
-    top = min(n, (step - 1) * m)
-    table = [0]
-    for b in range(1, top + 1):
-        table.append(max(ranks[k] + table[b - k] for k in range(1, min(b, d) + 1)))
-
-    def best(b: int) -> int:
-        steps = max(0, -(-(b - top) // step))
-        return table[b - steps * step] + steps * ranks[step]
-
-    picks = _Table(lambda b: max(k for k in range(1, min(b, d) + 1) if ranks[k] + best(b - k) == best(b)))
-    # Each budget is read in the window of step budgets past top + d, and decided once there.
-    return ranks, best, lambda b: picks[b - max(0, -(-(b - top - d - step) // step)) * step]
+        return {1: 1}
+    step, swap = _EXCHANGES.get(d, (d, None))
+    q, s = divmod(n, step)
+    sizes = {step: q - 1, **swap} if swap and s == 1 and q else {step: q, s: 1}
+    return {k: copies for k, copies in sorted(sizes.items(), reverse=True) if k and copies}
 
 
 def r_max_star(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> int:
     """Maximum rank over sums of pairwise coprime degree-d monomials in n variables.
 
-    closed_form reads the maximum from the block-size knapsack, an exact
-    algorithm for every (n, d). Its values have closed forms, matched to
-    the knapsack on every 2 <= d <= 40 and n <= d^2 + 2d: n for d = 2;
-    3n div 2 for d = 3; (n div d) * 2^(d-1) + r_max(n mod d, d) for d >= 4,
-    where r_max(0, d) means 0, plus 1 for d = 4, 5 when n = 1 (mod d) and
-    n > d. So it equals r_max(n, d) for d >= n. oracle is the rank of
-    max_rank_sum's brute-force witness.
+    closed_form adds the ranks of _top_sizes' blocks, which _top_sizes
+    proves maximal, without building them: n for d = 2; 3n div 2 for d = 3;
+    (n div d) * 2^(d-1) + r_max(n mod d, d) for d >= 4, where r_max(0, d)
+    means 0, plus 1 for d = 4, 5 when n = 1 (mod d) and n > d. So it equals
+    r_max(n, d) for d >= n. oracle is the rank of max_rank_sum's
+    brute-force witness.
     """
     check_cell("r_max_star", n, d)
     if mode == MODE_CLOSED_FORM:
-        return _knapsack(n, d)[1](n)
+        return sum(copies * _partition_top(d, k) for k, copies in _top_sizes(n, d).items())
     return sum_rank(max_rank_sum(n, d, mode))
 
 
@@ -313,11 +318,8 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
 
     oracle ranks every multiset of blocks, in enumerate_coprime_sums order,
     and returns the first maximum; only that witness is built.
-    closed_form backtracks the knapsack by its pick: at each step the
-    largest block size that still leads to a maximum. Every maximum uses
-    the best block of each size and the pool lists larger blocks first, so
-    this is the same sum. At d = 1 every sum has rank 1, and the first one
-    listed is the one-block sum x1.
+    closed_form builds max_rank_monomial(k, d) for each of _top_sizes'
+    block sizes k, largest first.
     """
     check_cell("max_rank_sum", n, d)
     if mode == MODE_ORACLE:
@@ -325,15 +327,8 @@ def max_rank_sum(n: int, d: int, mode: str = MODE_CLOSED_FORM) -> CoprimeSum:
         return build(max(ranked, key=itemgetter(0))[2], n)
     if mode != MODE_CLOSED_FORM:
         raise UsageError(f"unknown mode {mode!r}; expected closed_form or oracle")
-    if d == 1:
-        return CoprimeSum._of((max_rank_monomial(1, 1),), n)
-    pick = _knapsack(n, d)[2]
-    sizes, b = [], n
-    while b:
-        sizes.append(pick(b))
-        b -= sizes[-1]
-    blocks = {k: max_rank_monomial(k, d) for k in set(sizes)}
-    return CoprimeSum._of(tuple(map(blocks.get, sizes)), n)
+    sizes = _top_sizes(n, d).items()
+    return CoprimeSum._of(tuple(block for k, copies in sizes for block in (max_rank_monomial(k, d),) * copies), n)
 
 
 def greedy_construction(n: int, d: int) -> CoprimeSum:
@@ -341,7 +336,9 @@ def greedy_construction(n: int, d: int) -> CoprimeSum:
 
     Takes floor(n/d) blocks that are products of d distinct variables and,
     if r = n mod d > 0, one rank-maximal degree-d monomial on the leftover
-    r variables. Not always rank-maximal.
+    r variables. It is max_rank_sum(n, d) except at d = 3 for every n but
+    1, 2, 3 and 5, and at d = 4, 5 when n = 1 (mod d) and n > d, where its
+    rank falls short of r_max_star (see _top_sizes).
     """
     check_cell("greedy_construction", n, d, min_d=2)
     rest = (max_rank_monomial(n % d, d),) if n % d else ()  # on fewer than d variables: last in canonical order

@@ -13,8 +13,8 @@ count. A column is decided at its root, cell by cell as the paper
 states its theorems: the maximum rank in n variables against the generic
 rank, all of whose values in the column come from one stepped binomial.
 The maximum is r_max from the paper's construction for monomials, which
-closes every root in n >= 4 variables, and r_max_star from the
-block-size knapsack for coprime sums, which stays below the generic rank
+closes every root in n >= 4 variables, and r_max_star from its proven
+block sizes for coprime sums, which stays below the generic rank
 in every cell with n >= 4 and d >= 3 but (4, 3). A cell is open when its
 maximum reaches its generic rank; a column with an open cell walks once,
 in its largest open cell's n (coprime_sums._sum_walk, for sums), and only
@@ -30,7 +30,7 @@ from itertools import accumulate
 from operator import ge, gt, itemgetter, lt
 
 from ._record import Record
-from .coprime_sums import CoprimeSum, _knapsack, _multiset_counts, _sum_walk, make_sum, r_max_star
+from .coprime_sums import CoprimeSum, _multiset_counts, _sum_walk, make_sum, r_max_star
 from .errors import UsageError, check_cell
 from .exact_math import binomial
 from .monomials import Monomial, _partition_counts, _partition_top, _ranked_partitions, r_max
@@ -163,7 +163,7 @@ def _monomial_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
 def _coprime_columns(columns) -> Iterator[list[tuple[int, list[Violation]]]]:
     counts = _grid_partition_counts(columns)
     for d, ns in columns:
-        tops = list(map(_knapsack(ns[-1], d)[1], ns))  # r_max_star(n, d)
+        tops = [r_max_star(n, d) for n in ns]
         yield _theorem_column(d, ns, _multiset_counts(counts[d], ns[-1]), tops, lambda n: _sum_walk(n, d))
 
 
@@ -374,7 +374,7 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
 
     The limit as n grows is 0: the numerator grows linearly in n (3n/2 at
     d = 3, at most n*2^(d-1)/d for d >= 4) while the generic rank grows
-    like n^(d-1). Every numerator comes from one knapsack.
+    like n^(d-1). Every numerator is r_max_star's closed form.
     """
     from fractions import Fraction
 
@@ -382,11 +382,10 @@ def ratio_decay_fixed_d(d: int, n_max: int) -> list[RatioPoint]:
         raise UsageError(f"ratio_decay_fixed_d needs d >= 3, got {d}")
     if n_max < d:
         raise UsageError(f"n_max must be at least d, got n_max={n_max} < d={d}")
-    best = _knapsack(n_max, d)[1]
     ns = range(d, n_max + 1)
     zero = Fraction(0)
     points = []
     for n, gen in zip(ns, generic_ranks(ns, d)):
-        ratio = Fraction(best(n), gen)
+        ratio = Fraction(r_max_star(n, d), gen)
         points.append(RatioPoint(n, d, ratio, zero, ratio))
     return points

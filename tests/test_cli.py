@@ -116,8 +116,8 @@ def test_max_rank_oracle(capsys):
     assert row["witness"] == "1,1,1,1"
 
 
-def test_max_rank_sum_closed_form_regime_error(capsys):
-    # n > d >= 4 has no closed form; the exact knapsack finds the oracle's witness.
+def test_max_rank_sum_past_d_prints_the_oracles_witness(capsys):
+    # n > d = 4, one past a block of 4: x1 and that block give way to blocks of 3 and 2.
     code, doc = run_json(capsys, "max-rank-sum", "--n", "5", "--d", "4")
     assert code == 0
     (row,) = doc["rows"]
@@ -822,8 +822,7 @@ GRAMMAR = [
     (["max-rank"], CELL, {"--oracle": NONE}),
     (["max-rank"], BIG_CELL, {}),
     (["max-rank-sum"], CELL, {"--oracle": NONE}),
-    # n at most 6: in 30 variables its knapsack takes about a second over 100,000-digit ranks.
-    (["max-rank-sum"], {"--n": small_int, "--d": big_d}, {}),
+    (["max-rank-sum"], BIG_CELL, {}),
     (["bounds"], BIG_CELL, {}),
     (["enumerate"], CELL, {"--sums": NONE, "--spanning": NONE}),
     (

@@ -1,6 +1,7 @@
 import pickle
 import time
 import tracemalloc
+from collections.abc import Callable
 from itertools import islice
 
 import pytest
@@ -13,8 +14,8 @@ from waring.coprime_sums import (
     _block_groups,
     _block_multisets,
     _block_pool,
-    _knapsack,
     _multiset_counts,
+    _top_sizes,
     enumerate_coprime_sums,
     greedy_construction,
     make_sum,
@@ -25,7 +26,9 @@ from waring.coprime_sums import (
 from waring.errors import DimensionError, UsageError
 from waring.monomials import (
     Monomial,
+    _Table,
     _partition_counts,
+    _partition_top,
     canonicalize,
     enumerate_monomials,
     max_rank_monomial,
@@ -330,8 +333,8 @@ def test_r_max_star_oracle_5_4():
     assert sum_rank(witness) == 10
 
 
-def test_r_max_star_closed_form_unsupported_regime():
-    # n > d >= 4: the knapsack, which the closed forms below describe, is exact there.
+def test_r_max_star_past_d_matches_the_oracle():
+    # n > d >= 4, where the closed forms below take one block of d variables per d.
     for (n, d), expected in (((5, 4), 10), ((6, 4), 12), ((10, 5), 32)):
         assert r_max_star(n, d) == r_max_star(n, d, "oracle") == expected
         assert max_rank_sum(n, d) == max_rank_sum(n, d, "oracle")
@@ -346,7 +349,9 @@ def test_r_max_star_modes_agree_where_both_apply():
 
 
 def test_r_max_star_builds_no_monomial(monkeypatch):
-    # The knapsack reads each block size's best rank from its closed form.
+    # r_max_star reads each block's rank from its closed form. A size with
+    # no copies at (30, 10^200) would still evaluate 2^(10^200 - 1).
+    assert _top_sizes(30, 10**200) == {30: 1}
     cells = [(1, 1), (6, 1), (9, 4), (40, 12), (30, 10**200)]
     # At (30, 10^200), d >= n, so r_max_star is r_max.
     assert closed_form_r_max_star(30, 10**200) == r_max(30, 10**200)
@@ -387,10 +392,54 @@ def test_r_max_star_matches_its_closed_forms():
     # best(b) does not depend on n, so one knapsack per d gives
     # _knapsack(n, d)[1](n) for every n up to d^2 + 2d.
     for d in range(2, 41):
-        top = d * d + 2 * d
-        best = _knapsack(top, d)[1]
-        assert [closed_form_r_max_star(n, d) for n in range(1, top + 1)] == [best(n) for n in range(1, top + 1)], d
+        ns = range(1, d * d + 2 * d + 1)
+        best = _knapsack(ns[-1], d)[1]
+        assert [r_max_star(n, d) for n in ns] == [closed_form_r_max_star(n, d) for n in ns] == list(map(best, ns)), d
     assert r_max_star(9, 4) == closed_form_r_max_star(9, 4) == 2 * 8 + 1 + 1
+
+
+# The block-size knapsack, the exact algorithm that r_max_star and max_rank_sum
+# ran before _top_sizes: the oracle that the rule is compared against.
+def _knapsack(n: int, d: int) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
+    """The best rank of each block size, the maximum rank for each variable budget, and its first block.
+
+    Returns (ranks, best, pick): ranks[k] = r_max(k, d) for 1 <= k <= m = min(n, d)
+    (index 0 unused), the rank of max_rank_monomial(k, d) read from
+    _partition_top(d, k) without building it; best(b) is the maximum
+    rank of a coprime sum in b <= n variables: ranks add across coprime
+    blocks and a maximum uses only rank-maximal blocks, so best is an
+    unbounded knapsack over block sizes.
+    Let k have the most rank per variable (the largest on ties). Among any k
+    other blocks some add up to a multiple of k variables (two of their k + 1
+    prefix sums agree mod k), and copies of the k block there rank no lower.
+    So some maximum has fewer than k other blocks, on at most (k - 1) * m
+    variables: beyond that best(b) = best(b - k) + ranks[k], so the table
+    stops there, O(m^3) time for any n. At d = 1, best(b) = 1 for b >= 1.
+    pick(b) is the first maximum's first block size: the largest j with
+    ranks[j] + best(b - j) == best(b) (1, for x1, at d = 1). Past top + d,
+    best(b) and each best(b - j) exceed their values at b - k by ranks[k],
+    so pick(b) = pick(b - k).
+    """
+    m = min(n, d)
+    ranks = [0] + [_partition_top(d, k) for k in range(1, m + 1)]
+    if d == 1:
+        return ranks, lambda b: min(b, 1), lambda b: 1
+    step = 1
+    for k in range(2, m + 1):
+        if ranks[k] * step >= ranks[step] * k:
+            step = k
+    top = min(n, (step - 1) * m)
+    table = [0]
+    for b in range(1, top + 1):
+        table.append(max(ranks[k] + table[b - k] for k in range(1, min(b, d) + 1)))
+
+    def best(b: int) -> int:
+        steps = max(0, -(-(b - top) // step))
+        return table[b - steps * step] + steps * ranks[step]
+
+    picks = _Table(lambda b: max(k for k in range(1, min(b, d) + 1) if ranks[k] + best(b - k) == best(b)))
+    # Each budget is read in the window of step budgets past top + d, and decided once there.
+    return ranks, best, lambda b: picks[b - max(0, -(-(b - top - d - step) // step)) * step]
 
 
 def full_knapsack(n, d):
@@ -448,17 +497,79 @@ def test_knapsack_pick_is_the_backtrack_on_every_budget():
         assert [pick(b) for b in range(1, n + 1)] == [backtrack_pick(ranks, best, 12, b) for b in range(1, n + 1)]
 
 
+def flat_sizes(n, d):
+    """_top_sizes(n, d) as one size per block, largest first."""
+    return [k for k, copies in _top_sizes(n, d).items() for _ in range(copies)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3000), st.integers(2, 40))
-@example(10**5, 40)
+@given(st.integers(1, 3000), st.integers(2, 60))
 @example(10**5, 7)
+@example(10**5, 40)
+@example(10**5, 97)
+@example(10**5, 200)
 def test_max_rank_sum_is_the_knapsack_backtrack(n, d):
+    sizes = backtrack_sizes(n, d)
+    assert flat_sizes(n, d) == sizes
     witness = max_rank_sum(n, d)
-    assert [block.nvars for block in witness.blocks] == backtrack_sizes(n, d)
-    assert sum_rank(witness) == r_max_star(n, d)
+    assert [block.nvars for block in witness.blocks] == sizes
+    assert sum_rank(witness) == r_max_star(n, d) == sum(_partition_top(d, k) for k in sizes)
 
 
-def test_max_rank_sum_reads_each_budget_once_per_period():
+def test_top_sizes_at_d_3_4_5_are_the_knapsack_backtrack():
+    # Both gain one block of step variables per step variables past the
+    # knapsack's first step * (d + 1) budgets, so these budgets decide every n.
+    for d in (3, 4, 5):
+        for n in range(1, 3 * d * d + 2 * d + 1):
+            assert flat_sizes(n, d) == backtrack_sizes(n, d), (n, d)
+
+
+def test_top_sizes_list_no_size_without_copies():
+    # A size listed with no copies still costs its rank: 2^(d - 1) for a block of d.
+    for d in range(1, 13):
+        for n in range(1, 100):
+            sizes = _top_sizes(n, d)
+            assert all(copies > 0 for copies in sizes.values()), (n, d)
+            assert list(sizes) == sorted(sizes, reverse=True)
+            assert sum(k * copies for k, copies in sizes.items()) == (1 if d == 1 else n)
+    assert _top_sizes(3, 10**200) == {3: 1}
+
+
+def block_ranks(d):
+    """r[k] = _partition_top(d, k), the rank of the best block on k variables, with r[0] = 0."""
+    return [0] + [_partition_top(d, k) for k in range(1, d + 1)]
+
+
+def exchange_failures(d):
+    """Which of _top_sizes' conditions (0), (i) and (ii) fail at degree d, each checked on every pair."""
+    r = block_ranks(d)
+    failed = set()
+    if any(r[k] > r[k + 1] for k in range(d)):
+        failed.add("0")
+    if any(r[a] + r[b] > r[a + b] for a in range(1, d) for b in range(1, min(a, d - a) + 1)):
+        failed.add("i")
+    if any(r[a] + r[b] > r[d] + r[a + b - d] for a in range(1, d) for b in range(d - a + 1, a + 1)):
+        failed.add("ii")
+    return failed
+
+
+def test_the_exchange_conditions_fail_only_at_d_3_4_5():
+    # The proof covers d >= 11; these cells are what it leans on for d <= 10.
+    assert {d: exchange_failures(d) for d in range(2, 11)} == {
+        d: {"ii"} if d in (3, 4, 5) else set() for d in range(2, 11)
+    }
+    assert [d for d in range(2, 201) if exchange_failures(d)] == [3, 4, 5]
+
+
+def test_block_ranks_grow_by_a_third_and_are_powers_of_three_quarters_past_half():
+    for d in range(2, 201):
+        r = block_ranks(d)
+        assert all(3 * r[k + 1] >= 4 * r[k] for k in range(1, d)), d  # L1
+        for k in range(-(-(d + 1) // 2), d + 1):  # L2: 2k >= d + 1
+            assert r[k] * 4 ** (d - k) == 2 ** (d - 1) * 3 ** (d - k), (k, d)
+
+
+def test_max_rank_sum_builds_a_wide_witness_fast():
     # Backtracking 25,000 blocks, each trying 40 sizes, took 0.9 s on 2 shared vCPUs (Python 3.11).
     start = time.perf_counter()
     witness = max_rank_sum(10**6, 40)
@@ -561,6 +672,14 @@ def test_greedy_can_be_suboptimal_beyond_cited_cases():
     # (8, 4): two squarefree blocks meet the linear bound, so greedy is best.
     assert sum_rank(greedy_construction(8, 4)) == 16
     assert r_max_star(8, 4, "oracle") == 16
+
+
+def test_greedy_is_the_maximum_but_at_d_3_and_one_past_a_multiple_at_d_4_5():
+    for d in range(2, 13):
+        for n in range(1, 200):
+            short = d == 3 and n not in (1, 2, 3, 5) or d in (4, 5) and n % d == 1 and n > d
+            greedy = greedy_construction(n, d)
+            assert (greedy != max_rank_sum(n, d)) == (sum_rank(greedy) < r_max_star(n, d)) == short, (n, d)
 
 
 def test_greedy_rejects_bad_args():

@@ -18,7 +18,6 @@ from waring.coprime_sums import (
     CoprimeSum,
     _block_multisets,
     _block_pool,
-    _knapsack,
     enumerate_coprime_sums,
     make_sum,
     max_rank_sum,
@@ -317,7 +316,7 @@ def test_the_per_cell_root_rule_is_the_suffix_minimum_rule(claim_id, first, widt
     if claim_id == "theorem-monomial":
         top = functools.partial(_partition_top, d)  # exactly k parts
     else:
-        top = _knapsack(ns[-1], d)[1]
+        top = lambda k: r_max_star(k, d)  # at most k variables
     gens = [g - cut for g in generic_ranks(ns, d)]
     opened = [n for n, gen in zip(ns, gens) if max(map(top, range(1, n + 1))) >= gen]
     assert walked == opened[-1:]
@@ -431,8 +430,7 @@ def test_only_the_cell_4_3_opens():
         gens = generic_ranks(ns, d)
         assert all(_partition_top(d, min(n, d)) < gen for n, gen in zip(ns, gens)), d
         if d >= 3:
-            best = _knapsack(ns[-1], d)[1]
-            opened += [(n, d) for n, gen in zip(ns, gens) if best(n) >= gen]
+            opened += [(n, d) for n, gen in zip(ns, gens) if r_max_star(n, d) >= gen]
     assert opened == [(4, 3)]
 
 
@@ -460,7 +458,7 @@ def test_a_closed_root_builds_no_violation(monkeypatch):
 
 def test_coprime_columns_build_the_block_pool_only_when_the_root_opens(monkeypatch):
     # Past (4, 3), no sum in the claim's domain reaches a generic rank, so
-    # the knapsack closes the root of every column with d >= 4, and the
+    # r_max_star closes the root of every column with d >= 4, and the
     # d = 3 column builds only (4, 3)'s pool.
     built = []
     original = waring.coprime_sums._block_pool
@@ -560,7 +558,7 @@ def test_a_huge_degree_column_needs_no_memory():
 
 
 def test_a_wide_coprime_column_needs_no_memory():
-    # Counts by the block-shape recurrence and the knapsack bound take O(n)
+    # Counts by the block-shape recurrence and the closed-form tops take O(n)
     # memory beyond the pool, whatever the number of sums (2.4e17 in 30 variables).
     tracemalloc.start()
     try:
@@ -578,15 +576,14 @@ def test_root_summaries_top_out_at_the_closed_forms():
     for n in range(1, 17):
         for d in range(1, 61):
             assert max(_partition_top(d, u) for u in range(1, min(n, d) + 1)) == r_max(n, d), (n, d)
-    # The knapsack tops every coprime cell: best(u) is the walk's highest
+    # r_max_star tops every coprime cell: r_max_star(u, d) is the walk's highest
     # rank on at most u variables, the base rank of 1 at d = 1 included.
     for n in range(1, 15):
         for d in range(1, 15):
-            best = _knapsack(n, d)[1]
             tops = [0] * (n + 1)
             for rank, used, _ in _block_multisets(_block_pool(n, d), n):
                 tops[used] = max(tops[used], rank)
-            assert [best(u) for u in range(n + 1)] == list(accumulate(tops, max)), (n, d)
+            assert [0] + [r_max_star(u, d) for u in range(1, n + 1)] == list(accumulate(tops, max)), (n, d)
 
 
 def test_enumerate_walks_build_no_summary(monkeypatch):
@@ -1031,7 +1028,7 @@ def test_ratio_decay_uses_bound_beyond_oracle_limit():
 
 
 def test_exact_coprime_maxima_far_beyond_brute_force():
-    # Hundreds of millions of sums at (30, 12); the knapsack takes milliseconds.
+    # Hundreds of millions of sums at (30, 12); the closed form walks none of them.
     start = time.perf_counter()
     point = ratio_to_generic(30, 12, "coprime")
     witness = max_rank_sum(40, 12)
