@@ -568,13 +568,13 @@ def _write_stdout(pieces: Iterable[str]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(DIGIT_BUDGET)  # Python's own limit is 4300 digits; restored on return
+    sys.set_int_max_str_digits(DIGIT_BUDGET)  # Python's own limit is 4300 digits, int flags included; restored on return
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         doc, exit_code = args.handler(args)
         pieces = render_pieces(doc)
         if args.out:

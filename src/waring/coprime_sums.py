@@ -134,20 +134,23 @@ def _block_groups(
     Yields (rank, used, picked, rows) for the prefix alone, with rows
     [(0, 0, ())], and then, if 1 to _TAIL variables are left, for its
     completions, with rows full[rest][starts[rest][j]:], j its last pick.
-    With spanning, only multisets on all n variables are kept: a prefix
-    alone if used == n, the rows with u == rest, no group left empty.
-    The group's multisets are (rank + r, used + u, picked + p) for each
+    A group's multisets are (rank + r, used + u, picked + p) for each
     (r, u, p) in rows, in that order. full[b] is the walk in b variables
     less the base rank, built once per call by the recursion for the
     pool, and starts[b][j] is where its part whose first index is j or
-    more begins. Depth first, a lazy range of pool indices per level.
+    more begins. With spanning, a prefix alone counts only if used == n,
+    and so does a block alone in the recursion if size == b: full[b] is
+    then the multisets on exactly b variables. No group is empty: the
+    pool's last block, x1^d, comes after every j, and rest copies of it
+    use exactly rest variables. Depth first, a lazy range of pool indices
+    per level.
     """
     sizes, ranks, base = _block_ranks(pool)
     count = len(sizes)
     full, starts = [[]], [[0] * count]
     for b in range(1, min(n - 1, _TAIL) + 1):  # every prefix holds a block, so b < n
         full.append([(ranks[j] + r, size + u, (j,) + p) for j, size in enumerate(sizes) if size <= b
-                     for r, u, p in [(0, 0, ())] + full[b - size][starts[b - size][j]:]])
+                     for r, u, p in [(0, 0, ())] * (size == b or not spanning) + full[b - size][starts[b - size][j]:]])
         starts.append([bisect_left(full[b], j, key=lambda multiset: multiset[2][0]) for j in range(count)])
     first_fit = [next((i for i, s in enumerate(sizes) if s <= b), count) for b in range(n + 1)]
     alone = [(0, 0, ())]
@@ -165,11 +168,7 @@ def _block_groups(
             if rest > _TAIL:
                 stack.append((iter(range(max(j, first_fit[rest]), count)), rank_j, used_j, picked_j))
                 break
-            rows = full[rest][starts[rest][j]:]
-            if spanning:
-                rows = [row for row in rows if row[1] == rest]
-            if rows:
-                yield rank_j, used_j, picked_j, rows
+            yield rank_j, used_j, picked_j, full[rest][starts[rest][j]:]
         else:
             stack.pop()
 
@@ -190,8 +189,8 @@ def _block_multisets(
     restricted to used <= k, is the walk over _block_pool(k, d).
 
     The groups of _block_groups, expanded: with at most _TAIL variables
-    left, each completion costs two adds and a tuple concatenation. With
-    spanning, only the rows its filter keeps are expanded.
+    left, each completion costs two adds and a tuple concatenation, and
+    with spanning no completion is read only to be dropped.
     """
     for rank, used, picked, rows in _block_groups(pool, n, spanning):
         for r, u, p in rows:

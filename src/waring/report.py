@@ -11,6 +11,7 @@ column, so each renderer walks them without looking columns up by name.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice, repeat
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -49,26 +50,29 @@ def fmt_exact(value: int | Fraction) -> str:
 def approx12(value: int | Fraction) -> str:
     """Decimal approximation with 12 significant digits, for _approx columns.
 
-    A value beyond float range is rounded exactly (half to even), and
-    spelled as %.12g would spell it: trailing zeros dropped, e+NNN.
+    A nonzero value outside the normal float range, past it or below
+    sys.float_info.min, is rounded exactly (half to even), and spelled as
+    %.12g would spell it: trailing zeros dropped, e+NNN or e-NNN.
     """
     try:
-        return f"{float(value):.12g}"
+        approx = float(value)
+        if not value or abs(approx) >= sys.float_info.min:
+            return f"{approx:.12g}"
     except OverflowError:
         pass
     from fractions import Fraction
 
     size = abs(Fraction(value))
-    whole = int(size)  # the same decimal exponent as size, at least 308 here
-    exponent = _exponent_estimate(whole.bit_length())
-    if whole < 10**exponent:
-        exponent -= 1
-    digits = round(size / 10 ** (exponent - 11))
+    # One below the estimate from the bit lengths is at most the decimal exponent of size; step up to it.
+    exponent = _exponent_estimate(size.numerator.bit_length() - size.denominator.bit_length()) - 1
+    while Fraction(10) ** (exponent + 1) <= size:
+        exponent += 1
+    digits = round(size / Fraction(10) ** (exponent - 11))
     if digits == 10**12:  # rounded up to the next power of ten
         digits, exponent = 10**11, exponent + 1
     mantissa = str(digits)
     mantissa = (mantissa[0] + "." + mantissa[1:]).rstrip("0").rstrip(".")
-    return f"{'-' if value < 0 else ''}{mantissa}e+{exponent}"
+    return f"{'-' if value < 0 else ''}{mantissa}e{exponent:+03d}"
 
 
 class ReportDocument:

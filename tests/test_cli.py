@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
 import os
@@ -266,8 +267,8 @@ def test_enumerate_builds_no_object_per_row(monkeypatch, sums):
 
 
 def test_enumerate_spanning_groups_completions_under_their_prefix(monkeypatch):
-    # The spanning sums are the grouped block walk, filtered: a prefix's
-    # text is made once for all of its spanning completions.
+    # The spanning sums are the grouped block walk over an exact-usage
+    # table: a prefix's text is made once for all of its spanning completions.
     recorded = []
     sum_rows = cli._sum_rows
 
@@ -586,6 +587,13 @@ def test_asymptotics_d_limit(capsys):
     assert [row["d"] for row in doc["rows"]] == ["10", "100", "1000"]
 
 
+def test_asymptotics_gap_below_float_range_prints_its_digits(capsys):
+    code, doc = run_json(capsys, "asymptotics", "--mode", "d-limit", "--n", "4", "--d-samples", "1" + "0" * 400)
+    assert code == 0
+    [row] = doc["rows"]
+    assert Fraction(row["gap"]) > 0 and row["gap_approx"] == "8.88888888889e-801"
+
+
 def test_asymptotics_d_limit_n3(capsys):
     code, doc = run_json(
         capsys, "asymptotics", "--mode", "d-limit", "--n", "3", "--d-samples", "5,50"
@@ -806,7 +814,8 @@ def joined(items, sep, most):
 small_int = values(st.integers(1, 6).map(str), "-1", "0", "x", "")
 # Degrees whose values pass float range (approx12's exact path) and Python's
 # default limit of 4300 digits, and in 30 variables the digit budget
-# (29 * 3500 digits), each computed in well under a second.
+# (29 * 3500 digits), each computed in well under a second. The flags
+# themselves parse under the digit budget, so 4300 digits bound none of them.
 big_d = small_int | st.sampled_from(["1000", "1" + "0" * 200, "1" + "0" * 3500])
 BIG_CELL = {"--n": small_int | st.just("30"), "--d": big_d}
 exponent_list = values(joined(st.integers(0, 6).map(str), ",", 4), "1,x", "", ",")
@@ -986,6 +995,18 @@ def test_values_past_the_default_digit_limit_print_exactly(capsys, argv, values)
     assert [row["value"] for row in doc["rows"]][: len(texts)] == texts
 
 
+def test_an_int_flag_past_the_default_digit_limit_parses_within_the_budget(capsys):
+    limit = sys.get_int_max_str_digits()
+    d = "1" + "0" * 5000
+    code, doc = run_json(capsys, "generic-rank", "--n", "1", "--d", d)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert [row["d"] for row in doc["rows"]] == [d]
+    # Past the budget the flag is still rejected, and the limit is restored after argparse's exit.
+    code, out, err = run_cli(capsys, "generic-rank", "--n", "1", "--d", "1" + "0" * report.DIGIT_BUDGET)
+    assert (code, out) == (2, "") and "argument --d: invalid int value" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_a_value_over_the_digit_budget_exits_two_naming_its_digits(capsys):
     limit = sys.get_int_max_str_digits()
     value = generic_rank(30, 10**3500)
@@ -1050,9 +1071,48 @@ def test_approx12_beyond_float_range_rounds_the_exact_value(value, sign):
         assert int(exponent) == len(leading) - 1
 
 
+def decimal12(value):
+    """The oracle for approx12's exact path: value rounded by decimal to 12 digits, half to even, spelled by g."""
+    context = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    quotient = context.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+    return format(quotient.normalize(context), "g")
+
+
+TINY = Fraction(sys.float_info.min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.builds(lambda digits, exponent: Fraction(digits, 10**exponent), st.integers(1, 10**20), st.integers(328, 900))
+    | st.builds(Fraction, st.integers(1, 10**80), st.integers(10**400, 10**700))
+    | st.builds(Fraction, st.integers(1, 2**1000), st.just(2**2100))
+    | st.integers(2**1024, 10**700)
+    | st.builds(Fraction, st.integers(10**400, 10**700), st.integers(1, 10**80)),
+    sign=st.sampled_from([1, -1]),
+)
+@example(value=Fraction(123456789012345, 10**330), sign=1)  # a subnormal float: wrong digits on the float path
+@example(value=Fraction(3, 10**320), sign=-1)
+@example(value=Fraction(1, 10**400), sign=1)  # float() gives 0.0
+@example(value=Fraction(1234567890125, 10**330), sign=1)  # a tie, rounded down to the even digit
+@example(value=Fraction(1234567890135, 10**330), sign=-1)  # a tie, rounded up to the even digit
+@example(value=Fraction(10**15 - 1, 10**345), sign=1)  # rounds up to the next power of ten
+@example(value=TINY - Fraction(1, 10**400), sign=1)  # just below the normal range
+@example(value=1234567890125 * 10**300, sign=-1)  # a tie past float range
+def test_approx12_outside_the_normal_float_range_is_the_decimal_rounding(value, sign):
+    assert value < TINY or value > sys.float_info.max
+    assert approx12(sign * value) == decimal12(sign * value)
+
+
+def test_approx12_of_zero_and_of_both_signs():
+    assert approx12(0) == approx12(Fraction(0)) == "0"
+    for value in (Fraction(1, 10**400), Fraction(2, 3), 10**400):
+        assert approx12(-value) == "-" + approx12(value)
+
+
 def test_approx12_keeps_the_float_path_in_float_range():
-    for value in (1, Fraction(2, 3), 10**300, Fraction(10**308, 7), 2**1023):
-        assert approx12(value) == f"{float(value):.12g}"
+    for value in (1, Fraction(2, 3), 10**300, Fraction(10**308, 7), 2**1023, TINY, TINY + Fraction(1, 10**400)):
+        for signed in (value, -value):
+            assert approx12(signed) == f"{float(signed):.12g}"
 
 
 def test_report_document_rejects_unknown_format():

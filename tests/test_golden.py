@@ -67,6 +67,7 @@ COMMANDS = (
     "enumerate --n 7 --d 3 --sums",
     "enumerate --n 5 --d 5 --sums --spanning",
     "enumerate --n 8 --d 5 --sums --spanning",
+    "enumerate --n 10 --d 7 --sums --spanning",
     "enumerate --n 1 --d 4",
     "enumerate --n 9 --d 2",
     "enumerate --n 3 --d 0",
